@@ -15,8 +15,9 @@ operations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 GATES_1Q = ("H", "S", "X", "Y", "Z")
 GATES_2Q = ("CX",)
@@ -122,6 +123,23 @@ class Circuit:
         return {q.id: q for q in self.qubits}
 
     @cached_property
+    def meas_before(self) -> tuple[int, ...]:
+        """Measurement records made before each instruction, then the total."""
+        return tuple(accumulate(map(_record_count, self.instructions),
+                                initial=0))
+
+    @cached_property
+    def fault_site_base(self) -> tuple[int, ...]:
+        """Canonical id of each instruction's first fault site, then the total.
+
+        Sites are numbered in instruction order: per target qubit the X, Y,
+        Z outcomes of DEPOL1, per target pair the 15 outcomes of DEPOL2,
+        and per target one MEAS_FLIP record flip.
+        """
+        return tuple(accumulate(map(_fault_site_count, self.instructions),
+                                initial=0))
+
+    @cached_property
     def measurements(self) -> tuple[MeasRecord, ...]:
         recs = []
         for i, ins in enumerate(self.instructions):
@@ -134,33 +152,25 @@ class Circuit:
 
     @property
     def num_measurements(self) -> int:
-        return len(self.measurements)
+        return self.meas_before[-1]
 
     @cached_property
     def detectors(self) -> tuple[Detector, ...]:
         out = []
-        count = 0
-        for ins in self.instructions:
-            if ins.op in ("MEAS_Z",):
-                count += len(ins.targets)
-            elif ins.op == "MPP":
-                count += 1
-            elif ins.op == "DETECTOR":
-                meas = tuple(sorted(count + off for off in ins.targets))
+        for i, ins in enumerate(self.instructions):
+            if ins.op == "DETECTOR":
+                meas = tuple(sorted(self.meas_before[i] + off
+                                    for off in ins.targets))
                 out.append(Detector(len(out), ins.coords, meas))
         return tuple(out)
 
     @cached_property
     def observables(self) -> tuple[Observable, ...]:
         acc: dict[int, list[int]] = {}
-        count = 0
-        for ins in self.instructions:
-            if ins.op == "MEAS_Z":
-                count += len(ins.targets)
-            elif ins.op == "MPP":
-                count += 1
-            elif ins.op == "OBSERVABLE":
-                acc.setdefault(ins.index, []).extend(count + off for off in ins.targets)
+        for i, ins in enumerate(self.instructions):
+            if ins.op == "OBSERVABLE":
+                acc.setdefault(ins.index, []).extend(
+                    self.meas_before[i] + off for off in ins.targets)
         if acc and sorted(acc) != list(range(len(acc))):
             raise CircuitError("observable indices must be contiguous from 0")
         return tuple(Observable(i, tuple(sorted(acc[i]))) for i in sorted(acc))
@@ -189,6 +199,20 @@ class Circuit:
         return spans
 
 
+def _record_count(ins: Instruction) -> int:
+    if ins.op == "MEAS_Z":
+        return len(ins.targets)
+    return int(ins.op == "MPP")
+
+
+def _fault_site_count(ins: Instruction) -> int:
+    if ins.op == "DEPOL1":
+        return 3 * len(ins.targets)
+    if ins.op == "DEPOL2":
+        return 15 * (len(ins.targets) // 2)
+    return len(ins.targets) if ins.op == "MEAS_FLIP" else 0
+
+
 def _validate(circuit: Circuit) -> None:
     ids = [q.id for q in circuit.qubits]
     if len(set(ids)) != len(ids):
@@ -198,10 +222,9 @@ def _validate(circuit: Circuit) -> None:
     if len(coords) != len(ids):
         raise CircuitError("duplicate qubit coordinates")
 
-    count = 0
     mpp_seen = False
     prev: Instruction | None = None
-    for ins in circuit.instructions:
+    for i, ins in enumerate(circuit.instructions):
         if ins.op not in ALL_OPS:
             raise CircuitError(f"unknown op {ins.op!r}")
         if ins.op in GATES_1Q + GATES_2Q + RESETS + ("MEAS_Z", "DEPOL1", "DEPOL2", "MEAS_FLIP"):
@@ -224,11 +247,8 @@ def _validate(circuit: Circuit) -> None:
         if ins.op == "MEAS_FLIP":
             if prev is None or prev.op != "MEAS_Z" or prev.targets != ins.targets:
                 raise CircuitError("MEAS_FLIP must directly follow MEAS_Z on the same targets")
-        if ins.op == "MEAS_Z":
-            count += len(ins.targets)
         if ins.op == "MPP":
             mpp_seen = True
-            count += 1
             if not ins.paulis:
                 raise CircuitError("MPP with empty Pauli product")
             qs = [q for q, _ in ins.paulis]
@@ -240,6 +260,7 @@ def _validate(circuit: Circuit) -> None:
                 if p not in ("X", "Y", "Z"):
                     raise CircuitError(f"MPP with invalid Pauli {p!r}")
         if ins.op in ("DETECTOR", "OBSERVABLE"):
+            count = circuit.meas_before[i]
             for off in ins.targets:
                 if off >= 0 or count + off < 0:
                     raise CircuitError(

@@ -68,9 +68,6 @@ class DecomposedDEM:
     pairs: tuple[GhostPair, ...]
     invisible: tuple[int, ...]    # mechanism ids with observables but no detectors
 
-    def component(self, i: int) -> Component:
-        return self.components[i]
-
 
 def _collect_split(dem, mech):
     split: dict[tuple[int, str], list[int]] = {}

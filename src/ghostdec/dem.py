@@ -90,15 +90,8 @@ def extract_dem(circuit: Circuit, check: bool = True) -> DetectorErrorModel:
     for obs in circuit.observables:
         for r in obs.meas:
             mask_rec[r] = mask_rec.get(r, 0) ^ (1 << (n_det + obs.index))
-    # measurement index before each instruction
-    meas_before = []
-    m = 0
-    for ins in circuit.instructions:
-        meas_before.append(m)
-        if ins.op == "MEAS_Z":
-            m += len(ins.targets)
-        elif ins.op == "MPP":
-            m += 1
+    meas_before = circuit.meas_before
+    site_base = circuit.fault_site_base
 
     sx: dict[int, int] = {q.id: 0 for q in circuit.qubits}
     sz: dict[int, int] = {q.id: 0 for q in circuit.qubits}
@@ -113,20 +106,6 @@ def extract_dem(circuit: Circuit, check: bool = True) -> DetectorErrorModel:
             sites.append(site)
         else:
             symptoms[sym] = (p, [site])
-
-    # canonical fault-site ids, assigned in forward order
-    site_base: dict[int, int] = {}
-    base = 0
-    for idx, ins in enumerate(circuit.instructions):
-        if ins.op == "DEPOL1":
-            site_base[idx] = base
-            base += 3 * len(ins.targets)
-        elif ins.op == "DEPOL2":
-            site_base[idx] = base
-            base += 15 * len(ins.target_pairs())
-        elif ins.op == "MEAS_FLIP":
-            site_base[idx] = base
-            base += len(ins.targets)
 
     for idx in range(len(circuit.instructions) - 1, -1, -1):
         ins = circuit.instructions[idx]

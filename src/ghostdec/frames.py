@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError, Instruction
+from .circuits import Circuit, CircuitError
 
 PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _ONE_QUBIT_OUTCOMES = ("X", "Y", "Z")
@@ -46,35 +46,24 @@ class FaultSite:
 
 def iter_fault_sites(circuit: Circuit):
     """Yield every elementary fault of the circuit in canonical order."""
-    site_id = 0
     for idx, ins in enumerate(circuit.instructions):
         if ins.op == "DEPOL1":
-            for q in ins.targets:
-                for letter in _ONE_QUBIT_OUTCOMES:
-                    yield FaultSite(site_id, idx, (q,), letter, ins.arg / 3)
-                    site_id += 1
+            outcomes = [((q,), letter, ins.arg / 3) for q in ins.targets
+                        for letter in _ONE_QUBIT_OUTCOMES]
         elif ins.op == "DEPOL2":
-            for pair in ins.target_pairs():
-                for v in range(1, 16):
-                    yield FaultSite(site_id, idx, pair, _two_qubit_outcome(v),
-                                    ins.arg / 15)
-                    site_id += 1
+            outcomes = [(pair, _two_qubit_outcome(v), ins.arg / 15)
+                        for pair in ins.target_pairs() for v in range(1, 16)]
         elif ins.op == "MEAS_FLIP":
-            for q in ins.targets:
-                yield FaultSite(site_id, idx, (q,), "FLIP", ins.arg)
-                site_id += 1
+            outcomes = [((q,), "FLIP", ins.arg) for q in ins.targets]
+        else:
+            continue
+        base = circuit.fault_site_base[idx]
+        for k, (qubits, pauli, p) in enumerate(outcomes):
+            yield FaultSite(base + k, idx, qubits, pauli, p)
 
 
 def count_fault_sites(circuit: Circuit) -> int:
-    n = 0
-    for ins in circuit.instructions:
-        if ins.op == "DEPOL1":
-            n += 3 * len(ins.targets)
-        elif ins.op == "DEPOL2":
-            n += 15 * len(ins.target_pairs())
-        elif ins.op == "MEAS_FLIP":
-            n += len(ins.targets)
-    return n
+    return circuit.fault_site_base[-1]
 
 
 class FaultPropagator:
@@ -88,15 +77,6 @@ class FaultPropagator:
         self.circuit = circuit
         self.n = len(circuit.qubits)
         self._col = {q.id: i for i, q in enumerate(circuit.qubits)}
-        # measurement index reached before each instruction
-        self._meas_before = []
-        m = 0
-        for ins in circuit.instructions:
-            self._meas_before.append(m)
-            if ins.op == "MEAS_Z":
-                m += len(ins.targets)
-            elif ins.op == "MPP":
-                m += 1
         self._rec_to_dets: dict[int, list[int]] = {}
         self._rec_to_obs: dict[int, list[int]] = {}
         for det in circuit.detectors:
@@ -121,7 +101,7 @@ class FaultPropagator:
             if ins.op != "MEAS_FLIP":
                 raise CircuitError("FLIP fault must sit on a MEAS_FLIP channel")
             prev = instructions[site.instr_index - 1]
-            base = self._meas_before[site.instr_index - 1]
+            base = self.circuit.meas_before[site.instr_index - 1]
             flipped_recs.append(base + prev.targets.index(site.qubits[0]))
         else:
             for q, letter in zip(site.qubits, site.pauli):
@@ -130,7 +110,7 @@ class FaultPropagator:
                     x[col[q]] ^= True
                 if zb:
                     z[col[q]] ^= True
-        m = self._meas_before[site.instr_index]
+        m = self.circuit.meas_before[site.instr_index]
         for ins in instructions[site.instr_index + 1:]:
             op = ins.op
             if op == "CX":
@@ -192,19 +172,6 @@ class CircuitSampler:
         self.circuit = circuit
         self.n = len(circuit.qubits)
         self._col = {q.id: i for i, q in enumerate(circuit.qubits)}
-        # canonical site id base per noise instruction (parallel to targets)
-        self._site_base: dict[int, int] = {}
-        base = 0
-        for idx, ins in enumerate(circuit.instructions):
-            if ins.op in ("DEPOL1", "DEPOL2", "MEAS_FLIP"):
-                self._site_base[idx] = base
-                if ins.op == "DEPOL1":
-                    base += 3 * len(ins.targets)
-                elif ins.op == "DEPOL2":
-                    base += 15 * len(ins.target_pairs())
-                else:
-                    base += len(ins.targets)
-        self.num_sites = base
         self.num_measurements = circuit.num_measurements
 
     def sample(self, shots: int, rng: np.random.Generator,
@@ -258,7 +225,7 @@ class CircuitSampler:
                 rec[:, m] = flip
                 m += 1
             elif op == "DEPOL1":
-                base = self._site_base[idx]
+                base = c.fault_site_base[idx]
                 for j, q in enumerate(ins.targets):
                     hit = rng.random(shots) < ins.arg
                     kind = rng.integers(0, 3, size=shots)
@@ -269,7 +236,7 @@ class CircuitSampler:
                         for s in np.flatnonzero(hit):
                             fired[s].append(base + 3 * j + int(kind[s]))
             elif op == "DEPOL2":
-                base = self._site_base[idx]
+                base = c.fault_site_base[idx]
                 for j, (qa, qb) in enumerate(ins.target_pairs()):
                     hit = rng.random(shots) < ins.arg
                     v = rng.integers(1, 16, size=shots)
@@ -282,7 +249,7 @@ class CircuitSampler:
                         for s in np.flatnonzero(hit):
                             fired[s].append(base + 15 * j + int(v[s]) - 1)
             elif op == "MEAS_FLIP":
-                base = self._site_base[idx]
+                base = c.fault_site_base[idx]
                 for j, q in enumerate(ins.targets):
                     hit = rng.random(shots) < ins.arg
                     rec[:, m - len(ins.targets) + j] ^= hit

@@ -96,15 +96,11 @@ def build_protocol_graphs(decomposed: DecomposedDEM,
 def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
                        schedule: PassSchedule = DEFAULT_SCHEDULE, *,
                        graphs: dict | None = None,
-                       committed: frozenset = frozenset(),
                        correlation_scale: float = DEFAULT_CORRELATION_SCALE,
                        collect_trace: bool = True) -> GhostResult:
     """Decode all patches of one decomposed model against one syndrome.
 
-    ``committed`` carries commit keys from earlier decoding of the same
-    shot (windowed operation); their symptoms must already be folded
-    into the given syndrome.  The returned deltas describe only the net
-    toggles made here.
+    The returned deltas describe only the net toggles made here.
     """
     dem = decomposed.dem
     if len(syndrome) != dem.detector_count:
@@ -113,7 +109,6 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
         graphs = build_protocol_graphs(decomposed)
     patches = sorted({p for p, _, _ in graphs})
     working = np.array(syndrome, dtype=bool, copy=True)
-    active = set(committed)
     frame_delta = np.zeros(dem.observable_count, dtype=bool)
     refinement_delta = np.zeros(dem.detector_count, dtype=bool)
     toggled: set = set()
@@ -133,7 +128,6 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
         exposed = k in schedule.expose_gs_on
         final = k == schedule.passes
         barrier: list[RefinementMessage] = []
-        pass_committed_pairs = []
         cached = seen.get(exposed)
         stored = cached[1] if cached is not None and cached[0] == version else None
         fresh: dict = {}
@@ -155,10 +149,8 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
             sent = []
             if not final:
                 for g, c in ((gx, corr_x), (gz, corr_z)):
-                    for msg in _discover(g, c, pair_by_id, comps, dem, k):
-                        barrier.append(msg)
-                        sent.append(msg)
-                        pass_committed_pairs.append(msg.pair_id)
+                    sent.extend(_discover(g, c, pair_by_id, comps, dem, k))
+                barrier.extend(sent)
             if collect_trace:
                 trace.append(_trace_entry(k, patch, (gx, corr_x), (gz, corr_z),
                                           sent, dem))
@@ -176,10 +168,6 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
             for j in set(ge.observables) ^ set(gs.observables):
                 frame_delta[j] ^= True
             toggled ^= {key}
-            if key in active:
-                active.discard(key)
-            else:
-                active.add(key)
             applied.append([msg.detector, msg.pair_id])
         if applied:
             passes_with_commits += 1

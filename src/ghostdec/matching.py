@@ -21,6 +21,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .circuits import CircuitError
 from .decompose import PatchPartition
+from .dem import _merge_odd
 
 DEFAULT_CORRELATION_SCALE = 0.01
 
@@ -118,17 +119,12 @@ class MatchingGraph:
         object.__setattr__(self, "_incident",
                            frozenset(x for k in keys for x in k))
         object.__setattr__(self, "_dij_cache", {})
-        object.__setattr__(self, "_decode_cache", {})
 
 
 def edge_weight(probability: float) -> float:
     if not 0.0 < probability <= 0.5:
         raise MatchingError(f"edge probability {probability} outside (0, 0.5]")
     return math.log((1.0 - probability) / probability)
-
-
-def _merge_odd(p1: float, p2: float) -> float:
-    return p1 * (1.0 - p2) + p2 * (1.0 - p1)
 
 
 def build_matching_graph(partition: PatchPartition, cls: str,

@@ -7,11 +7,15 @@ correction weight near the severance growing across protocol passes,
 and a complementary decode with the open temporal boundary closed
 arriving at a different answer.  A heralded gate delays its decision,
 re-windows with more syndrome rounds, and decodes once more.
+
+Patience is a retry policy on the real-time carry loop,
+:func:`ghostdec.windows.carry_gates`: it changes how one gate is
+decoded, never how commits carry between gates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +26,8 @@ from .ghost import (DEFAULT_SCHEDULE, PassSchedule, build_protocol_graphs,
                     run_ghost_protocol)
 from .matching import DEFAULT_CORRELATION_SCALE, MatchingError
 from .windows import (SeveranceSpec, TproxyPlan, WindowConfig, WindowError,
-                      WindowedProblem, plan_tproxy_windows, window_dem,
-                      _patch_max_time)
+                      WindowedProblem, carry_gates, plan_tproxy_windows,
+                      window_dem, _patch_max_time)
 
 
 class PatienceError(CircuitError):
@@ -93,7 +97,6 @@ def herald_weight_growth(trace: list, region: frozenset[int],
 
 def herald_complementary(window: WindowedProblem, syndrome: np.ndarray,
                          observable: int, base_flip: bool, *,
-                         committed: frozenset = frozenset(),
                          graphs: dict | None = None,
                          schedule: PassSchedule = DEFAULT_SCHEDULE,
                          correlation_scale: float = DEFAULT_CORRELATION_SCALE,
@@ -109,7 +112,7 @@ def herald_complementary(window: WindowedProblem, syndrome: np.ndarray,
                                        exclude_open_boundary=True)
     try:
         res = run_ghost_protocol(window.decomposed, syndrome, schedule,
-                                 graphs=graphs, committed=committed,
+                                 graphs=graphs,
                                  correlation_scale=correlation_scale,
                                  collect_trace=False)
     except MatchingError:
@@ -224,28 +227,19 @@ def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
     if plan is None:
         plan = plan_patience(decomposed, config, d,
                              region_radius=region_radius)
-    dem = decomposed.dem
-    refined = np.array(syndrome, dtype=bool, copy=True)
-    if refined.shape != (dem.detector_count,):
-        raise PatienceError("syndrome length does not match detector count")
-    committed: frozenset = frozenset()
-    frame = np.zeros(dem.observable_count, dtype=bool)
-    decisions = np.zeros(dem.observable_count, dtype=bool)
-    base_decisions = np.zeros(dem.observable_count, dtype=bool)
     heralds = []
-    for g, (gate, window) in enumerate(zip(plan.base.gates,
-                                           plan.base.windows)):
+
+    def decode_gate(g, refined):
+        gate, window = plan.base.gates[g], plan.base.windows[g]
         res = run_ghost_protocol(window.decomposed, refined, schedule,
-                                 graphs=window.graphs, committed=committed,
+                                 graphs=window.graphs,
                                  correlation_scale=correlation_scale,
                                  collect_trace=True)
         j = gate.observable
         base_flip = bool(res.logical_flips[j])
-        base_decisions[j] = frame[j] ^ base_flip
         growth = herald_weight_growth(res.trace, plan.regions[g],
                                       gate.severance.patch)
         comp = herald_complementary(window, refined, j, base_flip,
-                                    committed=committed,
                                     graphs=plan.closed_graphs[g],
                                     schedule=schedule,
                                     correlation_scale=correlation_scale)
@@ -256,15 +250,17 @@ def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
         if heralded and plan.delay_rounds:
             res = run_ghost_protocol(plan.extended[g].decomposed, refined,
                                      schedule, graphs=plan.extended[g].graphs,
-                                     committed=committed,
                                      correlation_scale=correlation_scale,
                                      collect_trace=False)
             changed = bool(res.logical_flips[j]) != base_flip
-        decisions[j] = frame[j] ^ res.logical_flips[j]
-        committed = committed.symmetric_difference(res.commit_toggles)
-        refined ^= res.refinement_delta
-        frame ^= res.frame_delta
         heralds.append(HeraldResult(
             heralded, trigger, plan.delay_rounds if heralded else 0,
             growth, comp, changed))
+        return res
+
+    decisions, _ = carry_gates(decomposed.dem, syndrome, plan.base.gates,
+                               decode_gate)
+    base_decisions = decisions.copy()
+    for gate, herald in zip(plan.base.gates, heralds):
+        base_decisions[gate.observable] ^= herald.changed
     return PatientShot(decisions, base_decisions, tuple(heralds))

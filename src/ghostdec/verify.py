@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, CircuitError
-from .dem import DetectorErrorModel, sample_dem, site_to_mechanism, mechanism_symptom_xor
+from .dem import (DetectorErrorModel, _bits, mechanism_symptom_xor,
+                  site_to_mechanism)
 from .frames import CircuitSampler
 
 
@@ -42,29 +43,29 @@ def brute_force_ml_decode(dem: DetectorErrorModel, syndrome: np.ndarray,
     mechs = [(e, m) for e, m in enumerate(dem.mechanisms) if m.detectors]
     if len(mechs) > 4000:
         raise VerifyError(f"{len(mechs)} mechanisms is too large for enumeration")
-    if isinstance(syndrome, (set, frozenset)):
-        want: frozenset[int] = frozenset(int(t) for t in syndrome)
-    else:
-        want = frozenset(int(t) for t in np.flatnonzero(syndrome))
+    # residuals, observable classes and banned members are int bitmasks
+    if not isinstance(syndrome, (set, frozenset)):
+        syndrome = np.flatnonzero(syndrome)
+    want = sum(1 << int(t) for t in set(syndrome))
     by_det: dict[int, list[int]] = {}
-    det_sets = []
-    obs_sets = []
+    det_masks = []
+    obs_masks = []
     odds = []
     for i, (e, m) in enumerate(mechs):
-        det_sets.append(frozenset(m.detectors))
-        obs_sets.append(frozenset(m.observables))
+        det_masks.append(sum(1 << d for d in m.detectors))
+        obs_masks.append(sum(1 << j for j in m.observables))
         odds.append(m.probability / (1.0 - m.probability))
         for d in m.detectors:
             by_det.setdefault(d, []).append(i)
-    class_mass: dict[frozenset[int], float] = {}
+    class_mass: dict[int, float] = {}
     solutions = 0
 
     # Each subset is enumerated once: the branch variable is always the
     # smallest-index member covering the lowest residual detector (or
     # the smallest-index member overall when the residual has cancelled
     # out), so alternatives below that index are banned in the subtree.
-    def visit(residual: frozenset[int], floor: int, banned: frozenset[int],
-              obs: frozenset[int], weight: float, depth: int):
+    def visit(residual: int, floor: int, banned: int, obs: int,
+              weight: float, depth: int):
         nonlocal solutions
         if not residual:
             class_mass[obs] = class_mass.get(obs, 0.0) + weight
@@ -72,25 +73,25 @@ def brute_force_ml_decode(dem: DetectorErrorModel, syndrome: np.ndarray,
         if depth == weight_cap:
             return
         if residual:
-            pivot = min(residual)
+            pivot = (residual & -residual).bit_length() - 1
             shown = [i for i in by_det.get(pivot, ())
-                     if i >= floor and i not in banned]
-            for pos, i in enumerate(shown):
-                visit(residual ^ det_sets[i], floor,
-                      banned | frozenset(shown[:pos + 1]),
-                      obs ^ obs_sets[i], weight * odds[i], depth + 1)
+                     if i >= floor and not banned >> i & 1]
+            for i in shown:
+                banned |= 1 << i
+                visit(residual ^ det_masks[i], floor, banned,
+                      obs ^ obs_masks[i], weight * odds[i], depth + 1)
         else:
             for i in range(floor, len(mechs)):
-                if i in banned:
+                if banned >> i & 1:
                     continue
-                visit(det_sets[i], i + 1, banned,
-                      obs ^ obs_sets[i], weight * odds[i], depth + 1)
+                visit(det_masks[i], i + 1, banned,
+                      obs ^ obs_masks[i], weight * odds[i], depth + 1)
 
-    visit(want, 0, frozenset(), frozenset(), 1.0, 0)
+    visit(want, 0, 0, 0, 1.0, 0)
     if not class_mass:
         raise VerifyError("no consistent correction within the weight cap")
     best = max(class_mass.values())
-    tied = sorted(tuple(sorted(k)) for k, v in class_mass.items()
+    tied = sorted(tuple(_bits(k)) for k, v in class_mass.items()
                   if v >= best * (1.0 - tolerance))
     return MLResult(tied[0], best, tuple(tied), solutions)
 

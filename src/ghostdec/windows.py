@@ -6,10 +6,15 @@ rounds after its transversal CNOT, so the decoding problem is cut at a
 horizon: detectors beyond it are invisible and mechanisms straddling
 the cut become edges to an open temporal boundary on the surviving
 patch, while the measured patch terminates normally at its readout.
-For plain memory a sliding commit/buffer window plays the same role.
+Gates are decided in time order by one carry loop, :func:`carry_gates`:
+each window's ghost commits refine the syndrome and logical frame the
+next window sees.  Real-time decoding runs that loop with one ghost
+protocol per gate; patience (:mod:`ghostdec.patience`) runs it with a
+heralded retry per gate.  For plain memory a sliding commit/buffer
+window plays the same role.
 
-All windowed problems keep the global detector indexing, so syndromes,
-refinement toggles, and commit keys stay valid across windows.
+All windowed problems keep the global detector indexing, so syndromes
+and refinement toggles stay valid across windows.
 """
 
 from __future__ import annotations
@@ -35,31 +40,19 @@ class WindowError(CircuitError):
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Shared timing knobs for windowed decoding.
+    """Timing of real-time gate decisions.
 
     ``n_buf`` is the number of extraction rounds between a transversal
-    CNOT and the dependent logical measurement; ``n_sep`` the round
-    separation between consecutive CNOTs, which must leave the
-    measurement round plus two follow-up rounds (n_sep >= n_buf + 2).
-    ``commit_rounds``/``buffer_rounds``/``artificial_defects`` drive
-    the sliding memory decoder.
+    CNOT and the dependent logical measurement, and so the rounds a
+    gate's window sees past its CNOT.  The sliding memory decoder takes
+    its own commit and buffer sizes.
     """
 
     n_buf: int = 1
-    n_sep: int = 3
-    commit_rounds: int = 2
-    buffer_rounds: int = 2
-    artificial_defects: bool = True
 
     def __post_init__(self):
         if self.n_buf < 1:
             raise WindowError("n_buf must be at least 1")
-        if self.n_sep < self.n_buf + 2:
-            raise WindowError("need n_sep >= n_buf + 2 between gates")
-        if self.commit_rounds < 1:
-            raise WindowError("commit region needs at least one round")
-        if self.buffer_rounds < 0:
-            raise WindowError("buffer region cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -268,6 +261,34 @@ class TproxyDecodeResult:
     plan: TproxyPlan
 
 
+def carry_gates(dem: DetectorErrorModel, syndrome: np.ndarray,
+                gates: tuple[TproxyGate, ...], decode_gate,
+                ) -> tuple[np.ndarray, list]:
+    """Decide gates in time order, carrying each window's commits forward.
+
+    ``decode_gate(g, refined)`` decodes gate ``g`` against the carried
+    syndrome and returns the :class:`GhostResult` whose commits persist:
+    singleton flips enter the carried syndrome and observable flips the
+    carried frame, so later windows decode the refined problem.  A
+    gate's decision is the carried frame at its observable XOR that
+    result's answer.  Returns the decisions and the per-gate results.
+    """
+    refined = np.array(syndrome, dtype=bool, copy=True)
+    if refined.shape != (dem.detector_count,):
+        raise WindowError("syndrome length does not match detector count")
+    frame = np.zeros(dem.observable_count, dtype=bool)
+    decisions = np.zeros(dem.observable_count, dtype=bool)
+    results = []
+    for g, gate in enumerate(gates):
+        res = decode_gate(g, refined)
+        j = gate.observable
+        decisions[j] = frame[j] ^ res.logical_flips[j]
+        refined ^= res.refinement_delta
+        frame ^= res.frame_delta
+        results.append(res)
+    return decisions, results
+
+
 def decode_tproxy_windowed(decomposed: DecomposedDEM, syndrome: np.ndarray,
                            config: WindowConfig, *,
                            plan: TproxyPlan | None = None,
@@ -277,32 +298,21 @@ def decode_tproxy_windowed(decomposed: DecomposedDEM, syndrome: np.ndarray,
                            collect_trace: bool = False) -> TproxyDecodeResult:
     """Per-gate decisions, each using only pre-horizon data.
 
-    Ghost commits made inside one window persist: singleton flips enter
-    the carried syndrome and observable flips the carried frame, so
-    later windows decode the refined problem.  A gate's decision is the
-    carried frame at its observable XOR the window's own answer.
+    Each gate runs the ghost protocol once on its window inside
+    :func:`carry_gates`.
     """
-    dem = decomposed.dem
     if plan is None:
         plan = plan_tproxy_windows(decomposed, config, allowance)
-    refined = np.array(syndrome, dtype=bool, copy=True)
-    if refined.shape != (dem.detector_count,):
-        raise WindowError("syndrome length does not match detector count")
-    committed: frozenset = frozenset()
-    frame = np.zeros(dem.observable_count, dtype=bool)
-    decisions = np.zeros(dem.observable_count, dtype=bool)
-    results = []
-    for gate, window in zip(plan.gates, plan.windows):
-        res = run_ghost_protocol(window.decomposed, refined, schedule,
-                                 graphs=window.graphs, committed=committed,
-                                 correlation_scale=correlation_scale,
-                                 collect_trace=collect_trace)
-        j = gate.observable
-        decisions[j] = frame[j] ^ res.logical_flips[j]
-        committed = committed.symmetric_difference(res.commit_toggles)
-        refined ^= res.refinement_delta
-        frame ^= res.frame_delta
-        results.append(res)
+
+    def decode_gate(g, refined):
+        window = plan.windows[g]
+        return run_ghost_protocol(window.decomposed, refined, schedule,
+                                  graphs=window.graphs,
+                                  correlation_scale=correlation_scale,
+                                  collect_trace=collect_trace)
+
+    decisions, results = carry_gates(decomposed.dem, syndrome, plan.gates,
+                                     decode_gate)
     return TproxyDecodeResult(decisions, results, plan)
 
 
@@ -335,6 +345,8 @@ def compute_tw_error(windowed_decisions, global_decisions,
     b = np.asarray(global_decisions, dtype=bool)
     if a.ndim != 2 or a.shape != b.shape:
         raise WindowError("decision arrays must share a (shots, gates) shape")
+    if not a.shape[0]:
+        raise WindowError("no shots to compare")
     bad = int(np.any(a != b, axis=1).sum())
     return TwError(a.shape[0], bad, bad / a.shape[0],
                    likelihood_interval(bad, a.shape[0], factor))

@@ -20,6 +20,20 @@ def test_site_count_matches_iteration():
     sites = list(iter_fault_sites(c))
     assert len(sites) == count_fault_sites(c)
     assert [s.site_id for s in sites] == list(range(len(sites)))
+    # one shared numbering: each noise instruction's sites start at its base
+    first = {}
+    for s in sites:
+        first.setdefault(s.instr_index, s.site_id)
+    noisy = [i for i, ins in enumerate(c.instructions)
+             if ins.op in ("DEPOL1", "DEPOL2", "MEAS_FLIP")]
+    assert sorted(first) == noisy
+    assert all(first[i] == c.fault_site_base[i] for i in noisy)
+    # and measurement records are numbered from the shared offsets
+    for rec in c.measurements:
+        ins = c.instructions[rec.instr]
+        pos = 0 if rec.qubit is None else ins.targets.index(rec.qubit)
+        assert rec.index == c.meas_before[rec.instr] + pos
+    assert c.meas_before[-1] == len(c.measurements)
 
 
 def test_site_outcome_multiplicities():

@@ -140,7 +140,6 @@ def test_rerun_with_committed_keys_adds_nothing(setup):
     assert first.commit_toggles
     refined = vec(dem, mech.detectors) ^ first.refinement_delta
     again = run_ghost_protocol(dec, refined, graphs=graphs,
-                               committed=frozenset(first.commit_toggles),
                                collect_trace=False)
     assert again.commit_toggles == ()
     assert not again.frame_delta.any()

@@ -1,0 +1,91 @@
+"""Windowed real-time decoding, patience and sliding memory windows."""
+
+import numpy as np
+import pytest
+
+from ghostdec.builders import (NoiseParams, apply_noise_model,
+                               build_memory_circuit, build_tproxy_circuit)
+from ghostdec.circuits import CircuitError
+from ghostdec.decompose import ghost_decompose
+from ghostdec.dem import extract_dem, sample_dem
+from ghostdec.ghost import build_protocol_graphs, run_ghost_protocol
+from ghostdec.patience import patient_decode, plan_patience
+from ghostdec.windows import (WindowConfig, WindowError, compute_tw_error,
+                              decode_memory_sliding, decode_tproxy_global,
+                              decode_tproxy_windowed, plan_memory_windows,
+                              plan_tproxy_windows)
+
+CONFIG = WindowConfig()
+
+
+def decomposed(circuit, p):
+    dem = extract_dem(apply_noise_model(circuit, NoiseParams(p)))
+    return dem, ghost_decompose(dem)
+
+
+@pytest.fixture(scope="module")
+def patience_setup():
+    dem, dec = decomposed(build_tproxy_circuit(5, 2, extra_rounds=2), 3e-3)
+    return dem, dec, plan_patience(dec, CONFIG, 5), plan_tproxy_windows(dec, CONFIG)
+
+
+def test_full_horizon_windowed_equals_global():
+    dem, dec = decomposed(build_tproxy_circuit(3, 2), 5e-3)
+    graphs = build_protocol_graphs(dec)
+    # every gate's horizon lies at or past the last round: one global window
+    plan = plan_tproxy_windows(dec, CONFIG, allowance=max(dem.detector_time))
+    dets, _ = sample_dem(dem, seed=3, shots=200)
+    assert dets.any(axis=1).sum() > 150
+    for s in range(200):
+        win = decode_tproxy_windowed(dec, dets[s], CONFIG, plan=plan)
+        glob = decode_tproxy_global(dec, dets[s], graphs=graphs)
+        assert np.array_equal(win.decisions, glob), f"shot {s}"
+
+
+def test_unretried_patient_shots_keep_windowed_decisions(patience_setup):
+    dem, dec, pplan, wplan = patience_setup
+    assert pplan.delay_rounds == 1
+    dets, _ = sample_dem(dem, seed=4, shots=100)
+    kept = 0
+    for s in range(100):
+        shot = patient_decode(dec, dets[s], CONFIG, 5, plan=pplan)
+        if any(h.heralded and h.delay_rounds for h in shot.heralds):
+            continue
+        kept += 1
+        win = decode_tproxy_windowed(dec, dets[s], CONFIG, plan=wplan)
+        assert np.array_equal(shot.decisions, shot.base_decisions)
+        assert np.array_equal(shot.decisions, win.decisions), f"shot {s}"
+    assert kept > 90
+
+
+def test_wrong_syndrome_length_raises(patience_setup):
+    dem, dec, pplan, wplan = patience_setup
+    short = np.zeros(dem.detector_count - 1, dtype=bool)
+    with pytest.raises(CircuitError):
+        decode_tproxy_windowed(dec, short, CONFIG, plan=wplan)
+    with pytest.raises(CircuitError):
+        patient_decode(dec, short, CONFIG, 5, plan=pplan)
+
+
+def test_single_sliding_window_equals_global_memory():
+    dem, dec = decomposed(build_memory_circuit(3, 3), 5e-3)
+    rounds = max(dem.detector_time) + 1
+    windows = plan_memory_windows(dec, rounds, 0)
+    assert len(windows) == 1
+    graphs = build_protocol_graphs(dec)
+    dets, _ = sample_dem(dem, seed=6, shots=200)
+    for s in range(200):
+        sliding = decode_memory_sliding(dec, dets[s], rounds, 0,
+                                        windows=windows)
+        glob = run_ghost_protocol(dec, dets[s], graphs=graphs,
+                                  collect_trace=False)
+        assert np.array_equal(sliding, glob.logical_flips), f"shot {s}"
+
+
+def test_tw_error_rejects_empty_and_mismatched_arrays():
+    with pytest.raises(WindowError):
+        compute_tw_error(np.zeros((0, 2), bool), np.zeros((0, 2), bool))
+    with pytest.raises(WindowError):
+        compute_tw_error(np.zeros((3, 2), bool), np.zeros((3, 1), bool))
+    err = compute_tw_error([[0, 1], [1, 1]], [[0, 1], [1, 0]])
+    assert (err.shots, err.disagreements, err.rate) == (2, 1, 0.5)
