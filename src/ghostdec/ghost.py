@@ -20,8 +20,8 @@ import numpy as np
 
 from .circuits import CircuitError
 from .decompose import DecomposedDEM, partition_dem
-from .matching import (DEFAULT_CORRELATION_SCALE, MatchingGraph,
-                       build_matching_graph, decode_correlated_two_pass)
+from .matching import (MatchingGraph, build_matching_graph,
+                       decode_correlated_two_pass)
 
 
 class ProtocolError(CircuitError):
@@ -82,21 +82,30 @@ class GhostResult:
 
 def build_protocol_graphs(decomposed: DecomposedDEM,
                           exclude_open_boundary: bool = False):
-    """Both exposure variants of every patch-class graph, built once."""
+    """Both exposure variants of every patch-class graph, built once.
+
+    Keys are ``(patch, cls, exposed)``.  A patch-class with no ghost
+    singleton has one graph, stored under both exposure keys.
+    """
     graphs = {}
     for part in partition_dem(decomposed):
         for cls in ("Z", "X"):
-            for exposed in (False, True):
-                graphs[part.patch, cls, exposed] = build_matching_graph(
-                    part, cls, expose_gs=exposed,
+            hidden = build_matching_graph(
+                part, cls, exclude_open_boundary=exclude_open_boundary)
+            shown = hidden
+            if any(c.role == "ghost_s" and c.cls == cls
+                   for c in part.components):
+                shown = build_matching_graph(
+                    part, cls, expose_gs=True,
                     exclude_open_boundary=exclude_open_boundary)
+            graphs[part.patch, cls, False] = hidden
+            graphs[part.patch, cls, True] = shown
     return graphs
 
 
 def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
                        schedule: PassSchedule = DEFAULT_SCHEDULE, *,
                        graphs: dict | None = None,
-                       correlation_scale: float = DEFAULT_CORRELATION_SCALE,
                        collect_trace: bool = True) -> GhostResult:
     """Decode all patches of one decomposed model against one syndrome.
 
@@ -119,27 +128,27 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
     corrections = {}
 
     # passes repeat the same matching problem until a barrier actually
-    # changes the working syndrome, so quiet passes reuse the last
-    # decode made under the same exposure state
+    # changes the working syndrome, so a quiet pass reuses the last
+    # decode of the same (X, Z) graph objects; a patch whose graphs have
+    # no ghost singleton shares them across exposure states and is
+    # decoded once per barrier state
     version = 0
-    seen: dict[bool, tuple[int, dict]] = {}
+    seen: dict[tuple[int, int], tuple[int, tuple]] = {}
 
     for k in range(1, schedule.passes + 1):
         exposed = k in schedule.expose_gs_on
         final = k == schedule.passes
         barrier: list[RefinementMessage] = []
-        cached = seen.get(exposed)
-        stored = cached[1] if cached is not None and cached[0] == version else None
-        fresh: dict = {}
         for patch in patches:
             gx = graphs[patch, "X", exposed]
             gz = graphs[patch, "Z", exposed]
-            if stored is not None:
-                corr_x, corr_z = stored[patch]
+            key = (id(gx), id(gz))
+            cached = seen.get(key)
+            if cached is not None and cached[0] == version:
+                corr_x, corr_z = cached[1]
             else:
-                corr_x, corr_z = decode_correlated_two_pass(
-                    gx, gz, working, correlation_scale)
-                fresh[patch] = (corr_x, corr_z)
+                corr_x, corr_z = decode_correlated_two_pass(gx, gz, working)
+                seen[key] = (version, (corr_x, corr_z))
             if final:
                 for g, c in ((gx, corr_x), (gz, corr_z)):
                     if any(g.edges[i].role == "ghost_s" for i in c.edges):
@@ -154,8 +163,6 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
             if collect_trace:
                 trace.append(_trace_entry(k, patch, (gx, corr_x), (gz, corr_z),
                                           sent, dem))
-        if stored is None:
-            seen[exposed] = (version, fresh)
         applied = []
         for msg in barrier:
             pr = pair_by_id[msg.pair_id]

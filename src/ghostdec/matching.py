@@ -23,7 +23,9 @@ from .circuits import CircuitError
 from .decompose import PatchPartition
 from .dem import _merge_odd
 
-DEFAULT_CORRELATION_SCALE = 0.01
+# a correlated partner edge is discounted to this fraction of the
+# graph's lightest edge weight
+CORRELATION_SCALE = 0.01
 
 
 class MatchingError(CircuitError):
@@ -49,7 +51,6 @@ class GraphEdge:
 class MatchingGraph:
     patch: int
     cls: str
-    expose_gs: bool
     detectors: tuple[int, ...]    # global detector ids, sorted
     edges: tuple[GraphEdge, ...]
     # cross-class provenance links: (component index, partner component index)
@@ -179,7 +180,7 @@ def build_matching_graph(partition: PatchPartition, cls: str,
     links = tuple((c.index, c.partner) for c in dem_dets
                   if c.partner is not None)
     probs = tuple((c.index, c.probability) for c in dem_dets)
-    return MatchingGraph(partition.patch, cls, expose_gs, tuple(dets),
+    return MatchingGraph(partition.patch, cls, tuple(dets),
                          tuple(edges), links, probs)
 
 
@@ -316,8 +317,6 @@ def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,
 
 def decode_correlated_two_pass(
         x_graph: MatchingGraph, z_graph: MatchingGraph, syndrome: np.ndarray,
-        correlation_scale: float = DEFAULT_CORRELATION_SCALE,
-        overrides: tuple[dict[int, float], dict[int, float]] | None = None,
 ) -> tuple[Correction, Correction]:
     """Two-pass correlated decode of one patch.
 
@@ -325,17 +324,15 @@ def decode_correlated_two_pass(
     selected edge with a cross-class partner discounts the partner's
     weight before both graphs are decoded again.
     """
-    base_x = dict(overrides[0]) if overrides else {}
-    base_z = dict(overrides[1]) if overrides else {}
-    first_x = decode_mwpm(x_graph, syndrome, base_x)
-    first_z = decode_mwpm(z_graph, syndrome, base_z)
-    over_x = dict(base_x)
-    over_z = dict(base_z)
+    first_x = decode_mwpm(x_graph, syndrome)
+    first_z = decode_mwpm(z_graph, syndrome)
+    over_x: dict[int, float] = {}
+    over_z: dict[int, float] = {}
     comps_x = x_graph.edge_of_component
     comps_z = z_graph.edge_of_component
 
     def reweight(corr, src_graph, dst_graph, dst_comps, dst_over):
-        eps = correlation_scale * dst_graph.min_weight
+        eps = CORRELATION_SCALE * dst_graph.min_weight
         live = [ei for ei, n in Counter(corr.edges).items() if n % 2]
         trigger: dict[int, float] = {}
         for i in live:
@@ -356,7 +353,7 @@ def decode_correlated_two_pass(
 
     reweight(first_x, x_graph, z_graph, comps_z, over_z)
     reweight(first_z, z_graph, x_graph, comps_x, over_x)
-    if over_x == base_x and over_z == base_z:
+    if not over_x and not over_z:
         return first_x, first_z
     return (decode_mwpm(x_graph, syndrome, over_x),
             decode_mwpm(z_graph, syndrome, over_z))

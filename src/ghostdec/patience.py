@@ -24,7 +24,7 @@ from .decompose import DecomposedDEM
 from .dem import DetectorErrorModel
 from .ghost import (DEFAULT_SCHEDULE, PassSchedule, build_protocol_graphs,
                     run_ghost_protocol)
-from .matching import DEFAULT_CORRELATION_SCALE, MatchingError
+from .matching import MatchingError
 from .windows import (SeveranceSpec, TproxyPlan, WindowConfig, WindowError,
                       WindowedProblem, carry_gates, plan_tproxy_windows,
                       window_dem, _patch_max_time)
@@ -99,7 +99,6 @@ def herald_complementary(window: WindowedProblem, syndrome: np.ndarray,
                          observable: int, base_flip: bool, *,
                          graphs: dict | None = None,
                          schedule: PassSchedule = DEFAULT_SCHEDULE,
-                         correlation_scale: float = DEFAULT_CORRELATION_SCALE,
                          ) -> bool:
     """Re-decode with the open temporal boundary closed.
 
@@ -112,9 +111,7 @@ def herald_complementary(window: WindowedProblem, syndrome: np.ndarray,
                                        exclude_open_boundary=True)
     try:
         res = run_ghost_protocol(window.decomposed, syndrome, schedule,
-                                 graphs=graphs,
-                                 correlation_scale=correlation_scale,
-                                 collect_trace=False)
+                                 graphs=graphs, collect_trace=False)
     except MatchingError:
         return True
     return bool(res.logical_flips[observable]) != bool(base_flip)
@@ -214,7 +211,6 @@ def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
                    plan: PatiencePlan | None = None,
                    schedule: PassSchedule = DEFAULT_SCHEDULE,
                    region_radius: int | None = None,
-                   correlation_scale: float = DEFAULT_CORRELATION_SCALE,
                    ) -> PatientShot:
     """Windowed decode where heralded gates get one delayed retry.
 
@@ -222,27 +218,30 @@ def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
     trace; when either herald fires and the distance grants a delay,
     the gate re-windows at the extended allowance and decodes once
     more from the same carried state.  The retry's commits then carry
-    forward instead of the original's.
+    forward instead of the original's.  A given ``plan`` fixes the
+    windows, delay and regions, so a ``region_radius``, or a ``config``
+    or ``d`` the plan was not made for, is an error.
     """
     if plan is None:
         plan = plan_patience(decomposed, config, d,
                              region_radius=region_radius)
+    elif (region_radius is not None or config != plan.base.config
+          or patience_delay(d, config.n_buf) != plan.delay_rounds):
+        raise PatienceError("config, d and region_radius are fixed by "
+                            "the given plan")
     heralds = []
 
     def decode_gate(g, refined):
         gate, window = plan.base.gates[g], plan.base.windows[g]
         res = run_ghost_protocol(window.decomposed, refined, schedule,
-                                 graphs=window.graphs,
-                                 correlation_scale=correlation_scale,
-                                 collect_trace=True)
+                                 graphs=window.graphs, collect_trace=True)
         j = gate.observable
         base_flip = bool(res.logical_flips[j])
         growth = herald_weight_growth(res.trace, plan.regions[g],
                                       gate.severance.patch)
         comp = herald_complementary(window, refined, j, base_flip,
                                     graphs=plan.closed_graphs[g],
-                                    schedule=schedule,
-                                    correlation_scale=correlation_scale)
+                                    schedule=schedule)
         heralded = growth or comp
         trigger = ("weight-growth" if growth else
                    "complementary" if comp else "none")
@@ -250,7 +249,6 @@ def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
         if heralded and plan.delay_rounds:
             res = run_ghost_protocol(plan.extended[g].decomposed, refined,
                                      schedule, graphs=plan.extended[g].graphs,
-                                     correlation_scale=correlation_scale,
                                      collect_trace=False)
             changed = bool(res.logical_flips[j]) != base_flip
         heralds.append(HeraldResult(

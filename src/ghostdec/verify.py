@@ -38,13 +38,21 @@ def brute_force_ml_decode(dem: DetectorErrorModel, syndrome: np.ndarray,
     Enumerates every mechanism subset of size <= weight_cap whose
     detector symptom equals the syndrome, accumulating odds-ratio mass
     per logical class.  Mechanisms without detectors are excluded (they
-    decouple from the syndrome).  Intended for small models only.
+    decouple from the syndrome).  The syndrome is a set of detector ids
+    or a boolean vector over all detectors.  Intended for small models
+    only.
     """
     mechs = [(e, m) for e, m in enumerate(dem.mechanisms) if m.detectors]
     if len(mechs) > 4000:
         raise VerifyError(f"{len(mechs)} mechanisms is too large for enumeration")
     # residuals, observable classes and banned members are int bitmasks
     if not isinstance(syndrome, (set, frozenset)):
+        # a list of ids would read as a 0/1 vector, so only typed
+        # vectors of the full length are taken as one
+        if (not isinstance(syndrome, np.ndarray) or syndrome.dtype != bool
+                or syndrome.shape != (dem.detector_count,)):
+            raise VerifyError("syndrome must be a set of detector ids or a "
+                              "boolean vector over all detectors")
         syndrome = np.flatnonzero(syndrome)
     want = sum(1 << int(t) for t in set(syndrome))
     by_det: dict[int, list[int]] = {}

@@ -11,7 +11,8 @@ each window's ghost commits refine the syndrome and logical frame the
 next window sees.  Real-time decoding runs that loop with one ghost
 protocol per gate; patience (:mod:`ghostdec.patience`) runs it with a
 heralded retry per gate.  For plain memory a sliding commit/buffer
-window plays the same role.
+window plays the same role: each window is decoded through the ghost
+protocol on the same graph set, and only its commit region is kept.
 
 All windowed problems keep the global detector indexing, so syndromes
 and refinement toggles stay valid across windows.
@@ -25,12 +26,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import CircuitError
-from .decompose import Component, DecomposedDEM, GhostPair, partition_dem
+from .decompose import Component, DecomposedDEM, GhostPair
 from .dem import DetectorErrorModel
 from .ghost import (DEFAULT_SCHEDULE, PassSchedule, build_protocol_graphs,
                     run_ghost_protocol)
-from .matching import (DEFAULT_CORRELATION_SCALE, build_matching_graph,
-                       decode_correlated_two_pass)
 from .stats import likelihood_interval
 
 
@@ -62,7 +61,6 @@ class SeveranceSpec:
     patch: int                 # surviving patch beyond the cut
     severance_round: int       # decision time: cnot_round + n_buf
     cnot_round: int
-    open_boundary_detectors: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.severance_round <= self.cnot_round:
@@ -143,7 +141,6 @@ def window_components(decomposed: DecomposedDEM, horizon: int) -> DecomposedDEM:
 class WindowedProblem:
     severance: SeveranceSpec
     horizon: int               # last visible extraction round
-    allowance: int             # rounds granted past the CNOT
     decomposed: DecomposedDEM  # truncated, global detector indexing
     graphs: dict               # protocol graphs of the truncated model
 
@@ -185,11 +182,7 @@ def window_dem(decomposed: DecomposedDEM, severance: SeveranceSpec,
         graphs = build_protocol_graphs(windowed)
         if _cache is not None:
             _cache[horizon] = (windowed, graphs)
-    open_dets = tuple(sorted({d for c in windowed.components
-                              if c.open_boundary and c.patch == severance.patch
-                              for d in c.detectors}))
-    spec = replace(severance, open_boundary_detectors=open_dets)
-    return WindowedProblem(spec, horizon, allowance, windowed, graphs)
+    return WindowedProblem(severance, horizon, windowed, graphs)
 
 
 # -- teleportation-proxy gate windows -----------------------------------------
@@ -199,7 +192,6 @@ def window_dem(decomposed: DecomposedDEM, severance: SeveranceSpec,
 class TproxyGate:
     index: int
     observable: int
-    carrier: int
     severance: SeveranceSpec
 
 
@@ -232,7 +224,7 @@ def tproxy_gates(dem: DetectorErrorModel,
         cnot = sev - config.n_buf
         if cnot < 1:
             raise WindowError("n_buf reaches back past the first round")
-        gates.append(TproxyGate(g, j, p, SeveranceSpec(survivor, sev, cnot)))
+        gates.append(TproxyGate(g, j, SeveranceSpec(survivor, sev, cnot)))
     return tuple(gates)
 
 
@@ -294,21 +286,22 @@ def decode_tproxy_windowed(decomposed: DecomposedDEM, syndrome: np.ndarray,
                            plan: TproxyPlan | None = None,
                            allowance: int | None = None,
                            schedule: PassSchedule = DEFAULT_SCHEDULE,
-                           correlation_scale: float = DEFAULT_CORRELATION_SCALE,
                            collect_trace: bool = False) -> TproxyDecodeResult:
     """Per-gate decisions, each using only pre-horizon data.
 
     Each gate runs the ghost protocol once on its window inside
-    :func:`carry_gates`.
+    :func:`carry_gates`.  A given ``plan`` fixes the windows, so an
+    ``allowance`` or a ``config`` other than the plan's is an error.
     """
     if plan is None:
         plan = plan_tproxy_windows(decomposed, config, allowance)
+    elif allowance is not None or config != plan.config:
+        raise WindowError("allowance and config are fixed by the given plan")
 
     def decode_gate(g, refined):
         window = plan.windows[g]
         return run_ghost_protocol(window.decomposed, refined, schedule,
                                   graphs=window.graphs,
-                                  correlation_scale=correlation_scale,
                                   collect_trace=collect_trace)
 
     decisions, results = carry_gates(decomposed.dem, syndrome, plan.gates,
@@ -319,11 +312,9 @@ def decode_tproxy_windowed(decomposed: DecomposedDEM, syndrome: np.ndarray,
 def decode_tproxy_global(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
                          graphs: dict | None = None,
                          schedule: PassSchedule = DEFAULT_SCHEDULE,
-                         correlation_scale: float = DEFAULT_CORRELATION_SCALE,
                          ) -> np.ndarray:
     """Hindsight decode: the whole problem at once, all gates together."""
     res = run_ghost_protocol(decomposed, syndrome, schedule, graphs=graphs,
-                             correlation_scale=correlation_scale,
                              collect_trace=False)
     return res.logical_flips.copy()
 
@@ -362,54 +353,50 @@ class MemoryWindow:
     end: int           # first invisible round
     final: bool
     decomposed: DecomposedDEM
-    graphs: dict       # (patch, cls) -> MatchingGraph
-
-
-def _memory_window(decomposed, start, commit_end, end, final) -> MemoryWindow:
-    graphs = {}
-    for part in partition_dem(decomposed):
-        for cls in ("Z", "X"):
-            graphs[part.patch, cls] = build_matching_graph(part, cls)
-    return MemoryWindow(start, commit_end, end, final, decomposed, graphs)
+    graphs: dict       # protocol graphs of the sliced model
 
 
 def plan_memory_windows(decomposed: DecomposedDEM, commit_rounds: int,
                         buffer_rounds: int) -> tuple[MemoryWindow, ...]:
-    """Sliding commit/buffer windows covering a memory problem."""
+    """Sliding commit/buffer windows covering a memory problem.
+
+    The sliding loop carries no ghost commits between windows, so a
+    model with ghost pairs is rejected.
+    """
     if commit_rounds < 1:
         raise WindowError("commit region needs at least one round")
     if buffer_rounds < 0:
         raise WindowError("buffer region cannot be negative")
+    if decomposed.pairs:
+        raise WindowError("sliding windows cannot carry ghost commits")
     time = decomposed.dem.detector_time
     if not time:
         raise WindowError("model has no detectors")
-    t0, t_end = min(time), max(time)
+    s, t_end = min(time), max(time)
     windows = []
-    s = t0
-    while s + commit_rounds + buffer_rounds <= t_end:
-        hi = s + commit_rounds + buffer_rounds
-        windows.append(_memory_window(_slice_components(decomposed, s, hi - 1),
-                                      s, s + commit_rounds, hi, False))
+    while True:
+        final = s + commit_rounds + buffer_rounds > t_end
+        end = t_end + 1 if final else s + commit_rounds + buffer_rounds
+        sliced = _slice_components(decomposed, s, end - 1)
+        windows.append(MemoryWindow(s, end if final else s + commit_rounds,
+                                    end, final, sliced,
+                                    build_protocol_graphs(sliced)))
+        if final:
+            return tuple(windows)
         s += commit_rounds
-    windows.append(_memory_window(_slice_components(decomposed, s, t_end),
-                                  s, t_end + 1, t_end + 1, True))
-    return tuple(windows)
 
 
 def decode_memory_sliding(decomposed: DecomposedDEM, syndrome: np.ndarray,
-                          commit_rounds: int, buffer_rounds: int,
-                          artificial_defects: bool = True, *,
+                          commit_rounds: int, buffer_rounds: int, *,
                           windows: tuple[MemoryWindow, ...] | None = None,
-                          correlation_scale: float = DEFAULT_CORRELATION_SCALE,
                           ) -> np.ndarray:
     """Sliding-window decode of a memory problem.
 
-    Each window is decoded in full but only edges lying inside the
-    commit region are kept.  A correction edge crossing past the commit
-    boundary is committed together with artificial defects at its far
-    detectors, so the next window sees a consistent residual; with
-    ``artificial_defects`` off such edges are discarded, stranding
-    their commit-side defects.  The final window commits everything.
+    Each window is decoded in full by the ghost protocol, but only
+    correction edges reaching into the commit region are kept.  An edge
+    crossing past the commit boundary is committed together with
+    artificial defects at its far detectors, so the next window sees a
+    consistent residual.  The final window commits everything.
     """
     dem = decomposed.dem
     carried = np.array(syndrome, dtype=bool, copy=True)
@@ -420,29 +407,23 @@ def decode_memory_sliding(decomposed: DecomposedDEM, syndrome: np.ndarray,
     time = dem.detector_time
     flips = np.zeros(dem.observable_count, dtype=bool)
     for w in windows:
-        for patch in sorted({p for p, _ in w.graphs}):
-            gx = w.graphs[patch, "X"]
-            gz = w.graphs[patch, "Z"]
-            corr_x, corr_z = decode_correlated_two_pass(
-                gx, gz, carried, correlation_scale)
-            for g, corr in ((gx, corr_x), (gz, corr_z)):
-                for ei, n in sorted(Counter(corr.edges).items()):
-                    if n % 2 == 0:
-                        continue
-                    e = g.edges[ei]
-                    dets = [g.detectors[e.u]]
-                    if e.v < g.boundary:
-                        dets.append(g.detectors[e.v])
-                    if all(time[d] >= w.commit_end for d in dets):
-                        continue           # buffer only: re-decoded later
-                    crossing = (any(time[d] >= w.commit_end for d in dets)
-                                or bool(e.cut_partners))
-                    if crossing and not artificial_defects:
-                        continue           # forfeit, stranding the defect
-                    for j in e.observables:
-                        flips[j] ^= True
-                    for d in dets + list(e.cut_partners):
-                        carried[d] ^= True
+        res = run_ghost_protocol(w.decomposed, carried, graphs=w.graphs,
+                                 collect_trace=False)
+        for (patch, cls), corr in res.corrections.items():
+            g = w.graphs[patch, cls, False]
+            for ei, n in sorted(Counter(corr.edges).items()):
+                if n % 2 == 0:
+                    continue
+                e = g.edges[ei]
+                dets = [g.detectors[e.u]]
+                if e.v < g.boundary:
+                    dets.append(g.detectors[e.v])
+                if all(time[d] >= w.commit_end for d in dets):
+                    continue           # buffer only: re-decoded later
+                for j in e.observables:
+                    flips[j] ^= True
+                for d in dets + list(e.cut_partners):
+                    carried[d] ^= True
     return flips
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from ghostdec.builders import NoiseParams, apply_noise_model, build_tproxy_circuit
+import ghostdec.ghost
+from ghostdec.builders import (NoiseParams, apply_noise_model,
+                               build_memory_circuit, build_tproxy_circuit)
 from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import extract_dem, sample_dem
 from ghostdec.ghost import (DEFAULT_SCHEDULE, PassSchedule, ProtocolError,
@@ -48,6 +50,41 @@ def test_schedule_selection_table():
     assert select_schedule(11, 3, "deep") == PassSchedule(6, frozenset({1, 4}))
     assert select_schedule(11, 1, "deep") == PassSchedule(8, frozenset({1, 4, 6}))
     assert select_schedule(5, 1, "deep") == DEFAULT_SCHEDULE
+
+
+# -- graph sets ------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def memory_setup():
+    dem = extract_dem(apply_noise_model(build_memory_circuit(3, 3),
+                                        NoiseParams(5e-3)))
+    dec = ghost_decompose(dem)
+    return dem, dec, build_protocol_graphs(dec)
+
+
+def test_memory_graphs_are_shared_across_exposure(memory_setup):
+    dem, dec, graphs = memory_setup
+    assert not dec.pairs
+    for cls in ("X", "Z"):
+        assert graphs[0, cls, True] is graphs[0, cls, False]
+
+
+def test_shared_graphs_are_decoded_once_per_barrier_state(memory_setup,
+                                                          monkeypatch):
+    dem, dec, graphs = memory_setup
+    calls = []
+    decode = ghostdec.ghost.decode_correlated_two_pass
+
+    def counted(*args):
+        calls.append(1)
+        return decode(*args)
+
+    monkeypatch.setattr(ghostdec.ghost, "decode_correlated_two_pass", counted)
+    dets, _ = sample_dem(dem, seed=5, shots=20)
+    s = next(s for s in range(20) if dets[s].sum() >= 2)
+    res = run_ghost_protocol(dec, dets[s], graphs=graphs, collect_trace=False)
+    assert len(calls) == 1
+    assert any(c.edges for c in res.corrections.values())
 
 
 # -- basic runs --------------------------------------------------------------------

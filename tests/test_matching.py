@@ -163,7 +163,7 @@ def test_empty_syndrome_returns_empty_correction():
 
 
 def test_isolated_defect_raises():
-    g = MatchingGraph(0, "Z", False, detectors=(0, 1),
+    g = MatchingGraph(0, "Z", detectors=(0, 1),
                       edges=(GraphEdge(0, 0, 2, 1.0, 0.1, (0,), (), "normal",
                                        None, False),))
     syndrome = np.array([False, True, False])
@@ -211,8 +211,8 @@ def test_two_pass_reduces_to_single_pass_without_partners():
     # strip partner links so no reweighting can trigger
     gx = build_matching_graph(part, "X")
     gz = build_matching_graph(part, "Z")
-    bare_x = MatchingGraph(gx.patch, gx.cls, gx.expose_gs, gx.detectors, gx.edges)
-    bare_z = MatchingGraph(gz.patch, gz.cls, gz.expose_gs, gz.detectors, gz.edges)
+    bare_x = MatchingGraph(gx.patch, gx.cls, gx.detectors, gx.edges)
+    bare_z = MatchingGraph(gz.patch, gz.cls, gz.detectors, gz.edges)
     syndrome = np.zeros(dem.detector_count, dtype=bool)
     syndrome[gx.detectors[0]] = True
     syndrome[gz.detectors[0]] = True

@@ -77,6 +77,15 @@ def test_syndrome_accepts_sets_and_vectors():
         v[t] = True
     as_vec = brute_force_ml_decode(dem, v, weight_cap=2)
     assert as_set == as_vec
+    # a list of ids once read as a 0/1 vector, i.e. as syndrome {1}
+    dem = extract_dem(apply_noise_model(build_memory_circuit(3, 1),
+                                        NoiseParams(0.002)))
+    assert (0, 2) in {m.detectors for m in dem.mechanisms}
+    assert brute_force_ml_decode(dem, frozenset({0, 2})).solutions
+    for bad in ([0, 2], (0, 2), np.zeros(dem.detector_count - 1, dtype=bool),
+                np.zeros(dem.detector_count, dtype=int)):
+        with pytest.raises(VerifyError):
+            brute_force_ml_decode(dem, bad)
 
 
 def test_unexplainable_syndrome_raises():

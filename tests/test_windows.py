@@ -9,11 +9,11 @@ from ghostdec.circuits import CircuitError
 from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import extract_dem, sample_dem
 from ghostdec.ghost import build_protocol_graphs, run_ghost_protocol
-from ghostdec.patience import patient_decode, plan_patience
-from ghostdec.windows import (WindowConfig, WindowError, compute_tw_error,
-                              decode_memory_sliding, decode_tproxy_global,
-                              decode_tproxy_windowed, plan_memory_windows,
-                              plan_tproxy_windows)
+from ghostdec.patience import PatienceError, patient_decode, plan_patience
+from ghostdec.windows import (WindowConfig, WindowError, _slice_components,
+                              compute_tw_error, decode_memory_sliding,
+                              decode_tproxy_global, decode_tproxy_windowed,
+                              plan_memory_windows, plan_tproxy_windows)
 
 CONFIG = WindowConfig()
 
@@ -65,6 +65,70 @@ def test_wrong_syndrome_length_raises(patience_setup):
         decode_tproxy_windowed(dec, short, CONFIG, plan=wplan)
     with pytest.raises(CircuitError):
         patient_decode(dec, short, CONFIG, 5, plan=pplan)
+
+
+def test_plan_fixes_window_parameters(patience_setup):
+    dem, dec, pplan, wplan = patience_setup
+    syndrome = np.zeros(dem.detector_count, dtype=bool)
+    with pytest.raises(WindowError):
+        decode_tproxy_windowed(dec, syndrome, CONFIG,
+                               plan=plan_tproxy_windows(dec, WindowConfig()),
+                               allowance=99)
+    with pytest.raises(WindowError):
+        decode_tproxy_windowed(dec, syndrome, WindowConfig(2), plan=wplan)
+    with pytest.raises(PatienceError):
+        patient_decode(dec, syndrome, CONFIG, 5, plan=pplan, region_radius=3)
+    with pytest.raises(PatienceError):
+        patient_decode(dec, syndrome, WindowConfig(2), 5, plan=pplan)
+    with pytest.raises(PatienceError):
+        patient_decode(dec, syndrome, CONFIG, 7, plan=pplan)
+
+
+def test_only_ghost_free_patches_share_window_graphs(patience_setup):
+    dem, dec, pplan, wplan = patience_setup
+    window = wplan.windows[0]
+    assert window.horizon == 2
+    shared = {(p, c) for p, c, _ in window.graphs
+              if window.graphs[p, c, True] is window.graphs[p, c, False]}
+    assert shared == {(2, "X"), (2, "Z")}
+    assert not any(c.role == "ghost_s" and c.patch == 2
+                   for c in window.decomposed.components)
+
+
+@pytest.mark.parametrize("lo, hi", [(None, 2), (None, 5), (1, 4), (3, 6),
+                                    (5, 5)])
+def test_slice_keeps_detectors_and_whole_pairs(patience_setup, lo, hi):
+    dem, dec, _, _ = patience_setup
+    time = dem.detector_time
+    sliced = _slice_components(dec, lo, hi)
+    kept = [c for c in dec.components
+            if (lo is None or all(time[d] >= lo for d in c.detectors))
+            and any(time[d] <= hi for d in c.detectors)]
+    assert 0 < len(kept) < len(dec.components)
+    assert len(sliced.components) == len(kept)
+    index = {}
+    for orig, c in zip(kept, sliced.components):
+        assert c.mech_id == orig.mech_id
+        assert (set(c.detectors) | set(c.cut_partners)
+                == set(orig.detectors) | set(orig.cut_partners))
+        index[orig.index] = c.index
+    alive = [pr for pr in dec.pairs if pr.g_e in index and pr.g_s in index]
+    assert len(sliced.pairs) == len(alive)
+    for orig, pr in zip(alive, sliced.pairs):
+        assert (pr.mech_id, pr.g_e, pr.g_s) == (
+            orig.mech_id, index[orig.g_e], index[orig.g_s])
+        ge, gs = sliced.components[pr.g_e], sliced.components[pr.g_s]
+        assert (ge.role, gs.role) == ("ghost_e", "ghost_s")
+        assert ge.pair_id == gs.pair_id == pr.pair_id
+    ghosts = [c for c in sliced.components if c.role != "normal"]
+    assert len(ghosts) == 2 * len(sliced.pairs)
+
+
+def test_sliding_windows_reject_ghost_pairs(patience_setup):
+    dem, dec, _, _ = patience_setup
+    assert dec.pairs
+    with pytest.raises(WindowError):
+        plan_memory_windows(dec, 2, 1)
 
 
 def test_single_sliding_window_equals_global_memory():
