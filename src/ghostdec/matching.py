@@ -6,6 +6,12 @@ flips).  Defects are matched pairwise or to a virtual boundary node
 with exact blossom matching over shortest-path distances; a two-pass
 scheme reweights cross-class partner edges so correlated pairs from
 Y-type faults are recovered.
+
+A `MatchingGraph` is plain data: detectors and edges, each edge with
+its cross-class partners.  Everything a decode derives from them lives
+in one `Routes` object, built on the graph's first decode and kept.
+Base and reweighted decodes pick the lightest parallel edge by one
+rule and fill one fixed matrix layout.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -45,6 +52,9 @@ class GraphEdge:
     pair_id: int | None
     open_boundary: bool
     cut_partners: tuple[int, ...] = ()  # detectors beyond the window cut
+    # (partner component, probability) per component with a cross-class
+    # partner; a partner shares its mechanism, hence its probability
+    partners: tuple[tuple[int, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -53,73 +63,72 @@ class MatchingGraph:
     cls: str
     detectors: tuple[int, ...]    # global detector ids, sorted
     edges: tuple[GraphEdge, ...]
-    # cross-class provenance links: (component index, partner component index)
-    partner_links: tuple[tuple[int, int], ...] = ()
-    # per-component source probability: (component index, probability)
-    component_probabilities: tuple[tuple[int, float], ...] = ()
 
     @property
     def boundary(self) -> int:
         return len(self.detectors)
 
-    def node_of(self, det: int) -> int:
-        return self._node_map[det]
+    @cached_property
+    def routes(self) -> Routes:
+        """Routing lookups, built on the first decode and kept."""
+        return Routes(self)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_node_map",
-                           {d: i for i, d in enumerate(self.detectors)})
-        comp_edge = {}
-        for e in self.edges:
-            for c in e.components:
-                comp_edge[c] = e.index
-        object.__setattr__(self, "edge_of_component", comp_edge)
-        object.__setattr__(self, "partner_of", dict(self.partner_links))
-        object.__setattr__(self, "probability_of",
-                           dict(self.component_probabilities))
-        pos = [e.weight for e in self.edges if e.weight > 0]
-        object.__setattr__(self, "min_weight", min(pos) if pos else 1.0)
-        # routing caches: decodes repeat thousands of times per graph,
-        # so the parallel-edge reduction and adjacency matrix are built
-        # once; overrides patch them per call
+
+def _lightest(edges, edge_ids, overrides) -> int:
+    """The parallel edge routes take: lightest effective weight, then
+    (for partner edges discounted alike) the more probable edge."""
+    return min(edge_ids, key=lambda ei: (overrides.get(ei, edges[ei].weight),
+                                         edges[ei].weight, ei))
+
+
+class Routes:
+    """Lookups derived from one graph's edges; decodes repeat thousands
+    of times per graph, so they are built once."""
+
+    def __init__(self, graph: MatchingGraph):
+        edges = graph.edges
+        self.node = {d: i for i, d in enumerate(graph.detectors)}
+        self.edge_of_component = {c: e.index for e in edges
+                                  for c in e.components}
+        pos = [e.weight for e in edges if e.weight > 0]
+        self.min_weight = min(pos) if pos else 1.0
         key_edges: dict[tuple[int, int], list[int]] = {}
-        for e in self.edges:
+        for e in edges:
             key_edges.setdefault((e.u, e.v), []).append(e.index)
         keys = sorted(key_edges)
-        base_w = np.array([e.weight for e in self.edges], dtype=float)
-        best = np.array([min(key_edges[k]) if len(key_edges[k]) == 1 else
-                         min(key_edges[k], key=lambda ei: (base_w[ei], ei))
-                         for k in keys], dtype=int)
-        rows = np.array([k[0] for k in keys], dtype=int)
-        cols = np.array([k[1] for k in keys], dtype=int)
-        n = self.boundary + 1
-        if keys:
-            # both directions stored explicitly so dijkstra runs directed
-            # and skips its symmetrization copy
-            mat = csr_matrix((np.concatenate([base_w[best], base_w[best]]),
-                              (np.concatenate([rows, cols]),
-                               np.concatenate([cols, rows]))), shape=(n, n))
-        else:
-            mat = csr_matrix((n, n))
-        pos_uv = np.empty(len(keys), dtype=np.int64)
-        pos_vu = np.empty(len(keys), dtype=np.int64)
-        for i, (u, v) in enumerate(keys):
-            lo, hi = mat.indptr[u], mat.indptr[u + 1]
-            pos_uv[i] = lo + np.searchsorted(mat.indices[lo:hi], v)
-            lo, hi = mat.indptr[v], mat.indptr[v + 1]
-            pos_vu[i] = lo + np.searchsorted(mat.indices[lo:hi], u)
-        edge_key = {ei: i for i, k in enumerate(keys) for ei in key_edges[k]}
-        object.__setattr__(self, "_key_pos", {k: i for i, k in enumerate(keys)})
-        object.__setattr__(self, "_key_edges",
-                           tuple(tuple(key_edges[k]) for k in keys))
-        object.__setattr__(self, "_edge_key", edge_key)
-        object.__setattr__(self, "_pos_uv", pos_uv)
-        object.__setattr__(self, "_pos_vu", pos_vu)
-        object.__setattr__(self, "_base_weights", base_w)
-        object.__setattr__(self, "_base_best", best)
-        object.__setattr__(self, "_base_mat", mat)
-        object.__setattr__(self, "_incident",
-                           frozenset(x for k in keys for x in k))
-        object.__setattr__(self, "_dij_cache", {})
+        self.key_pos = {k: i for i, k in enumerate(keys)}
+        self.key_edges = tuple(tuple(key_edges[k]) for k in keys)
+        # both directions stored explicitly so dijkstra runs directed and
+        # skips its symmetrization copy; slot_key is the key (plus one,
+        # so no entry is zero) whose weight fills each stored entry
+        u, v = np.array(keys, dtype=np.int32).reshape(-1, 2).T
+        n = graph.boundary + 1
+        layout = csr_matrix((np.tile(np.arange(1, len(keys) + 1), 2),
+                             (np.concatenate([u, v]), np.concatenate([v, u]))),
+                            shape=(n, n))
+        self.indices, self.indptr = layout.indices, layout.indptr
+        self.slot_key = layout.data - 1
+        self.best = np.array([_lightest(edges, ids, {})
+                              for ids in self.key_edges], dtype=int)
+        self.key_weight = np.array([edges[ei].weight for ei in self.best],
+                                   dtype=float)
+        self.matrix = self.fill(self.key_weight)
+        self.rows: dict[int, tuple] = {}   # base Dijkstra rows by source
+
+    def fill(self, key_weight: np.ndarray) -> csr_matrix:
+        """The routing matrix with each key's weight in both directions."""
+        n = len(self.indptr) - 1
+        return csr_matrix((key_weight[self.slot_key], self.indices,
+                           self.indptr), shape=(n, n))
+
+    def reweighted(self, edges, overrides):
+        """(matrix, edge per key); only overridden keys are chosen again."""
+        best = self.best.copy()
+        key_weight = self.key_weight.copy()
+        for k in {self.key_pos[edges[i].u, edges[i].v] for i in overrides}:
+            best[k] = ei = _lightest(edges, self.key_edges[k], overrides)
+            key_weight[k] = overrides.get(ei, edges[ei].weight)
+        return self.fill(key_weight), best
 
 
 def edge_weight(probability: float) -> float:
@@ -171,17 +180,18 @@ def build_matching_graph(partition: PatchPartition, cls: str,
             p = _merge_odd(p, c.probability)
         edges.append(GraphEdge(len(edges), u, v, edge_weight(p), p,
                                tuple(c.index for c in comps), obs,
-                               "normal", None, open_b, cut))
+                               "normal", None, open_b, cut, _partners(comps)))
     for u, v, c in sorted(ghosts, key=lambda t: (t[0], t[1], t[2].index)):
         edges.append(GraphEdge(len(edges), u, v, edge_weight(c.probability),
                                c.probability, (c.index,), c.observables,
                                c.role, c.pair_id, c.open_boundary,
-                               c.cut_partners))
-    links = tuple((c.index, c.partner) for c in dem_dets
-                  if c.partner is not None)
-    probs = tuple((c.index, c.probability) for c in dem_dets)
-    return MatchingGraph(partition.patch, cls, tuple(dets),
-                         tuple(edges), links, probs)
+                               c.cut_partners, _partners([c])))
+    return MatchingGraph(partition.patch, cls, tuple(dets), tuple(edges))
+
+
+def _partners(comps) -> tuple[tuple[int, float], ...]:
+    return tuple((c.partner, c.probability) for c in comps
+                 if c.partner is not None)
 
 
 @dataclass(frozen=True)
@@ -194,52 +204,31 @@ class Correction:
     defects: tuple[int, ...]      # global detector ids that were matched
 
 
-def _effective_weights(graph: MatchingGraph, overrides) -> np.ndarray:
-    if not overrides:
-        return graph._base_weights
-    w = graph._base_weights.copy()
-    for i, val in overrides.items():
-        w[i] = val
-    return w
+def _shortest_paths(graph: MatchingGraph, sources, overrides):
+    """Dijkstra over local nodes; returns (dist, pred, edge per key)."""
+    routes = graph.routes
+    if overrides:
+        mat, best = routes.reweighted(graph.edges, overrides)
+        dist, pred = dijkstra(mat, directed=True, indices=sources,
+                              return_predecessors=True)
+        return dist, pred, best
+    # routes from a given defect node never change without overrides,
+    # so rows are computed once per graph and reassembled per call
+    cache = routes.rows
+    missing = [s for s in sources if s not in cache]
+    if missing:
+        if len(cache) > 4096:
+            cache.clear()
+        dist, pred = dijkstra(routes.matrix, directed=True,
+                              indices=missing, return_predecessors=True)
+        for i, s in enumerate(missing):
+            cache[s] = (dist[i], pred[i])
+    dist = np.stack([cache[s][0] for s in sources])
+    pred = np.stack([cache[s][1] for s in sources])
+    return dist, pred, routes.best
 
 
-def _shortest_paths(graph: MatchingGraph, weights, sources, overrides):
-    """Dijkstra over local nodes; returns (dist, pred, best-per-key)."""
-    if not overrides:
-        # routes from a given defect node never change without overrides,
-        # so rows are computed once per graph and reassembled per call
-        cache = graph._dij_cache
-        missing = [s for s in sources if s not in cache]
-        if missing:
-            if len(cache) > 4096:
-                cache.clear()
-            dist, pred = dijkstra(graph._base_mat, directed=True,
-                                  indices=missing, return_predecessors=True)
-            for i, s in enumerate(missing):
-                cache[s] = (dist[i], pred[i])
-        dist = np.stack([cache[s][0] for s in sources])
-        pred = np.stack([cache[s][1] for s in sources])
-        return dist, pred, graph._base_best
-    best = graph._base_best.copy()
-    # ties in effective weight (several parallel edges discounted to
-    # the same epsilon) resolve to the more probable edge
-    touched = {graph._edge_key[i] for i in overrides if i in graph._edge_key}
-    for kpos in touched:
-        best[kpos] = min(graph._key_edges[kpos],
-                         key=lambda ei: (weights[ei],
-                                         graph.edges[ei].weight, ei))
-    data = graph._base_mat.data.copy()
-    for kpos in touched:
-        data[graph._pos_uv[kpos]] = weights[best[kpos]]
-        data[graph._pos_vu[kpos]] = weights[best[kpos]]
-    mat = csr_matrix((data, graph._base_mat.indices, graph._base_mat.indptr),
-                     shape=graph._base_mat.shape)
-    dist, pred = dijkstra(mat, directed=True, indices=sources,
-                          return_predecessors=True)
-    return dist, pred, best
-
-
-def _walk(pred_row, graph, best, src_pos, target):
+def _walk(pred_row, routes, best, src_pos, target):
     """Recover the edge-index path from a dijkstra predecessor row."""
     path = []
     v = target
@@ -247,7 +236,7 @@ def _walk(pred_row, graph, best, src_pos, target):
         u = pred_row[v]
         if u < 0:
             raise MatchingError("no path during correction recovery")
-        path.append(int(best[graph._key_pos[(min(u, v), max(u, v))]]))
+        path.append(int(best[routes.key_pos[(min(u, v), max(u, v))]]))
         if u == src_pos:
             return path
         v = u
@@ -262,15 +251,18 @@ def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,
     complete defect graph with one boundary copy per defect, so odd
     defect parity is absorbed by the boundary when reachable.
     """
+    if graph.detectors and len(syndrome) <= graph.detectors[-1]:
+        raise MatchingError(f"syndrome of length {len(syndrome)} does not "
+                            f"cover detector {graph.detectors[-1]}")
     defects = [d for d in graph.detectors if syndrome[d]]
     if not defects:
         return Correction((), 0.0, (), ())
-    weights = _effective_weights(graph, weight_overrides)
-    nodes = [graph.node_of(d) for d in defects]
+    routes = graph.routes
+    nodes = [routes.node[d] for d in defects]
     for d, v in zip(defects, nodes):
-        if v not in graph._incident:
+        if routes.indptr[v] == routes.indptr[v + 1]:
             raise MatchingError(f"defect detector {d} has no incident edges")
-    dist, pred, best = _shortest_paths(graph, weights, nodes, weight_overrides)
+    dist, pred, best = _shortest_paths(graph, nodes, weight_overrides)
     k = len(nodes)
     g = nx.Graph()
     g.add_nodes_from(range(2 * k))
@@ -291,10 +283,10 @@ def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,
         if a >= k:
             continue
         if b >= k:
-            chosen.extend(_walk(pred[a], graph, best, nodes[a],
+            chosen.extend(_walk(pred[a], routes, best, nodes[a],
                                 graph.boundary))
         else:
-            chosen.extend(_walk(pred[a], graph, best, nodes[a], nodes[b]))
+            chosen.extend(_walk(pred[a], routes, best, nodes[a], nodes[b]))
     # report true log-likelihood weight even when the optimizer ran on
     # correlation-discounted weights
     total = float(sum(graph.edges[i].weight for i in chosen))
@@ -326,34 +318,28 @@ def decode_correlated_two_pass(
     """
     first_x = decode_mwpm(x_graph, syndrome)
     first_z = decode_mwpm(z_graph, syndrome)
-    over_x: dict[int, float] = {}
-    over_z: dict[int, float] = {}
-    comps_x = x_graph.edge_of_component
-    comps_z = z_graph.edge_of_component
-
-    def reweight(corr, src_graph, dst_graph, dst_comps, dst_over):
-        eps = CORRELATION_SCALE * dst_graph.min_weight
-        live = [ei for ei, n in Counter(corr.edges).items() if n % 2]
-        trigger: dict[int, float] = {}
-        for i in live:
-            for ci in src_graph.edges[i].components:
-                comp = src_graph.partner_of.get(ci)
-                if comp is None:
-                    continue
-                target = dst_comps.get(comp)
-                if target is not None:
-                    trigger[target] = _merge_odd(
-                        trigger.get(target, 0.0),
-                        dst_graph.probability_of.get(comp, 0.0))
-        for target, p in trigger.items():
-            # parallel partner edges stay ordered by how probable their
-            # triggering mechanisms are, all within the epsilon budget
-            val = eps * (1.0 - p)
-            dst_over[target] = min(dst_over.get(target, np.inf), val)
-
-    reweight(first_x, x_graph, z_graph, comps_z, over_z)
-    reweight(first_z, z_graph, x_graph, comps_x, over_x)
+    over_z = _partner_overrides(first_x, x_graph, z_graph)
+    over_x = _partner_overrides(first_z, z_graph, x_graph)
     if not over_x and not over_z:
         return first_x, first_z
     return (decode_mwpm(x_graph, syndrome, over_x),
             decode_mwpm(z_graph, syndrome, over_z))
+
+
+def _partner_overrides(corr: Correction, src_graph: MatchingGraph,
+                       dst_graph: MatchingGraph) -> dict[int, float]:
+    """Discounted weights for the partners of a correction's live edges."""
+    trigger: dict[int, float] = {}
+    for i, n in Counter(corr.edges).items():
+        if n % 2 == 0:
+            continue
+        for comp, p in src_graph.edges[i].partners:
+            target = dst_graph.routes.edge_of_component.get(comp)
+            if target is not None:
+                trigger[target] = _merge_odd(trigger.get(target, 0.0), p)
+    if not trigger:
+        return {}
+    # parallel partner edges stay ordered by how probable their
+    # triggering mechanisms are, all within the epsilon budget
+    eps = CORRELATION_SCALE * dst_graph.routes.min_weight
+    return {target: eps * (1.0 - p) for target, p in trigger.items()}

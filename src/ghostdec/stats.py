@@ -19,8 +19,10 @@ def likelihood_interval(k: int, n: int,
 
     The interval is {p : L(p) >= L(k/n) / factor} for the binomial
     likelihood L(p) = p^k (1-p)^(n-k).  Endpoints at k = 0 or k = n are
-    closed form; otherwise they are found by bisection to relative
-    precision 1e-10.
+    closed form; otherwise they are found by bisection to precision
+    1e-10 relative to the endpoint's distance from 0 or 1, whichever is
+    nearer.  By binomial symmetry the upper endpoint is one minus the
+    lower endpoint for the n - k successes.
     """
     if n <= 0:
         raise ValueError("need at least one sample")
@@ -28,28 +30,24 @@ def likelihood_interval(k: int, n: int,
         raise ValueError(f"failure count {k} outside [0, {n}]")
     if factor <= 1.0:
         raise ValueError("likelihood factor must exceed 1")
+    return _lower(k, n, factor), 1.0 - _lower(n - k, n, factor)
+
+
+def _lower(k: int, n: int, factor: float) -> float:
+    """Lower endpoint of the interval for k failures in n samples."""
     if k == 0:
-        return 0.0, 1.0 - factor ** (-1.0 / n)
+        return 0.0
     if k == n:
-        return factor ** (-1.0 / n), 1.0
+        return factor ** (-1.0 / n)
     p_hat = k / n
     log_max = k * math.log(p_hat) + (n - k) * math.log(1.0 - p_hat)
     cut = log_max - math.log(factor)
-
-    def above(p: float) -> bool:
-        return k * math.log(p) + (n - k) * math.log(1.0 - p) >= cut
-
-    def bisect(lo: float, hi: float, above_at_hi: bool) -> float:
-        # invariant: exactly one bracket endpoint satisfies ``above``
-        while hi - lo > RELATIVE_PRECISION * max(hi, 1e-300):
-            mid = 0.5 * (lo + hi)
-            if above(mid) == above_at_hi:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    tiny = p_hat * 1e-18
-    lo = bisect(tiny, p_hat, above_at_hi=True)
-    hi = bisect(p_hat, 1.0 - (1.0 - p_hat) * 1e-18, above_at_hi=False)
-    return lo, hi
+    # invariant: hi lies inside the interval, lo below it
+    lo, hi = p_hat * 1e-18, p_hat
+    while hi - lo > RELATIVE_PRECISION * min(hi, 1.0 - lo):
+        mid = 0.5 * (lo + hi)
+        if k * math.log(mid) + (n - k) * math.log(1.0 - mid) >= cut:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

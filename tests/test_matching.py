@@ -1,5 +1,6 @@
 """Minimum-weight matching on class graphs and correlated reweighting."""
 
+import dataclasses
 import itertools
 import math
 
@@ -14,6 +15,7 @@ from ghostdec.matching import (MatchingError, MatchingGraph, GraphEdge,
                                build_matching_graph, decode_correlated_two_pass,
                                decode_mwpm, edge_weight)
 from ghostdec.verify import brute_force_ml_decode
+from ghostdec.windows import WindowConfig, plan_tproxy_windows
 
 
 def memory_partition(d=3, rounds=2, p=0.002):
@@ -160,6 +162,9 @@ def test_empty_syndrome_returns_empty_correction():
     corr = decode_mwpm(g, np.zeros(dem.detector_count, dtype=bool))
     assert corr.edges == ()
     assert corr.weight == 0.0
+    # a vector too short for the graph's detectors is an error, not empty
+    with pytest.raises(MatchingError):
+        decode_mwpm(g, np.zeros(3, dtype=bool))
 
 
 def test_isolated_defect_raises():
@@ -211,8 +216,10 @@ def test_two_pass_reduces_to_single_pass_without_partners():
     # strip partner links so no reweighting can trigger
     gx = build_matching_graph(part, "X")
     gz = build_matching_graph(part, "Z")
-    bare_x = MatchingGraph(gx.patch, gx.cls, gx.detectors, gx.edges)
-    bare_z = MatchingGraph(gz.patch, gz.cls, gz.detectors, gz.edges)
+    bare_x, bare_z = (
+        dataclasses.replace(g, edges=tuple(dataclasses.replace(e, partners=())
+                                           for e in g.edges))
+        for g in (gx, gz))
     syndrome = np.zeros(dem.detector_count, dtype=bool)
     syndrome[gx.detectors[0]] = True
     syndrome[gz.detectors[0]] = True
@@ -236,3 +243,56 @@ def test_reported_weight_ignores_discounts():
     for corr, g in ((cx, gx), (cz, gz)):
         assert corr.weight == pytest.approx(
             sum(g.edges[i].weight for i in corr.edges))
+
+
+def test_graph_data_alone_reproduces_correlated_decodes():
+    dem, dec, parts = tproxy_graphs()
+    part = parts[0]
+    gx = build_matching_graph(part, "X")
+    gz = build_matching_graph(part, "Z")
+    assert "routes" not in vars(gx)        # built on first decode only
+    rebuilt = [MatchingGraph(g.patch, g.cls, g.detectors, g.edges)
+               for g in (gx, gz)]
+    scope = set(gx.detectors) | set(gz.detectors)
+    reweighted = 0
+    for m in dem.mechanisms:
+        if ({dem.detector_class[t] for t in m.detectors} != {"X", "Z"}
+                or not set(m.detectors) <= scope):
+            continue
+        syndrome = np.zeros(dem.detector_count, dtype=bool)
+        syndrome[list(m.detectors)] = True
+        got = decode_correlated_two_pass(gx, gz, syndrome)
+        assert decode_correlated_two_pass(*rebuilt, syndrome) == got
+        reweighted += got != (decode_mwpm(gx, syndrome),
+                              decode_mwpm(gz, syndrome))
+    assert reweighted > 0
+    assert gx.routes is gx.routes
+
+
+def test_overrides_pick_parallel_edges_like_a_full_rebuild():
+    dem, dec = tproxy_graphs(d=5, n=2)[:2]
+    plan = plan_tproxy_windows(dec, WindowConfig())
+    graphs = {id(g): g for w in plan.windows for g in w.graphs.values()}
+    rng = np.random.default_rng(7)
+    parallel = 0
+    for g in graphs.values():
+        routes = g.routes
+        by_key: dict = {}
+        for e in g.edges:
+            by_key.setdefault((e.u, e.v), []).append(e)
+        parallel += sum(len(es) > 1 for es in by_key.values())
+        for _ in range(5):
+            picks = rng.choice(len(g.edges), size=len(g.edges) // 4,
+                               replace=False)
+            # few distinct values, so discounted parallel edges tie
+            eps = 0.01 * routes.min_weight
+            over = {int(i): float(eps * rng.integers(1, 3)) for i in picks}
+            mat, best = routes.reweighted(g.edges, over)
+            dense = mat.toarray()
+            for (u, v), es in by_key.items():
+                want = min(es, key=lambda e: (over.get(e.index, e.weight),
+                                              e.weight, e.index))
+                assert best[routes.key_pos[u, v]] == want.index
+                w = over.get(want.index, want.weight)
+                assert dense[u, v] == dense[v, u] == w
+    assert parallel > 500

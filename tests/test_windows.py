@@ -9,7 +9,8 @@ from ghostdec.circuits import CircuitError
 from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import extract_dem, sample_dem
 from ghostdec.ghost import build_protocol_graphs, run_ghost_protocol
-from ghostdec.patience import PatienceError, patient_decode, plan_patience
+from ghostdec.patience import (PatienceError, patience_delay, patient_decode,
+                               plan_patience)
 from ghostdec.windows import (WindowConfig, WindowError, _slice_components,
                               compute_tw_error, decode_memory_sliding,
                               decode_tproxy_global, decode_tproxy_windowed,
@@ -56,6 +57,16 @@ def test_unretried_patient_shots_keep_windowed_decisions(patience_setup):
         assert np.array_equal(shot.decisions, shot.base_decisions)
         assert np.array_equal(shot.decisions, win.decisions), f"shot {s}"
     assert kept > 90
+
+
+def test_patience_delay_table():
+    assert [patience_delay(d) for d in (3, 5, 7, 9, 11)] == [0, 1, 2, 3, 4]
+
+
+def test_patience_needs_delay_rounds_in_the_circuit():
+    dem, dec = decomposed(build_tproxy_circuit(9, 2), 1e-3)
+    with pytest.raises(WindowError, match="needs 3 delay rounds"):
+        plan_patience(dec, CONFIG, 9)
 
 
 def test_wrong_syndrome_length_raises(patience_setup):
@@ -144,6 +155,22 @@ def test_single_sliding_window_equals_global_memory():
         glob = run_ghost_protocol(dec, dets[s], graphs=graphs,
                                   collect_trace=False)
         assert np.array_equal(sliding, glob.logical_flips), f"shot {s}"
+
+
+def test_sliding_sizes_must_match_planned_windows():
+    dem, dec = decomposed(build_memory_circuit(3, 6), 5e-3)
+    windows = plan_memory_windows(dec, 1, 1)
+    assert len(windows) > 1
+    syndrome = np.zeros(dem.detector_count, dtype=bool)
+    decode_memory_sliding(dec, syndrome, 1, 1, windows=windows)
+    for commit_rounds, buffer_rounds in ((9, 9), (0, -5), (1, 2), (2, 1)):
+        with pytest.raises(WindowError):
+            decode_memory_sliding(dec, syndrome, commit_rounds, buffer_rounds,
+                                  windows=windows)
+    # a lone final window has no bounds to compare, but sizes still count
+    single = plan_memory_windows(dec, max(dem.detector_time) + 1, 0)
+    with pytest.raises(WindowError):
+        decode_memory_sliding(dec, syndrome, 0, -5, windows=single)
 
 
 def test_tw_error_rejects_empty_and_mismatched_arrays():
