@@ -86,7 +86,7 @@ class Routes:
     of times per graph, so they are built once."""
 
     def __init__(self, graph: MatchingGraph):
-        edges = graph.edges
+        self.edges = edges = graph.edges
         self.node = {d: i for i, d in enumerate(graph.detectors)}
         self.edge_of_component = {c: e.index for e in edges
                                   for c in e.components}
@@ -121,8 +121,9 @@ class Routes:
         return csr_matrix((key_weight[self.slot_key], self.indices,
                            self.indptr), shape=(n, n))
 
-    def reweighted(self, edges, overrides):
+    def reweighted(self, overrides):
         """(matrix, edge per key); only overridden keys are chosen again."""
+        edges = self.edges
         best = self.best.copy()
         key_weight = self.key_weight.copy()
         for k in {self.key_pos[edges[i].u, edges[i].v] for i in overrides}:
@@ -208,7 +209,7 @@ def _shortest_paths(graph: MatchingGraph, sources, overrides):
     """Dijkstra over local nodes; returns (dist, pred, edge per key)."""
     routes = graph.routes
     if overrides:
-        mat, best = routes.reweighted(graph.edges, overrides)
+        mat, best = routes.reweighted(overrides)
         dist, pred = dijkstra(mat, directed=True, indices=sources,
                               return_predecessors=True)
         return dist, pred, best

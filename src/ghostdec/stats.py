@@ -19,10 +19,9 @@ def likelihood_interval(k: int, n: int,
 
     The interval is {p : L(p) >= L(k/n) / factor} for the binomial
     likelihood L(p) = p^k (1-p)^(n-k).  Endpoints at k = 0 or k = n are
-    closed form; otherwise they are found by bisection to precision
-    1e-10 relative to the endpoint's distance from 0 or 1, whichever is
-    nearer.  By binomial symmetry the upper endpoint is one minus the
-    lower endpoint for the n - k successes.
+    closed form; otherwise they are bisected to 1e-10 of their distance
+    from the nearer of 0 and 1 (up to the float spacing near 1).  The
+    upper endpoint is one minus the lower one for n - k failures.
     """
     if n <= 0:
         raise ValueError("need at least one sample")
@@ -30,24 +29,32 @@ def likelihood_interval(k: int, n: int,
         raise ValueError(f"failure count {k} outside [0, {n}]")
     if factor <= 1.0:
         raise ValueError("likelihood factor must exceed 1")
-    return _lower(k, n, factor), 1.0 - _lower(n - k, n, factor)
+    return _lower(k, n, factor)[0], _lower(n - k, n, factor)[1]
 
 
-def _lower(k: int, n: int, factor: float) -> float:
-    """Lower endpoint of the interval for k failures in n samples."""
+def _lower(k: int, n: int, factor: float) -> tuple[float, float]:
+    """Lower endpoint p for k failures in n samples, as (p, 1 - p);
+    bisected in p, or in 1 - p if p > 1/2, so both stay precise."""
     if k == 0:
-        return 0.0
+        return 0.0, 1.0
     if k == n:
-        return factor ** (-1.0 / n)
+        gap = -math.expm1(-math.log(factor) / n)
+        return 1.0 - gap, gap
+
+    def log_l(x, a, b):            # log of x^a (1-x)^b
+        return a * math.log(x) + b * math.log1p(-x)
+
     p_hat = k / n
-    log_max = k * math.log(p_hat) + (n - k) * math.log(1.0 - p_hat)
-    cut = log_max - math.log(factor)
-    # invariant: hi lies inside the interval, lo below it
-    lo, hi = p_hat * 1e-18, p_hat
-    while hi - lo > RELATIVE_PRECISION * min(hi, 1.0 - lo):
-        mid = 0.5 * (lo + hi)
-        if k * math.log(mid) + (n - k) * math.log(1.0 - mid) >= cut:
-            hi = mid
+    cut = log_l(p_hat, k, n - k) - math.log(factor)
+    flip = p_hat > 0.5 and log_l(0.5, k, n - k) < cut
+    a, b = (n - k, k) if flip else (k, n - k)
+    inside = 1.0 - p_hat if flip else min(p_hat, 0.5)
+    outside = 0.5 if flip else p_hat * 1e-18
+    while abs(inside - outside) > RELATIVE_PRECISION * min(inside, outside):
+        mid = 0.5 * (inside + outside)
+        if log_l(mid, a, b) >= cut:
+            inside = mid
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            outside = mid
+    x = 0.5 * (inside + outside)
+    return (1.0 - x, x) if flip else (x, 1.0 - x)

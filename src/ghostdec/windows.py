@@ -356,13 +356,6 @@ class MemoryWindow:
     graphs: dict       # protocol graphs of the sliced model
 
 
-def _check_window_sizes(commit_rounds: int, buffer_rounds: int) -> None:
-    if commit_rounds < 1:
-        raise WindowError("commit region needs at least one round")
-    if buffer_rounds < 0:
-        raise WindowError("buffer region cannot be negative")
-
-
 def plan_memory_windows(decomposed: DecomposedDEM, commit_rounds: int,
                         buffer_rounds: int) -> tuple[MemoryWindow, ...]:
     """Sliding commit/buffer windows covering a memory problem.
@@ -370,7 +363,10 @@ def plan_memory_windows(decomposed: DecomposedDEM, commit_rounds: int,
     The sliding loop carries no ghost commits between windows, so a
     model with ghost pairs is rejected.
     """
-    _check_window_sizes(commit_rounds, buffer_rounds)
+    if commit_rounds < 1:
+        raise WindowError("commit region needs at least one round")
+    if buffer_rounds < 0:
+        raise WindowError("buffer region cannot be negative")
     if decomposed.pairs:
         raise WindowError("sliding windows cannot carry ghost commits")
     time = decomposed.dem.detector_time
@@ -407,12 +403,11 @@ def decode_memory_sliding(decomposed: DecomposedDEM, syndrome: np.ndarray,
     carried = np.array(syndrome, dtype=bool, copy=True)
     if carried.shape != (dem.detector_count,):
         raise WindowError("syndrome length does not match detector count")
-    _check_window_sizes(commit_rounds, buffer_rounds)
     if windows is None:
         windows = plan_memory_windows(decomposed, commit_rounds, buffer_rounds)
-    if any(w.commit_end - w.start != commit_rounds
-           or w.end - w.commit_end != buffer_rounds
-           for w in windows if not w.final):
+    elif commit_rounds < 1 or buffer_rounds < 0 or any(
+            (w.commit_end - w.start, w.end - w.commit_end)
+            != (commit_rounds, buffer_rounds) for w in windows if not w.final):
         raise WindowError("windows were planned for other window sizes")
     time = dem.detector_time
     flips = np.zeros(dem.observable_count, dtype=bool)

@@ -287,7 +287,7 @@ def test_overrides_pick_parallel_edges_like_a_full_rebuild():
             # few distinct values, so discounted parallel edges tie
             eps = 0.01 * routes.min_weight
             over = {int(i): float(eps * rng.integers(1, 3)) for i in picks}
-            mat, best = routes.reweighted(g.edges, over)
+            mat, best = routes.reweighted(over)
             dense = mat.toarray()
             for (u, v), es in by_key.items():
                 want = min(es, key=lambda e: (over.get(e.index, e.weight),
