@@ -413,17 +413,17 @@ def build_memory_circuit(d: int, rounds: int, basis: str = "Z") -> Circuit:
 
 
 def build_tproxy_circuit(d: int, n_tgates: int, n_buf: int = 1, n_sep: int = 3,
-                         extra_rounds: int = 0, init_rounds: int = 1,
-                         carrier_is_control: bool = True) -> Circuit:
+                         extra_rounds: int = 0) -> Circuit:
     """Teleportation proxy for a chain of T gates.
 
-    Patch g carries the logical state into gate g+1; each gate entangles
-    the carrier with a fresh patch by transversal CNOT, waits ``n_buf``
-    rounds, then measures the carrier transversally in Z (one observable
-    per gate).  Consecutive CNOTs are ``n_sep`` rounds apart: the buffer
-    round plus two rounds covering the would-be conditional-Clifford
-    slots.  ``extra_rounds`` extends the tail before the survivor's
-    final readout so delayed decisions still have syndrome to consume.
+    After one initial round, patch g carries the logical state into gate
+    g+1; each gate entangles the carrier (control) with a fresh patch
+    (target) by transversal CNOT, waits ``n_buf`` rounds, then measures
+    the carrier transversally in Z (one observable per gate).
+    Consecutive CNOTs are ``n_sep`` rounds apart: the buffer round plus
+    two rounds covering the would-be conditional-Clifford slots.
+    ``extra_rounds`` extends the tail before the survivor's final
+    readout so delayed decisions still have syndrome to consume.
     """
     if n_tgates < 1:
         raise CircuitError("need at least one gate")
@@ -431,15 +431,11 @@ def build_tproxy_circuit(d: int, n_tgates: int, n_buf: int = 1, n_sep: int = 3,
         raise CircuitError("need n_buf >= 1 and n_sep > n_buf")
     b = CircuitBuilder(d, n_tgates + 1)
     b.prep(list(range(n_tgates + 1)), "Z")
-    b.run_rounds(init_rounds)
+    b.run_rounds(1)
     for g in range(n_tgates):
-        carrier, fresh = g, g + 1
-        if carrier_is_control:
-            b.transversal_cnot(carrier, fresh)
-        else:
-            b.transversal_cnot(fresh, carrier)
+        b.transversal_cnot(g, g + 1)
         b.run_rounds(n_buf)
-        b.readout(carrier, "Z", observable=g)
+        b.readout(g, "Z", observable=g)
         if g + 1 < n_tgates:
             b.run_rounds(n_sep - n_buf)
     b.run_rounds(n_sep - n_buf + extra_rounds)

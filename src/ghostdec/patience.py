@@ -10,7 +10,9 @@ re-windows with more syndrome rounds, and decodes once more.
 
 Patience is a retry policy on the real-time carry loop,
 :func:`ghostdec.windows.carry_gates`: it changes how one gate is
-decoded, never how commits carry between gates.
+decoded, never how commits carry between gates.  The extended windows
+are :class:`ghostdec.windows.Window` objects from the same builder,
+:func:`ghostdec.windows.build_window`, as the real-time ones.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ import numpy as np
 from .circuits import CircuitError
 from .decompose import DecomposedDEM
 from .dem import DetectorErrorModel
-from .ghost import (DEFAULT_SCHEDULE, PassSchedule, build_protocol_graphs,
-                    run_ghost_protocol)
+from .ghost import build_protocol_graphs, run_ghost_protocol
 from .matching import MatchingError
-from .windows import (SeveranceSpec, TproxyPlan, WindowConfig, WindowError,
-                      WindowedProblem, carry_gates, plan_tproxy_windows,
-                      window_dem, _patch_max_time)
+from .windows import (TproxyGate, TproxyPlan, Window, WindowConfig,
+                      WindowError, build_window, carry_gates, patch_last_round,
+                      plan_tproxy_windows, tproxy_gates)
 
 
 class PatienceError(CircuitError):
@@ -47,29 +48,33 @@ def patience_delay(d: int, n_buf: int = 1) -> int:
 
 @dataclass(frozen=True)
 class HeraldResult:
-    heralded: bool
-    trigger: str          # weight-growth | complementary | none
-    delay_rounds: int
     weight_growth: bool   # both checks always run, for statistics
     complementary: bool
+    delay_rounds: int
     changed: bool         # delayed re-decode produced a different bit
 
     def __post_init__(self):
-        if self.trigger not in ("weight-growth", "complementary", "none"):
-            raise PatienceError(f"unknown trigger {self.trigger!r}")
-        if self.heralded != (self.trigger != "none"):
-            raise PatienceError("trigger inconsistent with herald flag")
         if not self.heralded and self.delay_rounds:
             raise PatienceError("unheralded decisions cannot be delayed")
 
+    @property
+    def heralded(self) -> bool:
+        return self.weight_growth or self.complementary
 
-def weight_growth_region(dem: DetectorErrorModel, severance: SeveranceSpec,
+    @property
+    def trigger(self) -> str:
+        """weight-growth, complementary or none: the first check that fired."""
+        return ("weight-growth" if self.weight_growth else
+                "complementary" if self.complementary else "none")
+
+
+def weight_growth_region(dem: DetectorErrorModel, gate: TproxyGate,
                          radius: int) -> frozenset[int]:
     """Surviving-patch detectors within ``radius`` rounds of the cut."""
     return frozenset(
         d for d in range(dem.detector_count)
-        if dem.detector_patch[d] == severance.patch
-        and abs(dem.detector_time[d] - severance.severance_round) <= radius)
+        if dem.detector_patch[d] == gate.patch
+        and abs(dem.detector_time[d] - gate.decision_round) <= radius)
 
 
 def herald_weight_growth(trace: list, region: frozenset[int],
@@ -95,22 +100,18 @@ def herald_weight_growth(trace: list, region: frozenset[int],
     return per_pass[max(per_pass)] > per_pass[min(per_pass)] + 1e-9
 
 
-def herald_complementary(window: WindowedProblem, syndrome: np.ndarray,
-                         observable: int, base_flip: bool, *,
-                         graphs: dict | None = None,
-                         schedule: PassSchedule = DEFAULT_SCHEDULE,
-                         ) -> bool:
+def herald_complementary(window: Window, syndrome: np.ndarray,
+                         observable: int, base_flip: bool,
+                         graphs: dict) -> bool:
     """Re-decode with the open temporal boundary closed.
 
-    Error strings may no longer terminate at the cut; a differing
-    answer, or an infeasible matching (defects stranded without their
-    boundary), heralds a likely windowing failure.
+    ``graphs`` are the window's graphs built without open-boundary
+    edges.  Error strings may no longer terminate at the cut; a
+    differing answer, or an infeasible matching (defects stranded
+    without their boundary), heralds a likely windowing failure.
     """
-    if graphs is None:
-        graphs = build_protocol_graphs(window.decomposed,
-                                       exclude_open_boundary=True)
     try:
-        res = run_ghost_protocol(window.decomposed, syndrome, schedule,
+        res = run_ghost_protocol(window.decomposed, syndrome,
                                  graphs=graphs, collect_trace=False)
     except MatchingError:
         return True
@@ -121,42 +122,41 @@ def herald_complementary(window: WindowedProblem, syndrome: np.ndarray,
 class PatiencePlan:
     base: TproxyPlan
     delay_rounds: int
-    extended: tuple[WindowedProblem, ...] | None  # None when delay is 0
-    closed_graphs: tuple[dict, ...]               # per gate
-    regions: tuple[frozenset, ...]                # per gate
+    extended: tuple[Window, ...] | None  # None when delay is 0
+    closed_graphs: tuple[dict, ...]      # per gate
+    regions: tuple[frozenset, ...]       # per gate
 
 
 def plan_patience(decomposed: DecomposedDEM, config: WindowConfig, d: int, *,
                   region_radius: int | None = None) -> PatiencePlan:
     """Precompute every window variant patience can need.
 
-    Fails when the circuit lacks the syndrome rounds a delayed decision
-    would consume (the extended horizon must stay within the surviving
-    patch's recorded rounds).
+    Fails, before building anything, when the circuit lacks the
+    syndrome rounds a delayed decision would consume (the extended
+    horizon must stay within the surviving patch's recorded rounds).
     """
-    base = plan_tproxy_windows(decomposed, config)
-    delay = patience_delay(d, config.n_buf)
-    radius = config.n_buf + 2 if region_radius is None else region_radius
     dem = decomposed.dem
+    delay = patience_delay(d, config.n_buf)
+    last = patch_last_round(dem)
+    for gate in tproxy_gates(dem, config):
+        if gate.decision_round + delay > last[gate.patch]:
+            raise WindowError(
+                f"patience at distance {d} needs {delay} delay rounds "
+                f"beyond round {gate.decision_round}, but "
+                f"patch {gate.patch} stops earlier")
+    base = plan_tproxy_windows(decomposed, config)
+    radius = config.n_buf + 2 if region_radius is None else region_radius
     extended = None
     if delay:
         cache: dict = {}
-        ext = []
-        for gate in base.gates:
-            w = window_dem(decomposed, gate.severance, config,
-                           config.n_buf + delay, _cache=cache)
-            if w.horizon > _patch_max_time(dem, gate.severance.patch):
-                raise WindowError(
-                    f"patience at distance {d} needs {delay} delay rounds "
-                    f"beyond round {gate.severance.severance_round}, but "
-                    f"patch {gate.severance.patch} stops earlier")
-            ext.append(w)
-        extended = tuple(ext)
+        extended = tuple(build_window(decomposed, None,
+                                      gate.decision_round + delay, cache)
+                         for gate in base.gates)
     closed = tuple(build_protocol_graphs(w.decomposed,
                                          exclude_open_boundary=True)
                    for w in base.windows)
-    regions = tuple(weight_growth_region(dem, w.severance, radius)
-                    for w in base.windows)
+    regions = tuple(weight_growth_region(dem, gate, radius)
+                    for gate in base.gates)
     return PatiencePlan(base, delay, extended, closed, regions)
 
 
@@ -167,51 +167,9 @@ class PatientShot:
     heralds: tuple[HeraldResult, ...]
 
 
-@dataclass
-class PatienceStats:
-    """Aggregates heralding behavior over many decoded shots."""
-
-    delay_rounds: int = 0
-    shots: int = 0
-    gates: int = 0
-    heralds: int = 0
-    weight_growth_heralds: int = 0
-    complementary_heralds: int = 0
-    false_positives: int = 0     # heralded but the re-decode agreed
-    changed: int = 0
-
-    def add(self, shot: PatientShot) -> None:
-        self.shots += 1
-        self.gates += len(shot.heralds)
-        for h in shot.heralds:
-            self.delay_rounds = max(self.delay_rounds, h.delay_rounds)
-            self.heralds += h.heralded
-            self.weight_growth_heralds += h.weight_growth
-            self.complementary_heralds += h.complementary
-            if h.heralded:
-                self.changed += h.changed
-                self.false_positives += not h.changed
-
-    @property
-    def average_delay(self) -> float:
-        """Delay rounds consumed per gate decision."""
-        if not self.gates:
-            return 0.0
-        return self.heralds * self.delay_rounds / self.gates
-
-    @property
-    def false_positive_rate(self) -> float:
-        if not self.heralds:
-            return 0.0
-        return self.false_positives / self.heralds
-
-
 def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
                    config: WindowConfig, d: int, *,
-                   plan: PatiencePlan | None = None,
-                   schedule: PassSchedule = DEFAULT_SCHEDULE,
-                   region_radius: int | None = None,
-                   ) -> PatientShot:
+                   plan: PatiencePlan | None = None) -> PatientShot:
     """Windowed decode where heralded gates get one delayed retry.
 
     Gates are decoded in time order at the base allowance with a full
@@ -219,41 +177,34 @@ def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
     the gate re-windows at the extended allowance and decodes once
     more from the same carried state.  The retry's commits then carry
     forward instead of the original's.  A given ``plan`` fixes the
-    windows, delay and regions, so a ``region_radius``, or a ``config``
-    or ``d`` the plan was not made for, is an error.
+    windows, delay and regions, so a ``config`` or ``d`` the plan was
+    not made for is an error.
     """
     if plan is None:
-        plan = plan_patience(decomposed, config, d,
-                             region_radius=region_radius)
-    elif (region_radius is not None or config != plan.base.config
+        plan = plan_patience(decomposed, config, d)
+    elif (config != plan.base.config
           or patience_delay(d, config.n_buf) != plan.delay_rounds):
-        raise PatienceError("config, d and region_radius are fixed by "
-                            "the given plan")
+        raise PatienceError("config and d are fixed by the given plan")
     heralds = []
 
     def decode_gate(g, refined):
         gate, window = plan.base.gates[g], plan.base.windows[g]
-        res = run_ghost_protocol(window.decomposed, refined, schedule,
+        res = run_ghost_protocol(window.decomposed, refined,
                                  graphs=window.graphs, collect_trace=True)
         j = gate.observable
         base_flip = bool(res.logical_flips[j])
-        growth = herald_weight_growth(res.trace, plan.regions[g],
-                                      gate.severance.patch)
+        growth = herald_weight_growth(res.trace, plan.regions[g], gate.patch)
         comp = herald_complementary(window, refined, j, base_flip,
-                                    graphs=plan.closed_graphs[g],
-                                    schedule=schedule)
+                                    plan.closed_graphs[g])
         heralded = growth or comp
-        trigger = ("weight-growth" if growth else
-                   "complementary" if comp else "none")
         changed = False
         if heralded and plan.delay_rounds:
             res = run_ghost_protocol(plan.extended[g].decomposed, refined,
-                                     schedule, graphs=plan.extended[g].graphs,
+                                     graphs=plan.extended[g].graphs,
                                      collect_trace=False)
             changed = bool(res.logical_flips[j]) != base_flip
         heralds.append(HeraldResult(
-            heralded, trigger, plan.delay_rounds if heralded else 0,
-            growth, comp, changed))
+            growth, comp, plan.delay_rounds if heralded else 0, changed))
         return res
 
     decisions, _ = carry_gates(decomposed.dem, syndrome, plan.base.gates,

@@ -12,10 +12,12 @@ next window sees.  Real-time decoding runs that loop with one ghost
 protocol per gate; patience (:mod:`ghostdec.patience`) runs it with a
 heralded retry per gate.  For plain memory a sliding commit/buffer
 window plays the same role: each window is decoded through the ghost
-protocol on the same graph set, and only its commit region is kept.
+protocol, and only its commit region is kept.
 
-All windowed problems keep the global detector indexing, so syndromes
-and refinement toggles stay valid across windows.
+Every such cut is one :class:`Window`: the model sliced to detector
+times [lo, hi] plus its protocol graphs, built by :func:`build_window`
+alone.  Windows keep the global detector indexing, so syndromes and
+refinement toggles stay valid across windows.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ import numpy as np
 from .circuits import CircuitError
 from .decompose import Component, DecomposedDEM, GhostPair
 from .dem import DetectorErrorModel
-from .ghost import (DEFAULT_SCHEDULE, PassSchedule, build_protocol_graphs,
-                    run_ghost_protocol)
+from .ghost import build_protocol_graphs, run_ghost_protocol
 from .stats import likelihood_interval
 
 
@@ -43,8 +44,8 @@ class WindowConfig:
 
     ``n_buf`` is the number of extraction rounds between a transversal
     CNOT and the dependent logical measurement, and so the rounds a
-    gate's window sees past its CNOT.  The sliding memory decoder takes
-    its own commit and buffer sizes.
+    gate's window sees past its CNOT.  Sliding memory plans take their
+    own commit and buffer sizes.
     """
 
     n_buf: int = 1
@@ -52,19 +53,6 @@ class WindowConfig:
     def __post_init__(self):
         if self.n_buf < 1:
             raise WindowError("n_buf must be at least 1")
-
-
-@dataclass(frozen=True)
-class SeveranceSpec:
-    """Where one gate's decision cuts the decoding problem."""
-
-    patch: int                 # surviving patch beyond the cut
-    severance_round: int       # decision time: cnot_round + n_buf
-    cnot_round: int
-
-    def __post_init__(self):
-        if self.severance_round <= self.cnot_round:
-            raise WindowError("severance must fall after the transversal CNOT")
 
 
 def _slice_components(decomposed: DecomposedDEM, lo: int | None,
@@ -132,57 +120,34 @@ def _slice_components(decomposed: DecomposedDEM, lo: int | None,
                          decomposed.invisible)
 
 
-def window_components(decomposed: DecomposedDEM, horizon: int) -> DecomposedDEM:
-    """Truncate a decomposed model at a horizon (no lower cut)."""
-    return _slice_components(decomposed, None, horizon)
-
-
 @dataclass(frozen=True)
-class WindowedProblem:
-    severance: SeveranceSpec
-    horizon: int               # last visible extraction round
-    decomposed: DecomposedDEM  # truncated, global detector indexing
-    graphs: dict               # protocol graphs of the truncated model
+class Window:
+    """The model sliced to detector times [lo, hi], with its graphs.
 
-
-def _patch_max_time(dem: DetectorErrorModel, patch: int) -> int:
-    times = [dem.detector_time[d] for d in range(dem.detector_count)
-             if dem.detector_patch[d] == patch]
-    if not times:
-        raise WindowError(f"patch {patch} has no detectors")
-    return max(times)
-
-
-def window_dem(decomposed: DecomposedDEM, severance: SeveranceSpec,
-               config: WindowConfig, allowance: int | None = None,
-               _cache: dict | None = None) -> WindowedProblem:
-    """Build the windowed matching inputs for one severance.
-
-    The horizon sits ``allowance`` (default: the configured n_buf)
-    rounds past the CNOT.  Raising the allowance beyond the surviving
-    patch's remaining syndrome is an error unless the horizon swallows
-    the whole circuit, which degenerates to the global problem.
+    ``lo`` is None when nothing below the cut is dropped.
     """
-    if allowance is None:
-        allowance = config.n_buf
-    if allowance < config.n_buf:
-        raise WindowError("allowance below n_buf would hide the decision readout")
-    dem = decomposed.dem
-    horizon = severance.cnot_round + allowance
-    survivor_max = _patch_max_time(dem, severance.patch)
-    global_max = max(dem.detector_time, default=0)
-    if survivor_max < horizon < global_max:
-        raise WindowError(
-            f"allowance {allowance} runs past the syndrome available on "
-            f"patch {severance.patch} (last round {survivor_max})")
-    if _cache is not None and horizon in _cache:
-        windowed, graphs = _cache[horizon]
-    else:
-        windowed = window_components(decomposed, horizon)
-        graphs = build_protocol_graphs(windowed)
-        if _cache is not None:
-            _cache[horizon] = (windowed, graphs)
-    return WindowedProblem(severance, horizon, windowed, graphs)
+
+    lo: int | None
+    hi: int
+    decomposed: DecomposedDEM  # sliced, global detector indexing
+    graphs: dict               # protocol graphs of the sliced model
+
+
+def build_window(decomposed: DecomposedDEM, lo: int | None, hi: int,
+                 cache: dict) -> Window:
+    """Slice and build graphs once per (lo, hi) cut held in ``cache``."""
+    if (lo, hi) not in cache:
+        sliced = _slice_components(decomposed, lo, hi)
+        cache[lo, hi] = Window(lo, hi, sliced, build_protocol_graphs(sliced))
+    return cache[lo, hi]
+
+
+def patch_last_round(dem: DetectorErrorModel) -> dict[int, int]:
+    """Last detector time of every patch that has detectors."""
+    last: dict[int, int] = {}
+    for p, t in zip(dem.detector_patch, dem.detector_time):
+        last[p] = max(last.get(p, t), t)
+    return last
 
 
 # -- teleportation-proxy gate windows -----------------------------------------
@@ -190,9 +155,9 @@ def window_dem(decomposed: DecomposedDEM, severance: SeveranceSpec,
 
 @dataclass(frozen=True)
 class TproxyGate:
-    index: int
     observable: int
-    severance: SeveranceSpec
+    patch: int                 # surviving patch beyond the cut
+    decision_round: int        # the carrier's last round: CNOT + n_buf
 
 
 def tproxy_gates(dem: DetectorErrorModel,
@@ -203,28 +168,23 @@ def tproxy_gates(dem: DetectorErrorModel,
     detector time is the decision round; the one patch never measured
     mid-circuit survives the final gate.
     """
-    patch_max: dict[int, int] = {}
-    for d in range(dem.detector_count):
-        p = dem.detector_patch[d]
-        t = dem.detector_time[d]
-        patch_max[p] = max(patch_max.get(p, t), t)
+    last = patch_last_round(dem)
     carriers = []
     for j in range(dem.observable_count):
         p = dem.observable_patch[j]
         if p is None:
             raise WindowError(f"observable {j} has no home patch")
-        carriers.append((patch_max[p], j, p))
+        carriers.append((last[p], j, p))
     carriers.sort()
-    rest = sorted(set(patch_max) - {p for _, _, p in carriers})
+    rest = sorted(set(last) - {p for _, _, p in carriers})
     if len(rest) != 1:
         raise WindowError(f"expected one surviving patch, found {rest}")
     gates = []
     for g, (sev, j, p) in enumerate(carriers):
         survivor = carriers[g + 1][2] if g + 1 < len(carriers) else rest[0]
-        cnot = sev - config.n_buf
-        if cnot < 1:
+        if sev - config.n_buf < 1:
             raise WindowError("n_buf reaches back past the first round")
-        gates.append(TproxyGate(g, j, SeveranceSpec(survivor, sev, cnot)))
+        gates.append(TproxyGate(j, survivor, sev))
     return tuple(gates)
 
 
@@ -232,18 +192,36 @@ def tproxy_gates(dem: DetectorErrorModel,
 class TproxyPlan:
     config: WindowConfig
     gates: tuple[TproxyGate, ...]
-    windows: tuple[WindowedProblem, ...]
+    windows: tuple[Window, ...]
 
 
 def plan_tproxy_windows(decomposed: DecomposedDEM, config: WindowConfig,
                         allowance: int | None = None) -> TproxyPlan:
-    """One window per gate, cached by horizon so degenerate plans share."""
-    gates = tproxy_gates(decomposed.dem, config)
+    """One window per gate, cut ``allowance`` rounds past its CNOT.
+
+    The allowance defaults to the configured n_buf.  A horizon beyond
+    the surviving patch's last round is an error unless it swallows the
+    whole circuit, which degenerates to the global problem.  Windows
+    are shared between gates with the same horizon.
+    """
+    if allowance is None:
+        allowance = config.n_buf
+    if allowance < config.n_buf:
+        raise WindowError("allowance below n_buf would hide the decision readout")
+    dem = decomposed.dem
+    gates = tproxy_gates(dem, config)
+    last = patch_last_round(dem)
+    global_max = max(dem.detector_time, default=0)
     cache: dict = {}
-    windows = tuple(window_dem(decomposed, gate.severance, config,
-                               allowance, _cache=cache)
-                    for gate in gates)
-    return TproxyPlan(config, gates, windows)
+    windows = []
+    for gate in gates:
+        horizon = gate.decision_round - config.n_buf + allowance
+        if last[gate.patch] < horizon < global_max:
+            raise WindowError(
+                f"allowance {allowance} runs past the syndrome available on "
+                f"patch {gate.patch} (last round {last[gate.patch]})")
+        windows.append(build_window(decomposed, None, horizon, cache))
+    return TproxyPlan(config, gates, tuple(windows))
 
 
 @dataclass
@@ -284,25 +262,22 @@ def carry_gates(dem: DetectorErrorModel, syndrome: np.ndarray,
 def decode_tproxy_windowed(decomposed: DecomposedDEM, syndrome: np.ndarray,
                            config: WindowConfig, *,
                            plan: TproxyPlan | None = None,
-                           allowance: int | None = None,
-                           schedule: PassSchedule = DEFAULT_SCHEDULE,
-                           collect_trace: bool = False) -> TproxyDecodeResult:
+                           ) -> TproxyDecodeResult:
     """Per-gate decisions, each using only pre-horizon data.
 
     Each gate runs the ghost protocol once on its window inside
-    :func:`carry_gates`.  A given ``plan`` fixes the windows, so an
-    ``allowance`` or a ``config`` other than the plan's is an error.
+    :func:`carry_gates`.  A given ``plan`` fixes the windows, so a
+    ``config`` other than the plan's is an error.
     """
     if plan is None:
-        plan = plan_tproxy_windows(decomposed, config, allowance)
-    elif allowance is not None or config != plan.config:
-        raise WindowError("allowance and config are fixed by the given plan")
+        plan = plan_tproxy_windows(decomposed, config)
+    elif config != plan.config:
+        raise WindowError("config is fixed by the given plan")
 
     def decode_gate(g, refined):
         window = plan.windows[g]
-        return run_ghost_protocol(window.decomposed, refined, schedule,
-                                  graphs=window.graphs,
-                                  collect_trace=collect_trace)
+        return run_ghost_protocol(window.decomposed, refined,
+                                  graphs=window.graphs, collect_trace=False)
 
     decisions, results = carry_gates(decomposed.dem, syndrome, plan.gates,
                                      decode_gate)
@@ -310,11 +285,9 @@ def decode_tproxy_windowed(decomposed: DecomposedDEM, syndrome: np.ndarray,
 
 
 def decode_tproxy_global(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
-                         graphs: dict | None = None,
-                         schedule: PassSchedule = DEFAULT_SCHEDULE,
-                         ) -> np.ndarray:
+                         graphs: dict | None = None) -> np.ndarray:
     """Hindsight decode: the whole problem at once, all gates together."""
-    res = run_ghost_protocol(decomposed, syndrome, schedule, graphs=graphs,
+    res = run_ghost_protocol(decomposed, syndrome, graphs=graphs,
                              collect_trace=False)
     return res.logical_flips.copy()
 
@@ -347,21 +320,19 @@ def compute_tw_error(windowed_decisions, global_decisions,
 
 
 @dataclass(frozen=True)
-class MemoryWindow:
-    start: int         # first visible round
-    commit_end: int    # first buffer round; everything commits when final
-    end: int           # first invisible round
-    final: bool
-    decomposed: DecomposedDEM
-    graphs: dict       # protocol graphs of the sliced model
+class MemoryPlan:
+    commit_rounds: int         # every window but the last commits this many
+    windows: tuple[Window, ...]
 
 
 def plan_memory_windows(decomposed: DecomposedDEM, commit_rounds: int,
-                        buffer_rounds: int) -> tuple[MemoryWindow, ...]:
+                        buffer_rounds: int) -> MemoryPlan:
     """Sliding commit/buffer windows covering a memory problem.
 
-    The sliding loop carries no ghost commits between windows, so a
-    model with ghost pairs is rejected.
+    Windows start ``commit_rounds`` apart and span at most
+    ``commit_rounds + buffer_rounds`` rounds; the last one reaches the
+    last round.  The sliding loop carries no ghost commits between
+    windows, so a model with ghost pairs is rejected.
     """
     if commit_rounds < 1:
         raise WindowError("commit region needs at least one round")
@@ -372,46 +343,36 @@ def plan_memory_windows(decomposed: DecomposedDEM, commit_rounds: int,
     time = decomposed.dem.detector_time
     if not time:
         raise WindowError("model has no detectors")
-    s, t_end = min(time), max(time)
+    lo, t_end = min(time), max(time)
+    cache: dict = {}
     windows = []
     while True:
-        final = s + commit_rounds + buffer_rounds > t_end
-        end = t_end + 1 if final else s + commit_rounds + buffer_rounds
-        sliced = _slice_components(decomposed, s, end - 1)
-        windows.append(MemoryWindow(s, end if final else s + commit_rounds,
-                                    end, final, sliced,
-                                    build_protocol_graphs(sliced)))
-        if final:
-            return tuple(windows)
-        s += commit_rounds
+        hi = min(lo + commit_rounds + buffer_rounds - 1, t_end)
+        windows.append(build_window(decomposed, lo, hi, cache))
+        if hi == t_end:
+            return MemoryPlan(commit_rounds, tuple(windows))
+        lo += commit_rounds
 
 
 def decode_memory_sliding(decomposed: DecomposedDEM, syndrome: np.ndarray,
-                          commit_rounds: int, buffer_rounds: int, *,
-                          windows: tuple[MemoryWindow, ...] | None = None,
-                          ) -> np.ndarray:
+                          plan: MemoryPlan) -> np.ndarray:
     """Sliding-window decode of a memory problem.
 
     Each window is decoded in full by the ghost protocol, but only
     correction edges reaching into the commit region are kept.  An edge
     crossing past the commit boundary is committed together with
     artificial defects at its far detectors, so the next window sees a
-    consistent residual.  The final window commits everything.  Given
-    ``windows``, the sizes must be the ones they were planned for.
+    consistent residual.  The last window commits everything.
     """
     dem = decomposed.dem
     carried = np.array(syndrome, dtype=bool, copy=True)
     if carried.shape != (dem.detector_count,):
         raise WindowError("syndrome length does not match detector count")
-    if windows is None:
-        windows = plan_memory_windows(decomposed, commit_rounds, buffer_rounds)
-    elif commit_rounds < 1 or buffer_rounds < 0 or any(
-            (w.commit_end - w.start, w.end - w.commit_end)
-            != (commit_rounds, buffer_rounds) for w in windows if not w.final):
-        raise WindowError("windows were planned for other window sizes")
     time = dem.detector_time
     flips = np.zeros(dem.observable_count, dtype=bool)
-    for w in windows:
+    for w in plan.windows:
+        commit_end = (w.hi + 1 if w is plan.windows[-1]
+                      else w.lo + plan.commit_rounds)
         res = run_ghost_protocol(w.decomposed, carried, graphs=w.graphs,
                                  collect_trace=False)
         for (patch, cls), corr in res.corrections.items():
@@ -423,7 +384,7 @@ def decode_memory_sliding(decomposed: DecomposedDEM, syndrome: np.ndarray,
                 dets = [g.detectors[e.u]]
                 if e.v < g.boundary:
                     dets.append(g.detectors[e.v])
-                if all(time[d] >= w.commit_end for d in dets):
+                if all(time[d] >= commit_end for d in dets):
                     continue           # buffer only: re-decoded later
                 for j in e.observables:
                     flips[j] ^= True
@@ -435,11 +396,11 @@ def decode_memory_sliding(decomposed: DecomposedDEM, syndrome: np.ndarray,
 # -- failure-weight search regions --------------------------------------------
 
 
-def severance_region(dem: DetectorErrorModel, severance: SeveranceSpec,
+def severance_region(dem: DetectorErrorModel, gate: TproxyGate,
                      radius: int) -> tuple[int, ...]:
-    """Mechanism ids whose every detector lies near the severance."""
-    lo = severance.severance_round - radius
-    hi = severance.severance_round + radius
+    """Mechanism ids whose every detector lies near the gate's decision."""
+    lo = gate.decision_round - radius
+    hi = gate.decision_round + radius
     out = []
     for e, m in enumerate(dem.mechanisms):
         if m.detectors and all(lo <= dem.detector_time[d] <= hi

@@ -9,12 +9,15 @@ from ghostdec.circuits import CircuitError
 from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import extract_dem, sample_dem
 from ghostdec.ghost import build_protocol_graphs, run_ghost_protocol
+import ghostdec.patience
+import ghostdec.windows
 from ghostdec.patience import (PatienceError, patience_delay, patient_decode,
                                plan_patience)
 from ghostdec.windows import (WindowConfig, WindowError, _slice_components,
                               compute_tw_error, decode_memory_sliding,
                               decode_tproxy_global, decode_tproxy_windowed,
-                              plan_memory_windows, plan_tproxy_windows)
+                              plan_memory_windows, plan_tproxy_windows,
+                              severance_region, tproxy_gates)
 
 CONFIG = WindowConfig()
 
@@ -63,8 +66,15 @@ def test_patience_delay_table():
     assert [patience_delay(d) for d in (3, 5, 7, 9, 11)] == [0, 1, 2, 3, 4]
 
 
-def test_patience_needs_delay_rounds_in_the_circuit():
+def test_patience_needs_delay_rounds_in_the_circuit(monkeypatch):
     dem, dec = decomposed(build_tproxy_circuit(9, 2), 1e-3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graphs built before the delay check")
+
+    # the missing rounds show in detector times alone: nothing is built
+    monkeypatch.setattr(ghostdec.windows, "build_protocol_graphs", refuse)
+    monkeypatch.setattr(ghostdec.patience, "build_protocol_graphs", refuse)
     with pytest.raises(WindowError, match="needs 3 delay rounds"):
         plan_patience(dec, CONFIG, 9)
 
@@ -82,13 +92,7 @@ def test_plan_fixes_window_parameters(patience_setup):
     dem, dec, pplan, wplan = patience_setup
     syndrome = np.zeros(dem.detector_count, dtype=bool)
     with pytest.raises(WindowError):
-        decode_tproxy_windowed(dec, syndrome, CONFIG,
-                               plan=plan_tproxy_windows(dec, WindowConfig()),
-                               allowance=99)
-    with pytest.raises(WindowError):
         decode_tproxy_windowed(dec, syndrome, WindowConfig(2), plan=wplan)
-    with pytest.raises(PatienceError):
-        patient_decode(dec, syndrome, CONFIG, 5, plan=pplan, region_radius=3)
     with pytest.raises(PatienceError):
         patient_decode(dec, syndrome, WindowConfig(2), 5, plan=pplan)
     with pytest.raises(PatienceError):
@@ -98,7 +102,7 @@ def test_plan_fixes_window_parameters(patience_setup):
 def test_only_ghost_free_patches_share_window_graphs(patience_setup):
     dem, dec, pplan, wplan = patience_setup
     window = wplan.windows[0]
-    assert window.horizon == 2
+    assert (window.lo, window.hi) == (None, 2)
     shared = {(p, c) for p, c, _ in window.graphs
               if window.graphs[p, c, True] is window.graphs[p, c, False]}
     assert shared == {(2, "X"), (2, "Z")}
@@ -145,32 +149,50 @@ def test_sliding_windows_reject_ghost_pairs(patience_setup):
 def test_single_sliding_window_equals_global_memory():
     dem, dec = decomposed(build_memory_circuit(3, 3), 5e-3)
     rounds = max(dem.detector_time) + 1
-    windows = plan_memory_windows(dec, rounds, 0)
-    assert len(windows) == 1
+    plan = plan_memory_windows(dec, rounds, 0)
+    assert len(plan.windows) == 1
     graphs = build_protocol_graphs(dec)
     dets, _ = sample_dem(dem, seed=6, shots=200)
     for s in range(200):
-        sliding = decode_memory_sliding(dec, dets[s], rounds, 0,
-                                        windows=windows)
+        sliding = decode_memory_sliding(dec, dets[s], plan)
         glob = run_ghost_protocol(dec, dets[s], graphs=graphs,
                                   collect_trace=False)
         assert np.array_equal(sliding, glob.logical_flips), f"shot {s}"
 
 
-def test_sliding_sizes_must_match_planned_windows():
+def test_sliding_windows_step_by_commit_size():
     dem, dec = decomposed(build_memory_circuit(3, 6), 5e-3)
-    windows = plan_memory_windows(dec, 1, 1)
-    assert len(windows) > 1
-    syndrome = np.zeros(dem.detector_count, dtype=bool)
-    decode_memory_sliding(dec, syndrome, 1, 1, windows=windows)
-    for commit_rounds, buffer_rounds in ((9, 9), (0, -5), (1, 2), (2, 1)):
-        with pytest.raises(WindowError):
-            decode_memory_sliding(dec, syndrome, commit_rounds, buffer_rounds,
-                                  windows=windows)
-    # a lone final window has no bounds to compare, but sizes still count
-    single = plan_memory_windows(dec, max(dem.detector_time) + 1, 0)
+    first, last = min(dem.detector_time), max(dem.detector_time)
     with pytest.raises(WindowError):
-        decode_memory_sliding(dec, syndrome, 0, -5, windows=single)
+        plan_memory_windows(dec, 0, 1)
+    with pytest.raises(WindowError):
+        plan_memory_windows(dec, 1, -1)
+    for commit_rounds, buffer_rounds in ((1, 1), (2, 1), (2, 0)):
+        plan = plan_memory_windows(dec, commit_rounds, buffer_rounds)
+        assert plan.commit_rounds == commit_rounds
+        assert len(plan.windows) > 1
+        assert plan.windows[0].lo == first
+        for a, b in zip(plan.windows, plan.windows[1:]):
+            assert b.lo - a.lo == commit_rounds
+        for w in plan.windows:
+            assert w.hi - w.lo + 1 <= commit_rounds + buffer_rounds
+        assert plan.windows[-1].hi == last
+
+
+def test_severance_region_keeps_mechanisms_near_the_decision():
+    dem, dec = decomposed(build_tproxy_circuit(3, 2), 1e-3)
+    time = dem.detector_time
+    for gate in tproxy_gates(dem, CONFIG):
+        for radius in range(3):
+            near = tuple(
+                e for e, m in enumerate(dem.mechanisms) if m.detectors
+                and all(abs(time[d] - gate.decision_round) <= radius
+                        for d in m.detectors))
+            assert near
+            assert severance_region(dem, gate, radius) == near
+        everything = tuple(e for e, m in enumerate(dem.mechanisms)
+                           if m.detectors)
+        assert severance_region(dem, gate, max(time)) == everything
 
 
 def test_tw_error_rejects_empty_and_mismatched_arrays():
