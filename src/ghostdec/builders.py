@@ -338,6 +338,19 @@ class CircuitBuilder:
         if observable is not None:
             self._observable(observable, [self.meas_count - 1])
 
+    def measure_stabilizers(self) -> None:
+        """Noiseless MPP of every live cell's stabilizer, each checked by a
+        detector against the cell's last ancilla measurement."""
+        for p in self._alive():
+            ox, oy = p.origin
+            for v in sorted(p.cells):
+                kind = cell_kind(v)
+                self.mpp([(p.data_map[g], kind)
+                          for g in cell_data_neighbors(v, p.d)], 0, None)
+                refs = [self.meas_count - 1, p.last_meas[v]]
+                refs += p.extra_refs.pop(v, [])
+                self._detector(self.round_index, (ox + v[0], oy + v[1]), refs)
+
     def finish(self) -> Circuit:
         return Circuit(tuple(self.qubits), tuple(self.instructions))
 
@@ -450,8 +463,10 @@ def build_deep_clifford_circuit(d: int, n_r: int, layers: int,
     Every layer applies one random gate from {H, X, Y, Z} transversally
     to each patch, then two transversal CNOTs over a random disjoint
     pairing, then ``n_r`` syndrome rounds.  The circuit ends with
-    noiseless Pauli-product measurements of the evolved logical
-    stabilizer generators, one observable per initial logical X.
+    noiseless Pauli-product measurements: one per stabilizer, each with
+    a detector against its last round, so the last round's faults are
+    detected, then the evolved logical stabilizer generators, one
+    observable per initial logical X.
     """
     if n_qubits < 2 or n_qubits % 2:
         raise CircuitError("need an even number of logical qubits")
@@ -468,6 +483,7 @@ def build_deep_clifford_circuit(d: int, n_r: int, layers: int,
         for i in range(0, n_qubits, 2):
             b.transversal_cnot(int(perm[i]), int(perm[i + 1]))
         b.run_rounds(n_r)
+    b.measure_stabilizers()
     for i in range(n_qubits):
         paulis, sign = b.tracker.realize(i)
         b.mpp(paulis, sign, observable=i)
@@ -484,24 +500,19 @@ def spacetime_volume(d: int, n_r: int) -> int:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Circuit-level depolarizing noise strengths.
+    """Uniform circuit-level depolarizing noise of strength ``p``.
 
-    Defaults follow the uniform model: two-qubit depolarizing with
-    probability ``p`` after each CX, single-qubit depolarizing with
-    ``p/10`` after every single-qubit gate, reset and measurement and on
-    every idle qubit per tick, and a classical flip with probability
-    ``p`` on each MEAS_Z outcome.
+    Two-qubit depolarizing with probability ``p`` after each CX,
+    single-qubit depolarizing with ``p/10`` after every single-qubit
+    gate, reset and measurement and on every idle qubit per tick, and a
+    classical flip with probability ``p`` on each MEAS_Z outcome.
     """
 
     p: float
-    p_single: float | None = None
-    p_double: float | None = None
-    p_flip: float | None = None
 
     def resolve(self) -> tuple[float, float, float]:
-        p1 = self.p / 10 if self.p_single is None else self.p_single
-        p2 = self.p if self.p_double is None else self.p_double
-        pf = self.p if self.p_flip is None else self.p_flip
+        """Single-qubit, two-qubit and measurement-flip probabilities."""
+        p1, p2, pf = self.p / 10, self.p, self.p
         for v in (p1, p2, pf):
             if not (0.0 <= v < 0.5):
                 raise CircuitError("noise probabilities must lie in [0, 0.5)")
@@ -518,7 +529,7 @@ def apply_noise_model(circuit: Circuit, noise: NoiseParams) -> Circuit:
     if circuit.has_noise():
         raise CircuitError("circuit already contains noise channels")
     p1, p2, pf = noise.resolve()
-    if noise.p == 0 and not (p1 or p2 or pf):
+    if noise.p == 0:
         return Circuit(circuit.qubits, circuit.instructions)
 
     spans = circuit.ticks()

@@ -27,6 +27,13 @@ PAIRWISE_OPS = ("CX", "DEPOL2")
 ALL_OPS = GATES_1Q + GATES_2Q + RESETS + NOISE_OPS + (
     "MEAS_Z", "MPP", "TICK", "DETECTOR", "OBSERVABLE")
 
+# Pauli outcomes of the depolarizing channels in fault-site order, one
+# (x, z) bit pair per target qubit: DEPOL1 is X, Y, Z, and DEPOL2's
+# outcome v = 1..15 has the bits (xa, za, xb, zb) of v, highest first.
+DEPOL1_OUTCOMES = ((1, 0), (1, 1), (0, 1))
+DEPOL2_OUTCOMES = tuple(((v >> 3 & 1, v >> 2 & 1), (v >> 1 & 1, v & 1))
+                        for v in range(1, 16))
+
 KIND_DATA = "data"
 KIND_ANCILLA_X = "ancilla-X"
 KIND_ANCILLA_Z = "ancilla-Z"
@@ -132,9 +139,9 @@ class Circuit:
     def fault_site_base(self) -> tuple[int, ...]:
         """Canonical id of each instruction's first fault site, then the total.
 
-        Sites are numbered in instruction order: per target qubit the X, Y,
-        Z outcomes of DEPOL1, per target pair the 15 outcomes of DEPOL2,
-        and per target one MEAS_FLIP record flip.
+        Sites are numbered in instruction order: per target qubit the
+        :data:`DEPOL1_OUTCOMES`, per target pair the
+        :data:`DEPOL2_OUTCOMES`, and per target one MEAS_FLIP record flip.
         """
         return tuple(accumulate(map(_fault_site_count, self.instructions),
                                 initial=0))
@@ -207,9 +214,9 @@ def _record_count(ins: Instruction) -> int:
 
 def _fault_site_count(ins: Instruction) -> int:
     if ins.op == "DEPOL1":
-        return 3 * len(ins.targets)
+        return len(DEPOL1_OUTCOMES) * len(ins.targets)
     if ins.op == "DEPOL2":
-        return 15 * (len(ins.targets) // 2)
+        return len(DEPOL2_OUTCOMES) * (len(ins.targets) // 2)
     return len(ins.targets) if ins.op == "MEAS_FLIP" else 0
 
 

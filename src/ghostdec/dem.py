@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError
+from .circuits import Circuit, CircuitError, DEPOL1_OUTCOMES, DEPOL2_OUTCOMES
 from .tableau import check_detector_determinism
 
 
@@ -139,16 +139,16 @@ def extract_dem(circuit: Circuit, check: bool = True) -> DetectorErrorModel:
                 sz[d] ^= sz[c]
         elif op == "DEPOL1":
             for j, q in enumerate(ins.targets):
-                parts = (sx[q], sx[q] ^ sz[q], sz[q])  # X, Y, Z outcomes
-                for k, sym in enumerate(parts):
-                    fold(sym, ins.arg / 3, site_base[idx] + 3 * j + k)
+                part = ((0, sz[q]), (sx[q], sx[q] ^ sz[q]))  # [x bit][z bit]
+                for k, (xb, zb) in enumerate(DEPOL1_OUTCOMES):
+                    fold(part[xb][zb], ins.arg / 3, site_base[idx] + 3 * j + k)
         elif op == "DEPOL2":
             for j, (qa, qb) in enumerate(ins.target_pairs()):
-                pa = (0, sx[qa], sx[qa] ^ sz[qa], sz[qa])  # I, X, Y, Z
-                pb = (0, sx[qb], sx[qb] ^ sz[qb], sz[qb])
-                for v in range(1, 16):
-                    sym = pa[_LETTER_INDEX[v >> 2]] ^ pb[_LETTER_INDEX[v & 3]]
-                    fold(sym, ins.arg / 15, site_base[idx] + 15 * j + v - 1)
+                pa = ((0, sz[qa]), (sx[qa], sx[qa] ^ sz[qa]))
+                pb = ((0, sz[qb]), (sx[qb], sx[qb] ^ sz[qb]))
+                for k, ((xa, za), (xb, zb)) in enumerate(DEPOL2_OUTCOMES):
+                    fold(pa[xa][za] ^ pb[xb][zb], ins.arg / 15,
+                         site_base[idx] + 15 * j + k)
         elif op == "MEAS_FLIP":
             prev = circuit.instructions[idx - 1]
             m0 = meas_before[idx - 1]
@@ -168,11 +168,6 @@ def extract_dem(circuit: Circuit, check: bool = True) -> DetectorErrorModel:
     opatch, ocls = _observable_metadata(circuit)
     return DetectorErrorModel(tuple(mechanisms), n_det, n_obs,
                               patch, time, cls, opatch, ocls)
-
-
-# maps the 2-bit codes of a 4-valued Pauli index (bit pattern x,z) onto
-# the (I, X, Y, Z) part table used above
-_LETTER_INDEX = {0b00: 0, 0b10: 1, 0b11: 2, 0b01: 3}
 
 
 def _bits(v: int):

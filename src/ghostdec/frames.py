@@ -14,18 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError
+from .circuits import Circuit, CircuitError, DEPOL1_OUTCOMES, DEPOL2_OUTCOMES
 
 PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_ONE_QUBIT_OUTCOMES = ("X", "Y", "Z")
-
-
-def _two_qubit_outcome(v: int) -> str:
-    """Outcome v in 1..15 as a two-letter Pauli string (bit-coded xa za xb zb)."""
-    letters = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-    a = letters[((v >> 3) & 1, (v >> 2) & 1)]
-    b = letters[((v >> 1) & 1, v & 1)]
-    return a + b
+_LETTER = {bits: letter for letter, bits in PAULI_BITS.items()}
+# the outcome tables as boolean rows (x, z) and (xa, za, xb, zb)
+_DEPOL1_BITS = np.array(DEPOL1_OUTCOMES, dtype=bool)
+_DEPOL2_BITS = np.array(DEPOL2_OUTCOMES, dtype=bool).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -48,11 +43,12 @@ def iter_fault_sites(circuit: Circuit):
     """Yield every elementary fault of the circuit in canonical order."""
     for idx, ins in enumerate(circuit.instructions):
         if ins.op == "DEPOL1":
-            outcomes = [((q,), letter, ins.arg / 3) for q in ins.targets
-                        for letter in _ONE_QUBIT_OUTCOMES]
+            outcomes = [((q,), _LETTER[o], ins.arg / 3) for q in ins.targets
+                        for o in DEPOL1_OUTCOMES]
         elif ins.op == "DEPOL2":
-            outcomes = [(pair, _two_qubit_outcome(v), ins.arg / 15)
-                        for pair in ins.target_pairs() for v in range(1, 16)]
+            outcomes = [(pair, _LETTER[a] + _LETTER[b], ins.arg / 15)
+                        for pair in ins.target_pairs()
+                        for a, b in DEPOL2_OUTCOMES]
         elif ins.op == "MEAS_FLIP":
             outcomes = [((q,), "FLIP", ins.arg) for q in ins.targets]
         else:
@@ -229,9 +225,10 @@ class CircuitSampler:
                 for j, q in enumerate(ins.targets):
                     hit = rng.random(shots) < ins.arg
                     kind = rng.integers(0, 3, size=shots)
+                    bits = _DEPOL1_BITS[kind]
                     i = col[q]
-                    x[:, i] ^= hit & (kind < 2)
-                    z[:, i] ^= hit & (kind > 0)
+                    x[:, i] ^= hit & bits[:, 0]
+                    z[:, i] ^= hit & bits[:, 1]
                     if fired is not None:
                         for s in np.flatnonzero(hit):
                             fired[s].append(base + 3 * j + int(kind[s]))
@@ -240,11 +237,12 @@ class CircuitSampler:
                 for j, (qa, qb) in enumerate(ins.target_pairs()):
                     hit = rng.random(shots) < ins.arg
                     v = rng.integers(1, 16, size=shots)
+                    bits = _DEPOL2_BITS[v - 1]
                     a, b = col[qa], col[qb]
-                    x[:, a] ^= hit & ((v >> 3) & 1).astype(bool)
-                    z[:, a] ^= hit & ((v >> 2) & 1).astype(bool)
-                    x[:, b] ^= hit & ((v >> 1) & 1).astype(bool)
-                    z[:, b] ^= hit & (v & 1).astype(bool)
+                    x[:, a] ^= hit & bits[:, 0]
+                    z[:, a] ^= hit & bits[:, 1]
+                    x[:, b] ^= hit & bits[:, 2]
+                    z[:, b] ^= hit & bits[:, 3]
                     if fired is not None:
                         for s in np.flatnonzero(hit):
                             fired[s].append(base + 15 * j + int(v[s]) - 1)

@@ -3,29 +3,29 @@
 Each patch is decoded independently several times.  Whenever a pass
 selects a ghost witness edge (g_e), the whole interpatch mechanism is
 committed: the issuing patch's defects at the edge's endpoints are
-cleared, the partner patch is messaged to flip the lone ghost-singleton
-defect, and the mechanism's observable flips enter the logical frame.
-Messages are buffered and applied at a barrier between passes, so the
-outcome does not depend on patch evaluation order.  Commits follow XOR
-semantics: re-selecting a committed mechanism's witness cancels the
-earlier commit.  The final pass is read-out only; its corrections are
+cleared, the partner patch's lone ghost-singleton defect is flipped,
+and the mechanism's observable flips enter the logical frame.  Commits
+are buffered as ghost-pair ids and applied at a barrier between passes,
+so the outcome does not depend on patch evaluation order.  Commits
+follow XOR semantics: re-selecting a committed mechanism's witness
+cancels the earlier commit.  The final pass is read-out only; its corrections are
 combined with the committed frame to form the logical answer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuits import CircuitError
 from .decompose import DecomposedDEM, partition_dem
-from .matching import (MatchingGraph, build_matching_graph,
-                       decode_correlated_two_pass)
+from .matching import build_matching_graph, decode_correlated_two_pass
 
 
 class ProtocolError(CircuitError):
-    """Schedule or message validation failure."""
+    """Schedule, syndrome or final-correction validation failure."""
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,6 @@ def select_schedule(d: int, n_r: int, family: str) -> PassSchedule:
         if n_r == 1:
             return PassSchedule(8, frozenset({1, 4, 6}))
     return DEFAULT_SCHEDULE
-
-
-@dataclass(frozen=True)
-class RefinementMessage:
-    target_patch: int
-    detector: int
-    pair_id: int
-    issued_pass: int
 
 
 @dataclass
@@ -105,17 +97,16 @@ def build_protocol_graphs(decomposed: DecomposedDEM,
 
 def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
                        schedule: PassSchedule = DEFAULT_SCHEDULE, *,
-                       graphs: dict | None = None,
+                       graphs: dict,
                        collect_trace: bool = True) -> GhostResult:
     """Decode all patches of one decomposed model against one syndrome.
 
-    The returned deltas describe only the net toggles made here.
+    ``graphs`` are the model's :func:`build_protocol_graphs`.  The
+    returned deltas describe only the net toggles made here.
     """
     dem = decomposed.dem
     if len(syndrome) != dem.detector_count:
         raise ProtocolError("syndrome length does not match detector count")
-    if graphs is None:
-        graphs = build_protocol_graphs(decomposed)
     patches = sorted({p for p, _, _ in graphs})
     working = np.array(syndrome, dtype=bool, copy=True)
     frame_delta = np.zeros(dem.observable_count, dtype=bool)
@@ -123,7 +114,6 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
     toggled: set = set()
     trace: list = []
     comps = decomposed.components
-    pair_by_id = {pr.pair_id: pr for pr in decomposed.pairs}
     passes_with_commits = 0
     corrections = {}
 
@@ -138,7 +128,7 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
     for k in range(1, schedule.passes + 1):
         exposed = k in schedule.expose_gs_on
         final = k == schedule.passes
-        barrier: list[RefinementMessage] = []
+        barrier: list[int] = []        # pair ids committed this pass
         for patch in patches:
             gx = graphs[patch, "X", exposed]
             gz = graphs[patch, "Z", exposed]
@@ -158,14 +148,17 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
             sent = []
             if not final:
                 for g, c in ((gx, corr_x), (gz, corr_z)):
-                    sent.extend(_discover(g, c, pair_by_id, comps, dem, k))
+                    # each net-selected witness edge commits its pair
+                    for i, n in sorted(Counter(c.edges).items()):
+                        if n % 2 and g.edges[i].role == "ghost_e":
+                            sent.append(g.edges[i].pair_id)
                 barrier.extend(sent)
             if collect_trace:
                 trace.append(_trace_entry(k, patch, (gx, corr_x), (gz, corr_z),
-                                          sent, dem))
+                                          sent, decomposed))
         applied = []
-        for msg in barrier:
-            pr = pair_by_id[msg.pair_id]
+        for pid in barrier:
+            pr = decomposed.pairs[pid]
             ge, gs = comps[pr.g_e], comps[pr.g_s]
             key = (pr.mech_id, gs.detectors[0])
             flips = list(ge.detectors) + list(gs.detectors)
@@ -175,7 +168,7 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
             for j in set(ge.observables) ^ set(gs.observables):
                 frame_delta[j] ^= True
             toggled ^= {key}
-            applied.append([msg.detector, msg.pair_id])
+            applied.append([gs.detectors[0], pid])
         if applied:
             passes_with_commits += 1
             version += 1
@@ -190,29 +183,13 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
                        tuple(sorted(toggled)), trace, passes_with_commits)
 
 
-def _discover(graph: MatchingGraph, corr, pair_by_id, comps, dem, k):
-    """Commit messages for net-selected ghost witness edges."""
-    counts: dict[int, int] = {}
-    for i in corr.edges:
-        counts[i] = counts.get(i, 0) + 1
-    for i, n in sorted(counts.items()):
-        if n % 2 == 0:
-            continue
-        edge = graph.edges[i]
-        if edge.role != "ghost_e":
-            continue
-        pr = pair_by_id[edge.pair_id]
-        gs = comps[pr.g_s]
-        det = gs.detectors[0]
-        if det >= dem.detector_count:
-            raise ProtocolError(f"message targets nonexistent detector {det}")
-        yield RefinementMessage(gs.patch, det, pr.pair_id, k)
-
-
-def _trace_entry(k, patch, x_pair, z_pair, sent, dem):
+def _trace_entry(k, patch, x_pair, z_pair, sent, decomposed):
+    """One patch's pass; ``sent`` holds its committed pair ids."""
     entry = {"pass": k, "patch": patch, "weight": 0.0, "edges": [],
-             "committed": sorted({m.pair_id for m in sent}),
-             "sent": [[m.target_patch, m.detector, m.pair_id] for m in sent]}
+             "committed": sorted(set(sent)), "sent": []}
+    for pid in sent:
+        gs = decomposed.components[decomposed.pairs[pid].g_s]
+        entry["sent"].append([gs.patch, gs.detectors[0], pid])
     for g, corr in (x_pair, z_pair):
         entry["weight"] += corr.weight
         for i in corr.edges:

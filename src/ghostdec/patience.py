@@ -61,12 +61,6 @@ class HeraldResult:
     def heralded(self) -> bool:
         return self.weight_growth or self.complementary
 
-    @property
-    def trigger(self) -> str:
-        """weight-growth, complementary or none: the first check that fired."""
-        return ("weight-growth" if self.weight_growth else
-                "complementary" if self.complementary else "none")
-
 
 def weight_growth_region(dem: DetectorErrorModel, gate: TproxyGate,
                          radius: int) -> frozenset[int]:
@@ -127,13 +121,15 @@ class PatiencePlan:
     regions: tuple[frozenset, ...]       # per gate
 
 
-def plan_patience(decomposed: DecomposedDEM, config: WindowConfig, d: int, *,
-                  region_radius: int | None = None) -> PatiencePlan:
+def plan_patience(decomposed: DecomposedDEM, config: WindowConfig,
+                  d: int) -> PatiencePlan:
     """Precompute every window variant patience can need.
 
     Fails, before building anything, when the circuit lacks the
     syndrome rounds a delayed decision would consume (the extended
     horizon must stay within the surviving patch's recorded rounds).
+    The weight-growth regions reach ``config.n_buf + 2`` rounds either
+    side of each decision round.
     """
     dem = decomposed.dem
     delay = patience_delay(d, config.n_buf)
@@ -145,7 +141,7 @@ def plan_patience(decomposed: DecomposedDEM, config: WindowConfig, d: int, *,
                 f"beyond round {gate.decision_round}, but "
                 f"patch {gate.patch} stops earlier")
     base = plan_tproxy_windows(decomposed, config)
-    radius = config.n_buf + 2 if region_radius is None else region_radius
+    radius = config.n_buf + 2
     extended = None
     if delay:
         cache: dict = {}
@@ -169,21 +165,19 @@ class PatientShot:
 
 def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
                    config: WindowConfig, d: int, *,
-                   plan: PatiencePlan | None = None) -> PatientShot:
+                   plan: PatiencePlan) -> PatientShot:
     """Windowed decode where heralded gates get one delayed retry.
 
-    Gates are decoded in time order at the base allowance with a full
-    trace; when either herald fires and the distance grants a delay,
-    the gate re-windows at the extended allowance and decodes once
+    Gates are decoded in time order at their decision rounds with a
+    full trace; when either herald fires and the distance grants a
+    delay, the gate re-windows at the delayed horizon and decodes once
     more from the same carried state.  The retry's commits then carry
-    forward instead of the original's.  A given ``plan`` fixes the
-    windows, delay and regions, so a ``config`` or ``d`` the plan was
-    not made for is an error.
+    forward instead of the original's.  The ``plan`` fixes the windows,
+    delay and regions, so a ``config`` or ``d`` the plan was not made
+    for is an error.
     """
-    if plan is None:
-        plan = plan_patience(decomposed, config, d)
-    elif (config != plan.base.config
-          or patience_delay(d, config.n_buf) != plan.delay_rounds):
+    if (config != plan.base.config
+            or patience_delay(d, config.n_buf) != plan.delay_rounds):
         raise PatienceError("config and d are fixed by the given plan")
     heralds = []
 

@@ -22,17 +22,20 @@ class VerifyError(CircuitError):
     pass
 
 
+# relative odds-mass gap within which two logical classes count as tied
+ML_TIE_TOLERANCE = 1e-12
+
+
 @dataclass(frozen=True)
 class MLResult:
     observables: tuple[int, ...]   # most likely logical class
     probability: float             # odds mass of that class (unnormalized)
-    ties: tuple[tuple[int, ...], ...]  # classes within tolerance of the max
+    ties: tuple[tuple[int, ...], ...]  # classes tied with the max
     solutions: int                 # consistent subsets enumerated
 
 
 def brute_force_ml_decode(dem: DetectorErrorModel, syndrome: np.ndarray,
-                          weight_cap: int = 4,
-                          tolerance: float = 1e-12) -> MLResult:
+                          weight_cap: int = 4) -> MLResult:
     """Maximum-likelihood logical class by exhaustive subset enumeration.
 
     Enumerates every mechanism subset of size <= weight_cap whose
@@ -100,7 +103,7 @@ def brute_force_ml_decode(dem: DetectorErrorModel, syndrome: np.ndarray,
         raise VerifyError("no consistent correction within the weight cap")
     best = max(class_mass.values())
     tied = sorted(tuple(_bits(k)) for k, v in class_mass.items()
-                  if v >= best * (1.0 - tolerance))
+                  if v >= best * (1.0 - ML_TIE_TOLERANCE))
     return MLResult(tied[0], best, tuple(tied), solutions)
 
 

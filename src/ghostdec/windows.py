@@ -195,19 +195,14 @@ class TproxyPlan:
     windows: tuple[Window, ...]
 
 
-def plan_tproxy_windows(decomposed: DecomposedDEM, config: WindowConfig,
-                        allowance: int | None = None) -> TproxyPlan:
-    """One window per gate, cut ``allowance`` rounds past its CNOT.
+def plan_tproxy_windows(decomposed: DecomposedDEM,
+                        config: WindowConfig) -> TproxyPlan:
+    """One window per gate, cut at its decision round.
 
-    The allowance defaults to the configured n_buf.  A horizon beyond
-    the surviving patch's last round is an error unless it swallows the
-    whole circuit, which degenerates to the global problem.  Windows
-    are shared between gates with the same horizon.
+    A horizon beyond the surviving patch's last round is an error unless
+    it swallows the whole circuit, which degenerates to the global
+    problem.  Windows are shared between gates with the same horizon.
     """
-    if allowance is None:
-        allowance = config.n_buf
-    if allowance < config.n_buf:
-        raise WindowError("allowance below n_buf would hide the decision readout")
     dem = decomposed.dem
     gates = tproxy_gates(dem, config)
     last = patch_last_round(dem)
@@ -215,12 +210,13 @@ def plan_tproxy_windows(decomposed: DecomposedDEM, config: WindowConfig,
     cache: dict = {}
     windows = []
     for gate in gates:
-        horizon = gate.decision_round - config.n_buf + allowance
-        if last[gate.patch] < horizon < global_max:
+        if last[gate.patch] < gate.decision_round < global_max:
             raise WindowError(
-                f"allowance {allowance} runs past the syndrome available on "
-                f"patch {gate.patch} (last round {last[gate.patch]})")
-        windows.append(build_window(decomposed, None, horizon, cache))
+                f"decision round {gate.decision_round} runs past the syndrome "
+                f"available on patch {gate.patch} "
+                f"(last round {last[gate.patch]})")
+        windows.append(build_window(decomposed, None, gate.decision_round,
+                                    cache))
     return TproxyPlan(config, gates, tuple(windows))
 
 
@@ -228,7 +224,6 @@ def plan_tproxy_windows(decomposed: DecomposedDEM, config: WindowConfig,
 class TproxyDecodeResult:
     decisions: np.ndarray      # bool per observable
     gate_results: list         # GhostResult per gate, in decision order
-    plan: TproxyPlan
 
 
 def carry_gates(dem: DetectorErrorModel, syndrome: np.ndarray,
@@ -261,17 +256,14 @@ def carry_gates(dem: DetectorErrorModel, syndrome: np.ndarray,
 
 def decode_tproxy_windowed(decomposed: DecomposedDEM, syndrome: np.ndarray,
                            config: WindowConfig, *,
-                           plan: TproxyPlan | None = None,
-                           ) -> TproxyDecodeResult:
+                           plan: TproxyPlan) -> TproxyDecodeResult:
     """Per-gate decisions, each using only pre-horizon data.
 
     Each gate runs the ghost protocol once on its window inside
-    :func:`carry_gates`.  A given ``plan`` fixes the windows, so a
+    :func:`carry_gates`.  The ``plan`` fixes the windows, so a
     ``config`` other than the plan's is an error.
     """
-    if plan is None:
-        plan = plan_tproxy_windows(decomposed, config)
-    elif config != plan.config:
+    if config != plan.config:
         raise WindowError("config is fixed by the given plan")
 
     def decode_gate(g, refined):
@@ -281,11 +273,11 @@ def decode_tproxy_windowed(decomposed: DecomposedDEM, syndrome: np.ndarray,
 
     decisions, results = carry_gates(decomposed.dem, syndrome, plan.gates,
                                      decode_gate)
-    return TproxyDecodeResult(decisions, results, plan)
+    return TproxyDecodeResult(decisions, results)
 
 
 def decode_tproxy_global(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
-                         graphs: dict | None = None) -> np.ndarray:
+                         graphs: dict) -> np.ndarray:
     """Hindsight decode: the whole problem at once, all gates together."""
     res = run_ghost_protocol(decomposed, syndrome, graphs=graphs,
                              collect_trace=False)
@@ -302,8 +294,7 @@ class TwError:
     interval: tuple[float, float]
 
 
-def compute_tw_error(windowed_decisions, global_decisions,
-                     factor: float = 1000.0) -> TwError:
+def compute_tw_error(windowed_decisions, global_decisions) -> TwError:
     """Rate of shots whose windowed and global decisions differ anywhere."""
     a = np.asarray(windowed_decisions, dtype=bool)
     b = np.asarray(global_decisions, dtype=bool)
@@ -313,7 +304,7 @@ def compute_tw_error(windowed_decisions, global_decisions,
         raise WindowError("no shots to compare")
     bad = int(np.any(a != b, axis=1).sum())
     return TwError(a.shape[0], bad, bad / a.shape[0],
-                   likelihood_interval(bad, a.shape[0], factor))
+                   likelihood_interval(bad, a.shape[0], 1000.0))
 
 
 # -- sliding-window memory decoding -------------------------------------------

@@ -59,6 +59,17 @@ def test_invisible_mechanisms_have_no_detectors():
         assert dem.mechanisms[mid].observables
 
 
+@pytest.mark.parametrize("family, d", [
+    ("memory", 3), ("memory", 5), ("tproxy", 3), ("tproxy", 5),
+    ("deep", 3), ("deep", 5), ("deep", 7)])
+def test_every_logical_fault_sets_a_detector(family, d):
+    build = {"memory": lambda: build_memory_circuit(d, 3),
+             "tproxy": lambda: build_tproxy_circuit(d, 2),
+             "deep": lambda: build_deep_clifford_circuit(d, 1, 3)}[family]
+    dem = extract_dem(apply_noise_model(build(), NoiseParams(0.001)))
+    assert ghost_decompose(dem).invisible == ()
+
+
 def test_ghost_pairs_span_two_patches():
     dem, dec = tproxy_decomposed()
     assert dec.pairs

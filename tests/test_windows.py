@@ -11,9 +11,10 @@ from ghostdec.dem import extract_dem, sample_dem
 from ghostdec.ghost import build_protocol_graphs, run_ghost_protocol
 import ghostdec.patience
 import ghostdec.windows
-from ghostdec.patience import (PatienceError, patience_delay, patient_decode,
-                               plan_patience)
-from ghostdec.windows import (WindowConfig, WindowError, _slice_components,
+from ghostdec.patience import (HeraldResult, PatienceError, patience_delay,
+                               patient_decode, plan_patience)
+from ghostdec.windows import (TproxyPlan, WindowConfig, WindowError,
+                              _slice_components, build_window,
                               compute_tw_error, decode_memory_sliding,
                               decode_tproxy_global, decode_tproxy_windowed,
                               plan_memory_windows, plan_tproxy_windows,
@@ -36,8 +37,10 @@ def patience_setup():
 def test_full_horizon_windowed_equals_global():
     dem, dec = decomposed(build_tproxy_circuit(3, 2), 5e-3)
     graphs = build_protocol_graphs(dec)
-    # every gate's horizon lies at or past the last round: one global window
-    plan = plan_tproxy_windows(dec, CONFIG, allowance=max(dem.detector_time))
+    # every gate's horizon lies at the last round: one global window
+    gates = tproxy_gates(dem, CONFIG)
+    window = build_window(dec, None, max(dem.detector_time), {})
+    plan = TproxyPlan(CONFIG, gates, (window,) * len(gates))
     dets, _ = sample_dem(dem, seed=3, shots=200)
     assert dets.any(axis=1).sum() > 150
     for s in range(200):
@@ -62,12 +65,33 @@ def test_unretried_patient_shots_keep_windowed_decisions(patience_setup):
     assert kept > 90
 
 
+def test_patience_without_delay_keeps_windowed_decisions():
+    dem, dec = decomposed(build_tproxy_circuit(3, 2), 5e-3)
+    pplan = plan_patience(dec, CONFIG, 3)
+    assert (pplan.delay_rounds, pplan.extended) == (0, None)
+    wplan = plan_tproxy_windows(dec, CONFIG)
+    dets, _ = sample_dem(dem, seed=8, shots=100)
+    heralded = 0
+    for s in range(100):
+        shot = patient_decode(dec, dets[s], CONFIG, 3, plan=pplan)
+        assert not any(h.delay_rounds for h in shot.heralds)
+        heralded += sum(h.heralded for h in shot.heralds)
+        win = decode_tproxy_windowed(dec, dets[s], CONFIG, plan=wplan)
+        assert np.array_equal(shot.decisions, shot.base_decisions)
+        assert np.array_equal(shot.decisions, win.decisions), f"shot {s}"
+    assert heralded
+    with pytest.raises(PatienceError):
+        HeraldResult(False, False, 1, False)
+
+
 def test_patience_delay_table():
     assert [patience_delay(d) for d in (3, 5, 7, 9, 11)] == [0, 1, 2, 3, 4]
 
 
 def test_patience_needs_delay_rounds_in_the_circuit(monkeypatch):
-    dem, dec = decomposed(build_tproxy_circuit(9, 2), 1e-3)
+    # a noiseless model has every detector's time and patch, and no
+    # mechanisms to extract
+    dec = ghost_decompose(extract_dem(build_tproxy_circuit(9, 2), check=False))
 
     def refuse(*args, **kwargs):
         raise AssertionError("graphs built before the delay check")
@@ -116,6 +140,9 @@ def test_slice_keeps_detectors_and_whole_pairs(patience_setup, lo, hi):
     dem, dec, _, _ = patience_setup
     time = dem.detector_time
     sliced = _slice_components(dec, lo, hi)
+    for model in (dec, sliced):
+        # ghost commits look pairs up by id, which is their position
+        assert all(pr.pair_id == i for i, pr in enumerate(model.pairs))
     kept = [c for c in dec.components
             if (lo is None or all(time[d] >= lo for d in c.detectors))
             and any(time[d] <= hi for d in c.detectors)]
