@@ -490,11 +490,6 @@ def build_deep_clifford_circuit(d: int, n_r: int, layers: int,
     return b.finish()
 
 
-def spacetime_volume(d: int, n_r: int) -> int:
-    """Per-layer decoding volume of the deep-circuit benchmark."""
-    return (n_r + 1) * d * d
-
-
 # -- noise -------------------------------------------------------------------
 
 

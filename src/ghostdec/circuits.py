@@ -126,10 +126,6 @@ class Circuit:
         _validate(self)
 
     @cached_property
-    def qubit_map(self) -> dict[int, QubitDecl]:
-        return {q.id: q for q in self.qubits}
-
-    @cached_property
     def meas_before(self) -> tuple[int, ...]:
         """Measurement records made before each instruction, then the total."""
         return tuple(accumulate(map(_record_count, self.instructions),

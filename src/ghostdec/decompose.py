@@ -54,10 +54,13 @@ class Component:
 
 @dataclass(frozen=True)
 class GhostPair:
-    pair_id: int
-    mech_id: int
-    probability: float
-    g_e: int   # component index
+    """Component indices of an interpatch mechanism's witness and singleton.
+
+    A pair's id is its position in ``DecomposedDEM.pairs``; its mechanism
+    and probability are those of ``components[g_s]``.
+    """
+
+    g_e: int
     g_s: int
 
 
@@ -220,26 +223,4 @@ def _assign_ghost_roles(components, pairs, lo, hi, from_split) -> None:
     pair_id = len(pairs)
     components[gs_i] = replace(gs, role="ghost_s", pair_id=pair_id)
     components[ge_i] = replace(components[ge_i], role="ghost_e", pair_id=pair_id)
-    pairs.append(GhostPair(pair_id, gs.mech_id, gs.probability, ge_i, gs_i))
-
-
-@dataclass(frozen=True)
-class PatchPartition:
-    patch: int
-    detectors: tuple[int, ...]                 # all detectors on the patch
-    components: tuple[Component, ...]          # this patch's edges, all roles
-
-
-def partition_dem(decomposed: DecomposedDEM) -> tuple[PatchPartition, ...]:
-    """Self-contained per-patch matching inputs."""
-    dem = decomposed.dem
-    patch_ids = sorted(set(dem.detector_patch))
-    dets_by_patch: dict[int, list[int]] = {p: [] for p in patch_ids}
-    for d in range(dem.detector_count):
-        dets_by_patch[dem.detector_patch[d]].append(d)
-    comps_by_patch: dict[int, list[Component]] = {p: [] for p in patch_ids}
-    for comp in decomposed.components:
-        comps_by_patch[comp.patch].append(comp)
-    return tuple(PatchPartition(p, tuple(dets_by_patch[p]),
-                                tuple(comps_by_patch[p]))
-                 for p in patch_ids)
+    pairs.append(GhostPair(ge_i, gs_i))

@@ -58,10 +58,6 @@ def iter_fault_sites(circuit: Circuit):
             yield FaultSite(base + k, idx, qubits, pauli, p)
 
 
-def count_fault_sites(circuit: Circuit) -> int:
-    return circuit.fault_site_base[-1]
-
-
 class FaultPropagator:
     """Propagates single faults through the noiseless part of a circuit.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import CircuitError
-from .decompose import DecomposedDEM, partition_dem
+from .decompose import CLASSES, DecomposedDEM
 from .matching import build_matching_graph, decode_correlated_two_pass
 
 
@@ -76,22 +76,26 @@ def build_protocol_graphs(decomposed: DecomposedDEM,
                           exclude_open_boundary: bool = False):
     """Both exposure variants of every patch-class graph, built once.
 
-    Keys are ``(patch, cls, exposed)``.  A patch-class with no ghost
-    singleton has one graph, stored under both exposure keys.
+    Keys are ``(patch, cls, exposed)`` for both classes of every patch
+    with detectors, so a class without components still has a graph.
+    A patch-class with no ghost singleton has one graph, stored under
+    both exposure keys.
     """
+    groups: dict[tuple[int, str], list] = {
+        (p, cls): [] for p in sorted(set(decomposed.dem.detector_patch))
+        for cls in CLASSES}
+    for c in decomposed.components:
+        groups[c.patch, c.cls].append(c)
     graphs = {}
-    for part in partition_dem(decomposed):
-        for cls in ("Z", "X"):
-            hidden = build_matching_graph(
-                part, cls, exclude_open_boundary=exclude_open_boundary)
-            shown = hidden
-            if any(c.role == "ghost_s" and c.cls == cls
-                   for c in part.components):
-                shown = build_matching_graph(
-                    part, cls, expose_gs=True,
-                    exclude_open_boundary=exclude_open_boundary)
-            graphs[part.patch, cls, False] = hidden
-            graphs[part.patch, cls, True] = shown
+    for (patch, cls), comps in groups.items():
+        hidden = shown = build_matching_graph(
+            patch, cls, comps, exclude_open_boundary=exclude_open_boundary)
+        if any(c.role == "ghost_s" for c in comps):
+            shown = build_matching_graph(
+                patch, cls, comps, expose_gs=True,
+                exclude_open_boundary=exclude_open_boundary)
+        graphs[patch, cls, False] = hidden
+        graphs[patch, cls, True] = shown
     return graphs
 
 
@@ -160,7 +164,7 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
         for pid in barrier:
             pr = decomposed.pairs[pid]
             ge, gs = comps[pr.g_e], comps[pr.g_s]
-            key = (pr.mech_id, gs.detectors[0])
+            key = (gs.mech_id, gs.detectors[0])
             flips = list(ge.detectors) + list(gs.detectors)
             for d in flips:
                 working[d] ^= True

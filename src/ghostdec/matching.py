@@ -27,7 +27,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .circuits import CircuitError
-from .decompose import PatchPartition
+from .decompose import Component
 from .dem import _merge_odd
 
 # a correlated partner edge is discounted to this fraction of the
@@ -41,16 +41,13 @@ class MatchingError(CircuitError):
 
 @dataclass(frozen=True)
 class GraphEdge:
-    index: int
     u: int                        # local node id
     v: int                        # local node id; graph.boundary if virtual
     weight: float
-    probability: float
     components: tuple[int, ...]   # component indices merged into this edge
     observables: tuple[int, ...]
     role: str
     pair_id: int | None
-    open_boundary: bool
     cut_partners: tuple[int, ...] = ()  # detectors beyond the window cut
     # (partner component, probability) per component with a cross-class
     # partner; a partner shares its mechanism, hence its probability
@@ -88,13 +85,13 @@ class Routes:
     def __init__(self, graph: MatchingGraph):
         self.edges = edges = graph.edges
         self.node = {d: i for i, d in enumerate(graph.detectors)}
-        self.edge_of_component = {c: e.index for e in edges
+        self.edge_of_component = {c: i for i, e in enumerate(edges)
                                   for c in e.components}
         pos = [e.weight for e in edges if e.weight > 0]
         self.min_weight = min(pos) if pos else 1.0
         key_edges: dict[tuple[int, int], list[int]] = {}
-        for e in edges:
-            key_edges.setdefault((e.u, e.v), []).append(e.index)
+        for i, e in enumerate(edges):
+            key_edges.setdefault((e.u, e.v), []).append(i)
         keys = sorted(key_edges)
         self.key_pos = {k: i for i, k in enumerate(keys)}
         self.key_edges = tuple(tuple(key_edges[k]) for k in keys)
@@ -138,27 +135,28 @@ def edge_weight(probability: float) -> float:
     return math.log((1.0 - probability) / probability)
 
 
-def build_matching_graph(partition: PatchPartition, cls: str,
+def build_matching_graph(patch: int, cls: str,
+                         components: list[Component],
                          expose_gs: bool = False,
                          exclude_open_boundary: bool = False) -> MatchingGraph:
-    """Assemble one class graph from a patch partition.
+    """Assemble one class graph from one patch-class's components.
 
+    Nodes are the components' detectors; edges keep component order.
     Ghost-singleton edges enter only when exposed.  Normal parallel
     edges with identical endpoints and observable flips merge by
     odd-occurrence combination; ghost edges keep their pair identity.
     Setting exclude_open_boundary drops edges created by a temporal
     window cut, closing that boundary.
     """
-    dem_dets = [c for c in partition.components if c.cls == cls]
     # nodes cover every detector of the class, even when the current
     # variant hides or excludes all of a detector's edges: a defect on
     # such a node must fail loudly instead of being dropped
-    dets = sorted({d for c in dem_dets for d in c.detectors})
+    dets = sorted({d for c in components for d in c.detectors})
     node = {d: i for i, d in enumerate(dets)}
     boundary = len(dets)
     merged: dict[tuple, list] = {}
     ghosts = []
-    for c in dem_dets:
+    for c in components:
         if c.role == "ghost_s" and not expose_gs:
             continue
         if c.open_boundary and exclude_open_boundary:
@@ -174,20 +172,19 @@ def build_matching_graph(partition: PatchPartition, cls: str,
         else:
             ghosts.append((u, v, c))
     edges = []
-    for (u, v, obs, open_b, cut), comps in sorted(
+    for (u, v, obs, _, cut), comps in sorted(
             merged.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2], kv[0][4])):
         p = 0.0
         for c in comps:
             p = _merge_odd(p, c.probability)
-        edges.append(GraphEdge(len(edges), u, v, edge_weight(p), p,
+        edges.append(GraphEdge(u, v, edge_weight(p),
                                tuple(c.index for c in comps), obs,
-                               "normal", None, open_b, cut, _partners(comps)))
+                               "normal", None, cut, _partners(comps)))
     for u, v, c in sorted(ghosts, key=lambda t: (t[0], t[1], t[2].index)):
-        edges.append(GraphEdge(len(edges), u, v, edge_weight(c.probability),
-                               c.probability, (c.index,), c.observables,
-                               c.role, c.pair_id, c.open_boundary,
+        edges.append(GraphEdge(u, v, edge_weight(c.probability), (c.index,),
+                               c.observables, c.role, c.pair_id,
                                c.cut_partners, _partners([c])))
-    return MatchingGraph(partition.patch, cls, tuple(dets), tuple(edges))
+    return MatchingGraph(patch, cls, tuple(dets), tuple(edges))
 
 
 def _partners(comps) -> tuple[tuple[int, float], ...]:

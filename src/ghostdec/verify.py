@@ -81,12 +81,16 @@ def brute_force_ml_decode(dem: DetectorErrorModel, syndrome: np.ndarray,
         if not residual:
             class_mass[obs] = class_mass.get(obs, 0.0) + weight
             solutions += 1
-        if depth == weight_cap:
+        # no member's mask is empty, so on the last level only a member
+        # equal to the residual can finish
+        last = depth == weight_cap - 1
+        if depth == weight_cap or (last and not residual):
             return
         if residual:
             pivot = (residual & -residual).bit_length() - 1
             shown = [i for i in by_det.get(pivot, ())
-                     if i >= floor and not banned >> i & 1]
+                     if i >= floor and not banned >> i & 1
+                     and not (last and det_masks[i] != residual)]
             for i in shown:
                 banned |= 1 << i
                 visit(residual ^ det_masks[i], floor, banned,

@@ -65,58 +65,39 @@ def _slice_components(decomposed: DecomposedDEM, lo: int | None,
     (an earlier window already committed or forfeited them).  A ghost
     pair survives only while its singleton is visible and its witness
     at least partially so; a broken pair's remnants turn into normal
-    edges, open-boundary when the lost part lies above the cut.
+    edges, and a broken singleton is open-boundary when its witness lies
+    wholly above the cut.  Kept components are renumbered in order, and
+    pairs, pair ids and partner links follow that one index map.
     """
     time = decomposed.dem.detector_time
-    staged: list[tuple[Component, tuple[int, ...], tuple[int, ...]] | None] = []
-    for c in decomposed.components:
-        if lo is not None and any(time[d] < lo for d in c.detectors):
-            staged.append(None)
-            continue
-        keep = tuple(d for d in c.detectors if time[d] <= hi)
-        hidden = tuple(d for d in c.detectors if time[d] > hi)
-        staged.append((c, keep, hidden) if keep else None)
-
-    gs_open: dict[int, bool] = {}
-    pair_alive: dict[int, bool] = {}
-    for pr in decomposed.pairs:
-        alive = staged[pr.g_s] is not None and staged[pr.g_e] is not None
-        pair_alive[pr.pair_id] = alive
-        if not alive and staged[pr.g_s] is not None:
-            ge = decomposed.components[pr.g_e]
-            gs_open[pr.g_s] = all(time[d] > hi for d in ge.detectors)
-
-    remap: dict[int, int] = {}
-    for c in decomposed.components:
-        if staged[c.index] is not None:
-            remap[c.index] = len(remap)
-    pair_remap: dict[int, int] = {}
+    comps = decomposed.components
+    new: dict[int, int] = {}   # old component index -> sliced index
+    for c in comps:
+        if ((lo is None or all(time[d] >= lo for d in c.detectors))
+                and any(time[d] <= hi for d in c.detectors)):
+            new[c.index] = len(new)
     pairs: list[GhostPair] = []
-    for pr in decomposed.pairs:
-        if pair_alive[pr.pair_id]:
-            pair_remap[pr.pair_id] = len(pairs)
-            pairs.append(GhostPair(len(pairs), pr.mech_id, pr.probability,
-                                   remap[pr.g_e], remap[pr.g_s]))
-
-    comps: list[Component] = []
-    for entry in staged:
-        if entry is None:
-            continue
-        c, keep, hidden = entry
-        role, pid = c.role, c.pair_id
+    pair_ids: dict[int, int] = {}   # old pair id -> sliced pair id
+    for pid, pr in enumerate(decomposed.pairs):
+        if pr.g_e in new and pr.g_s in new:
+            pair_ids[pid] = len(pairs)
+            pairs.append(GhostPair(new[pr.g_e], new[pr.g_s]))
+    out: list[Component] = []
+    for old, index in new.items():
+        c = comps[old]
+        hidden = tuple(d for d in c.detectors if time[d] > hi)
+        pid = pair_ids.get(c.pair_id)
         open_b = c.open_boundary or bool(hidden)
-        if pid is not None and pid not in pair_remap:
-            if role == "ghost_s":
-                open_b = open_b or gs_open.get(c.index, False)
-            role, pid = "normal", None
-        elif pid is not None:
-            pid = pair_remap[pid]
-        partner = remap.get(c.partner) if c.partner is not None else None
-        comps.append(replace(
-            c, index=len(comps), detectors=keep, role=role, pair_id=pid,
-            partner=partner, open_boundary=open_b,
+        if c.role == "ghost_s" and pid is None:
+            witness = comps[decomposed.pairs[c.pair_id].g_e]
+            open_b = open_b or all(time[d] > hi for d in witness.detectors)
+        out.append(replace(
+            c, index=index,
+            detectors=tuple(d for d in c.detectors if time[d] <= hi),
+            role=c.role if pid is not None else "normal", pair_id=pid,
+            partner=new.get(c.partner), open_boundary=open_b,
             cut_partners=tuple(sorted(set(c.cut_partners) | set(hidden)))))
-    return DecomposedDEM(decomposed.dem, tuple(comps), tuple(pairs),
+    return DecomposedDEM(decomposed.dem, tuple(out), tuple(pairs),
                          decomposed.invisible)
 
 

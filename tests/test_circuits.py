@@ -4,7 +4,7 @@ import pytest
 
 from ghostdec.builders import (CircuitBuilder, NoiseParams, apply_noise_model,
                                build_deep_clifford_circuit, build_memory_circuit,
-                               build_tproxy_circuit, spacetime_volume)
+                               build_tproxy_circuit)
 from ghostdec.circuits import CircuitError, parse_circuit, serialize_circuit
 from ghostdec.tableau import check_detector_determinism
 
@@ -116,11 +116,6 @@ def test_deep_clifford_layer_rounds():
 def test_deep_clifford_rejects_odd_qubit_count():
     with pytest.raises(CircuitError):
         build_deep_clifford_circuit(3, 1, 4, n_qubits=3)
-
-
-def test_spacetime_volume():
-    assert spacetime_volume(3, 1) == 18
-    assert spacetime_volume(5, 2) == 75
 
 
 # -- noise ------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 from ghostdec.builders import (NoiseParams, apply_noise_model,
                                build_deep_clifford_circuit, build_memory_circuit,
                                build_tproxy_circuit)
-from ghostdec.decompose import (DecompositionError, ghost_decompose,
-                                partition_dem)
+from ghostdec.decompose import DecompositionError, ghost_decompose
 from ghostdec.dem import DetectorErrorModel, ErrorMechanism, extract_dem
+from ghostdec.ghost import build_protocol_graphs
 
 
 def tproxy_decomposed(d=3, n=1, p=0.001):
@@ -53,10 +53,15 @@ def test_xor_reconstruction():
 
 
 def test_invisible_mechanisms_have_no_detectors():
-    dem, dec = tproxy_decomposed()
-    for mid in dec.invisible:
-        assert not dem.mechanisms[mid].detectors
-        assert dem.mechanisms[mid].observables
+    dem = synthetic([ErrorMechanism(0.01, (0, 1), ()),
+                     ErrorMechanism(0.02, (), (0,)),
+                     ErrorMechanism(0.03, (1,), (0,))],
+                    patches=(0, 0), classes=("Z", "Z"), obs_count=1,
+                    obs_patch=(0,), obs_class=("Z",))
+    dec = ghost_decompose(dem)
+    assert dec.invisible == (1,)
+    # no component comes from the invisible mechanism
+    assert {c.mech_id for c in dec.components} == {0, 2}
 
 
 @pytest.mark.parametrize("family, d", [
@@ -73,16 +78,18 @@ def test_every_logical_fault_sets_a_detector(family, d):
 def test_ghost_pairs_span_two_patches():
     dem, dec = tproxy_decomposed()
     assert dec.pairs
-    for pair in dec.pairs:
+    for i, pair in enumerate(dec.pairs):
         ge = dec.components[pair.g_e]
         gs = dec.components[pair.g_s]
         assert ge.role == "ghost_e"
         assert gs.role == "ghost_s"
         assert len(gs.detectors) == 1
         assert ge.patch != gs.patch
-        assert ge.pair_id == gs.pair_id == pair.pair_id
-        # both members keep the full source probability
-        assert ge.probability == dem.mechanisms[pair.mech_id].probability
+        # a pair's id is its position
+        assert ge.pair_id == gs.pair_id == i
+        # both members come from one mechanism at its full probability
+        assert ge.mech_id == gs.mech_id
+        assert ge.probability == dem.mechanisms[gs.mech_id].probability
         assert gs.probability == ge.probability
 
 
@@ -91,7 +98,7 @@ def test_canonical_hyperedge_pairs():
     order3 = [i for i, m in enumerate(dem.mechanisms)
               if len(m.detectors) == 3
               and len({dem.detector_patch[t] for t in m.detectors}) == 2]
-    paired = {p.mech_id for p in dec.pairs}
+    paired = {dec.components[p.g_s].mech_id: p for p in dec.pairs}
     timelike = 0
     for i in order3:
         m = dem.mechanisms[i]
@@ -101,8 +108,7 @@ def test_canonical_hyperedge_pairs():
         if len({dem.detector_class[t] for t in majority}) == 1:
             # same-class pair on one patch: paired, with the pair as g_e
             assert i in paired
-            pair = next(p for p in dec.pairs if p.mech_id == i)
-            assert sorted(dec.components[pair.g_e].detectors) == sorted(majority)
+            assert sorted(dec.components[paired[i].g_e].detectors) == sorted(majority)
             timelike += 1
         else:
             # three fragments cannot XOR back to the source as one pair
@@ -116,7 +122,7 @@ def test_pair_xor_reconstructs_source_mechanism():
         ge = dec.components[pair.g_e]
         gs = dec.components[pair.g_s]
         got = set(ge.detectors) ^ set(gs.detectors)
-        assert got == set(dem.mechanisms[pair.mech_id].detectors)
+        assert got == set(dem.mechanisms[gs.mech_id].detectors)
 
 
 def test_partner_links_are_cross_class():
@@ -197,16 +203,25 @@ def test_two_plus_two_interpatch_gets_no_pair():
     assert all(c.role == "normal" for c in dec.components)
 
 
-# -- partition -------------------------------------------------------------------
+# -- protocol graphs -------------------------------------------------------------
 
-def test_partition_covers_detectors_disjointly():
+def test_protocol_graphs_cover_detectors_disjointly():
     dem, dec = tproxy_decomposed()
-    parts = partition_dem(dec)
-    assert [p.patch for p in parts] == sorted({p.patch for p in parts})
+    graphs = build_protocol_graphs(dec)
+    patches = sorted(set(dem.detector_patch))
+    assert list(graphs) == [(p, cls, exposed) for p in patches
+                            for cls in ("Z", "X") for exposed in (False, True)]
     seen = set()
-    for part in parts:
-        assert not (seen & set(part.detectors))
-        seen |= set(part.detectors)
-        for c in part.components:
-            assert c.patch == part.patch
+    for (patch, cls, exposed), g in graphs.items():
+        # each graph holds only its own patch and class
+        assert (g.patch, g.cls) == (patch, cls)
+        assert {dem.detector_patch[t] for t in g.detectors} <= {patch}
+        assert {dem.detector_class[t] for t in g.detectors} <= {cls}
+        for e in g.edges:
+            for ci in e.components:
+                assert (dec.components[ci].patch, dec.components[ci].cls) == (
+                    patch, cls)
+        if not exposed:
+            assert not (seen & set(g.detectors))
+            seen |= set(g.detectors)
     assert seen == {t for c in dec.components for t in c.detectors}

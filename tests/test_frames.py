@@ -6,7 +6,7 @@ import pytest
 from ghostdec.builders import NoiseParams, apply_noise_model, build_memory_circuit
 from ghostdec.circuits import CircuitError
 from ghostdec.frames import (CircuitSampler, FaultPropagator, FaultSite,
-                             count_fault_sites, iter_fault_sites)
+                             iter_fault_sites)
 
 
 def noisy_memory(d=3, rounds=2, p=0.001):
@@ -18,7 +18,7 @@ def noisy_memory(d=3, rounds=2, p=0.001):
 def test_site_count_matches_iteration():
     c = noisy_memory()
     sites = list(iter_fault_sites(c))
-    assert len(sites) == count_fault_sites(c)
+    assert len(sites) == c.fault_site_base[-1]
     assert [s.site_id for s in sites] == list(range(len(sites)))
     # one shared numbering: each noise instruction's sites start at its base
     first = {}
@@ -59,7 +59,7 @@ def test_site_outcome_multiplicities():
 
 
 def test_noiseless_circuit_has_no_sites():
-    assert count_fault_sites(build_memory_circuit(3, 2)) == 0
+    assert build_memory_circuit(3, 2).fault_site_base[-1] == 0
 
 
 # -- propagation ---------------------------------------------------------------

@@ -109,10 +109,10 @@ def test_interpatch_hyperedge_commits_and_refines(setup):
     dem, dec, graphs = setup
     pair = next(p for p in dec.pairs
                 if len(dec.components[p.g_e].detectors) == 2)
-    mech = dem.mechanisms[pair.mech_id]
-    res = run_ghost_protocol(dec, vec(dem, mech.detectors), graphs=graphs)
     gs = dec.components[pair.g_s]
-    assert (pair.mech_id, gs.detectors[0]) in res.commit_toggles
+    mech = dem.mechanisms[gs.mech_id]
+    res = run_ghost_protocol(dec, vec(dem, mech.detectors), graphs=graphs)
+    assert (gs.mech_id, gs.detectors[0]) in res.commit_toggles
     # the commit's refinement covers the whole mechanism across patches
     flipped = set(np.flatnonzero(res.refinement_delta))
     assert set(dec.components[pair.g_e].detectors) <= flipped
@@ -171,7 +171,7 @@ def test_rerun_with_committed_keys_adds_nothing(setup):
     dem, dec, graphs = setup
     pair = next(p for p in dec.pairs
                 if len(dec.components[p.g_e].detectors) == 2)
-    mech = dem.mechanisms[pair.mech_id]
+    mech = dem.mechanisms[dec.components[pair.g_s].mech_id]
     first = run_ghost_protocol(dec, vec(dem, mech.detectors), graphs=graphs,
                                collect_trace=False)
     assert first.commit_toggles

@@ -9,7 +9,7 @@ import pytest
 
 from ghostdec.builders import (NoiseParams, apply_noise_model, build_memory_circuit,
                                build_tproxy_circuit)
-from ghostdec.decompose import ghost_decompose, partition_dem
+from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import extract_dem
 from ghostdec.matching import (MatchingError, MatchingGraph, GraphEdge,
                                build_matching_graph, decode_correlated_two_pass,
@@ -18,18 +18,26 @@ from ghostdec.verify import brute_force_ml_decode
 from ghostdec.windows import WindowConfig, plan_tproxy_windows
 
 
-def memory_partition(d=3, rounds=2, p=0.002):
+def class_components(dec, patch, cls):
+    return [c for c in dec.components if (c.patch, c.cls) == (patch, cls)]
+
+
+def class_graph(dec, patch, cls, **options):
+    return build_matching_graph(patch, cls, class_components(dec, patch, cls),
+                                **options)
+
+
+def memory_model(d=3, rounds=2, p=0.002):
+    """A one-patch (patch 0) memory model."""
     dem = extract_dem(apply_noise_model(build_memory_circuit(d, rounds),
                                         NoiseParams(p)))
-    dec = ghost_decompose(dem)
-    return dem, dec, partition_dem(dec)[0]
+    return dem, ghost_decompose(dem)
 
 
-def tproxy_graphs(d=3, n=1, p=0.001):
+def tproxy_model(d=3, n=1, p=0.001):
+    """A teleportation-proxy model and its patch ids."""
     dem = extract_dem(apply_noise_model(build_tproxy_circuit(d, n), NoiseParams(p)))
-    dec = ghost_decompose(dem)
-    parts = partition_dem(dec)
-    return dem, dec, parts
+    return dem, ghost_decompose(dem), sorted(set(dem.detector_patch))
 
 
 # -- weights ---------------------------------------------------------------------
@@ -48,19 +56,21 @@ def test_edge_weight_rejects_out_of_range(p):
 # -- graph construction ------------------------------------------------------------
 
 def test_parallel_normal_edges_merge():
-    dem, dec, part = memory_partition()
-    g = build_matching_graph(part, "Z")
+    dem, dec = memory_model()
+    g = class_graph(dec, 0, "Z")
     seen = set()
     for e in g.edges:
         if e.role == "normal":
-            key = (e.u, e.v, e.observables, e.open_boundary)
+            open_b = dec.components[e.components[0]].open_boundary
+            key = (e.u, e.v, e.observables, open_b, e.cut_partners)
             assert key not in seen
             seen.add(key)
 
 
 def test_merged_probability_is_odd_combination():
-    dem, dec, part = memory_partition()
-    g = build_matching_graph(part, "Z")
+    dem, dec = memory_model()
+    g = class_graph(dec, 0, "Z")
+    assert any(len(e.components) > 1 for e in g.edges)
     for e in g.edges:
         if e.role != "normal":
             continue
@@ -68,19 +78,19 @@ def test_merged_probability_is_odd_combination():
         for ci in e.components:
             q = dec.components[ci].probability
             p = p * (1.0 - q) + q * (1.0 - p)
-        assert e.probability == pytest.approx(p, rel=1e-12)
+        assert e.weight == pytest.approx(edge_weight(p), rel=1e-12)
 
 
 def test_ghost_singletons_hidden_by_default():
-    dem, dec, parts = tproxy_graphs()
-    for part in parts:
+    dem, dec, patches = tproxy_model()
+    for patch in patches:
         for cls in ("X", "Z"):
-            hidden = build_matching_graph(part, cls, expose_gs=False)
-            shown = build_matching_graph(part, cls, expose_gs=True)
+            hidden = class_graph(dec, patch, cls, expose_gs=False)
+            shown = class_graph(dec, patch, cls, expose_gs=True)
             assert not any(e.role == "ghost_s" for e in hidden.edges)
             extra = [e for e in shown.edges if e.role == "ghost_s"]
-            in_class = [c for c in part.components
-                        if c.cls == cls and c.role == "ghost_s"]
+            in_class = [c for c in class_components(dec, patch, cls)
+                        if c.role == "ghost_s"]
             assert len(extra) == len(in_class)
             # ghost edges never merge, even when parallel
             assert all(len(e.components) == 1 for e in shown.edges
@@ -90,11 +100,11 @@ def test_ghost_singletons_hidden_by_default():
 def test_class_nodes_cover_hidden_edges():
     # a detector whose only edges are hidden ghost singletons must still
     # be a node so a defect there fails loudly instead of vanishing
-    dem, dec, parts = tproxy_graphs()
-    for part in parts:
+    dem, dec, patches = tproxy_model()
+    for patch in patches:
         for cls in ("X", "Z"):
-            g = build_matching_graph(part, cls, expose_gs=False)
-            want = {t for c in part.components if c.cls == cls
+            g = class_graph(dec, patch, cls, expose_gs=False)
+            want = {t for c in class_components(dec, patch, cls)
                     for t in c.detectors}
             assert set(g.detectors) == want
 
@@ -121,8 +131,8 @@ def brute_min_weight(graph, defect_nodes, cap=4):
 
 
 def test_decoder_matches_exhaustive_search():
-    dem, dec, part = memory_partition(rounds=1)
-    g = build_matching_graph(part, "Z")
+    dem, dec = memory_model(rounds=1)
+    g = class_graph(dec, 0, "Z")
     rng = np.random.default_rng(4)
     checked = 0
     for _ in range(40):
@@ -140,11 +150,11 @@ def test_decoder_matches_exhaustive_search():
 
 
 def test_correction_reproduces_its_defects():
-    dem, dec, parts = tproxy_graphs()
+    dem, dec, patches = tproxy_model()
     rng = np.random.default_rng(11)
-    for part in parts:
+    for patch in patches:
         for cls in ("X", "Z"):
-            g = build_matching_graph(part, cls)
+            g = class_graph(dec, patch, cls)
             for _ in range(25):
                 k = int(rng.integers(0, 5))
                 picks = rng.choice(len(g.detectors), size=min(k, len(g.detectors)),
@@ -157,8 +167,8 @@ def test_correction_reproduces_its_defects():
 
 
 def test_empty_syndrome_returns_empty_correction():
-    dem, dec, part = memory_partition()
-    g = build_matching_graph(part, "Z")
+    dem, dec = memory_model()
+    g = class_graph(dec, 0, "Z")
     corr = decode_mwpm(g, np.zeros(dem.detector_count, dtype=bool))
     assert corr.edges == ()
     assert corr.weight == 0.0
@@ -169,16 +179,15 @@ def test_empty_syndrome_returns_empty_correction():
 
 def test_isolated_defect_raises():
     g = MatchingGraph(0, "Z", detectors=(0, 1),
-                      edges=(GraphEdge(0, 0, 2, 1.0, 0.1, (0,), (), "normal",
-                                       None, False),))
+                      edges=(GraphEdge(0, 2, 1.0, (0,), (), "normal", None),))
     syndrome = np.array([False, True, False])
     with pytest.raises(MatchingError):
         decode_mwpm(g, syndrome)
 
 
 def test_decoding_is_deterministic():
-    dem, dec, part = memory_partition()
-    g = build_matching_graph(part, "Z")
+    dem, dec = memory_model()
+    g = class_graph(dec, 0, "Z")
     syndrome = np.zeros(dem.detector_count, dtype=bool)
     for t in g.detectors[:4]:
         syndrome[t] = True
@@ -190,10 +199,9 @@ def test_decoding_is_deterministic():
 # -- correlated two-pass ------------------------------------------------------------
 
 def test_cross_class_mechanisms_decode_to_ml():
-    dem, dec, parts = tproxy_graphs()
-    part = parts[0]
-    gx = build_matching_graph(part, "X")
-    gz = build_matching_graph(part, "Z")
+    dem, dec, patches = tproxy_model()
+    gx = class_graph(dec, patches[0], "X")
+    gz = class_graph(dec, patches[0], "Z")
     scope = set(gx.detectors) | set(gz.detectors)
     cases = 0
     for m in dem.mechanisms:
@@ -212,10 +220,10 @@ def test_cross_class_mechanisms_decode_to_ml():
 
 
 def test_two_pass_reduces_to_single_pass_without_partners():
-    dem, dec, part = memory_partition(rounds=2)
+    dem, dec = memory_model(rounds=2)
     # strip partner links so no reweighting can trigger
-    gx = build_matching_graph(part, "X")
-    gz = build_matching_graph(part, "Z")
+    gx = class_graph(dec, 0, "X")
+    gz = class_graph(dec, 0, "Z")
     bare_x, bare_z = (
         dataclasses.replace(g, edges=tuple(dataclasses.replace(e, partners=())
                                            for e in g.edges))
@@ -229,10 +237,9 @@ def test_two_pass_reduces_to_single_pass_without_partners():
 
 
 def test_reported_weight_ignores_discounts():
-    dem, dec, parts = tproxy_graphs()
-    part = parts[0]
-    gx = build_matching_graph(part, "X")
-    gz = build_matching_graph(part, "Z")
+    dem, dec, patches = tproxy_model()
+    gx = class_graph(dec, patches[0], "X")
+    gz = class_graph(dec, patches[0], "Z")
     cross = next(m for m in dem.mechanisms
                  if {dem.detector_class[t] for t in m.detectors} == {"X", "Z"}
                  and {dem.detector_patch[t] for t in m.detectors} == {0})
@@ -246,10 +253,9 @@ def test_reported_weight_ignores_discounts():
 
 
 def test_graph_data_alone_reproduces_correlated_decodes():
-    dem, dec, parts = tproxy_graphs()
-    part = parts[0]
-    gx = build_matching_graph(part, "X")
-    gz = build_matching_graph(part, "Z")
+    dem, dec, patches = tproxy_model()
+    gx = class_graph(dec, patches[0], "X")
+    gz = class_graph(dec, patches[0], "Z")
     assert "routes" not in vars(gx)        # built on first decode only
     rebuilt = [MatchingGraph(g.patch, g.cls, g.detectors, g.edges)
                for g in (gx, gz)]
@@ -270,7 +276,7 @@ def test_graph_data_alone_reproduces_correlated_decodes():
 
 
 def test_overrides_pick_parallel_edges_like_a_full_rebuild():
-    dem, dec = tproxy_graphs(d=5, n=2)[:2]
+    dem, dec = tproxy_model(d=5, n=2)[:2]
     plan = plan_tproxy_windows(dec, WindowConfig())
     graphs = {id(g): g for w in plan.windows for g in w.graphs.values()}
     rng = np.random.default_rng(7)
@@ -278,8 +284,8 @@ def test_overrides_pick_parallel_edges_like_a_full_rebuild():
     for g in graphs.values():
         routes = g.routes
         by_key: dict = {}
-        for e in g.edges:
-            by_key.setdefault((e.u, e.v), []).append(e)
+        for i, e in enumerate(g.edges):
+            by_key.setdefault((e.u, e.v), []).append(i)
         parallel += sum(len(es) > 1 for es in by_key.values())
         for _ in range(5):
             picks = rng.choice(len(g.edges), size=len(g.edges) // 4,
@@ -289,10 +295,10 @@ def test_overrides_pick_parallel_edges_like_a_full_rebuild():
             over = {int(i): float(eps * rng.integers(1, 3)) for i in picks}
             mat, best = routes.reweighted(over)
             dense = mat.toarray()
-            for (u, v), es in by_key.items():
-                want = min(es, key=lambda e: (over.get(e.index, e.weight),
-                                              e.weight, e.index))
-                assert best[routes.key_pos[u, v]] == want.index
-                w = over.get(want.index, want.weight)
+            for (u, v), ids in by_key.items():
+                want = min(ids, key=lambda i: (over.get(i, g.edges[i].weight),
+                                               g.edges[i].weight, i))
+                assert best[routes.key_pos[u, v]] == want
+                w = over.get(want, g.edges[want].weight)
                 assert dense[u, v] == dense[v, u] == w
     assert parallel > 500

@@ -1,5 +1,7 @@
 """Windowed real-time decoding, patience and sliding memory windows."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from ghostdec.builders import (NoiseParams, apply_noise_model,
                                build_memory_circuit, build_tproxy_circuit)
 from ghostdec.circuits import CircuitError
 from ghostdec.decompose import ghost_decompose
-from ghostdec.dem import extract_dem, sample_dem
+from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
+                          sample_dem)
 from ghostdec.ghost import build_protocol_graphs, run_ghost_protocol
 import ghostdec.patience
 import ghostdec.windows
@@ -142,28 +145,56 @@ def test_slice_keeps_detectors_and_whole_pairs(patience_setup, lo, hi):
     sliced = _slice_components(dec, lo, hi)
     for model in (dec, sliced):
         # ghost commits look pairs up by id, which is their position
-        assert all(pr.pair_id == i for i, pr in enumerate(model.pairs))
+        for i, pr in enumerate(model.pairs):
+            ge, gs = model.components[pr.g_e], model.components[pr.g_s]
+            assert ge.pair_id == gs.pair_id == i
     kept = [c for c in dec.components
             if (lo is None or all(time[d] >= lo for d in c.detectors))
             and any(time[d] <= hi for d in c.detectors)]
     assert 0 < len(kept) < len(dec.components)
     assert len(sliced.components) == len(kept)
-    index = {}
+    index = {orig.index: i for i, orig in enumerate(kept)}
+    alive = [pr for pr in dec.pairs if pr.g_e in index and pr.g_s in index]
+    assert len(sliced.pairs) == len(alive)
+    for orig, pr in zip(alive, sliced.pairs):
+        assert (pr.g_e, pr.g_s) == (index[orig.g_e], index[orig.g_s])
+        ge, gs = sliced.components[pr.g_e], sliced.components[pr.g_s]
+        assert (ge.role, gs.role) == ("ghost_e", "ghost_s")
+        assert ge.mech_id == gs.mech_id
+    ghosts = [c for c in sliced.components if c.role != "normal"]
+    assert len(ghosts) == 2 * len(sliced.pairs)
+    opened = 0
     for orig, c in zip(kept, sliced.components):
         assert c.mech_id == orig.mech_id
         assert (set(c.detectors) | set(c.cut_partners)
                 == set(orig.detectors) | set(orig.cut_partners))
-        index[orig.index] = c.index
-    alive = [pr for pr in dec.pairs if pr.g_e in index and pr.g_s in index]
-    assert len(sliced.pairs) == len(alive)
-    for orig, pr in zip(alive, sliced.pairs):
-        assert (pr.mech_id, pr.g_e, pr.g_s) == (
-            orig.mech_id, index[orig.g_e], index[orig.g_s])
-        ge, gs = sliced.components[pr.g_e], sliced.components[pr.g_s]
-        assert (ge.role, gs.role) == ("ghost_e", "ghost_s")
-        assert ge.pair_id == gs.pair_id == pr.pair_id
-    ghosts = [c for c in sliced.components if c.role != "normal"]
-    assert len(ghosts) == 2 * len(sliced.pairs)
+        assert c.partner == index.get(orig.partner)
+        lost = any(time[d] > hi for d in orig.detectors)
+        broken = orig.role == "ghost_s" and c.role == "normal"
+        witness = dec.components[dec.pairs[orig.pair_id].g_e] if broken else None
+        assert c.open_boundary == (lost or broken and all(
+            time[d] > hi for d in witness.detectors))
+        opened += c.open_boundary
+    assert (opened > 0) == (hi < max(time))
+
+
+@pytest.mark.parametrize("witness_time, lo, is_open", [(2, None, True),
+                                                      (0, 1, False)])
+def test_broken_singleton_opens_when_its_witness_lies_above_the_cut(
+        witness_time, lo, is_open):
+    # witness (0, 1) on patch 0, singleton 2 on patch 1 at round 1; the
+    # cut [lo, 1] drops the witness from above or from below
+    dem = DetectorErrorModel((ErrorMechanism(0.01, (0, 1, 2), ()),), 3, 0,
+                             (0, 0, 1), (witness_time, witness_time, 1),
+                             ("Z",) * 3, ())
+    dec = ghost_decompose(dem)
+    assert [c.role for c in dec.components] == ["ghost_e", "ghost_s"]
+    sliced = _slice_components(dec, lo, 1)
+    assert sliced.pairs == ()
+    (gs,) = sliced.components
+    assert (gs.index, gs.detectors, gs.role, gs.pair_id) == (0, (2,), "normal",
+                                                            None)
+    assert gs.open_boundary is is_open
 
 
 def test_sliding_windows_reject_ghost_pairs(patience_setup):
@@ -204,6 +235,24 @@ def test_sliding_windows_step_by_commit_size():
         for w in plan.windows:
             assert w.hi - w.lo + 1 <= commit_rounds + buffer_rounds
         assert plan.windows[-1].hi == last
+
+
+@pytest.mark.parametrize("commit_rounds, buffer_rounds, windows, digest", [
+    (1, 1, 5, "beb2f2bc2c537c21"), (2, 1, 3, "cab0aca1cfd581a8"),
+    (2, 0, 3, "b80a478a4ed318f4")])
+def test_multi_window_sliding_decisions_are_pinned(commit_rounds, buffer_rounds,
+                                                   windows, digest):
+    # recorded decisions; at these settings every window size disagrees
+    # with the global decode on some shots, so the digests pin the
+    # sliding cut and carry, not just the global answer
+    dem, dec = decomposed(build_memory_circuit(3, 6), 5e-3)
+    plan = plan_memory_windows(dec, commit_rounds, buffer_rounds)
+    assert len(plan.windows) == windows
+    dets, _ = sample_dem(dem, seed=12, shots=150)
+    flips = np.array([decode_memory_sliding(dec, dets[s], plan)
+                      for s in range(150)])
+    got = hashlib.sha256(np.packbits(flips).tobytes()).hexdigest()[:16]
+    assert got == digest
 
 
 def test_severance_region_keeps_mechanisms_near_the_decision():
