@@ -442,6 +442,8 @@ def build_tproxy_circuit(d: int, n_tgates: int, n_buf: int = 1, n_sep: int = 3,
         raise CircuitError("need at least one gate")
     if n_buf < 1 or n_sep < n_buf + 1:
         raise CircuitError("need n_buf >= 1 and n_sep > n_buf")
+    if extra_rounds < 0:
+        raise CircuitError("extra_rounds must be non-negative")
     b = CircuitBuilder(d, n_tgates + 1)
     b.prep(list(range(n_tgates + 1)), "Z")
     b.run_rounds(1)
@@ -472,6 +474,8 @@ def build_deep_clifford_circuit(d: int, n_r: int, layers: int,
         raise CircuitError("need an even number of logical qubits")
     if layers < 1:
         raise CircuitError("need at least one layer")
+    if n_r < 1:
+        raise CircuitError("need at least one syndrome round per layer")
     rng = np.random.default_rng(seed)
     b = CircuitBuilder(d, n_qubits)
     b.prep(list(range(n_qubits)), "X")

@@ -1,7 +1,7 @@
-"""Stabilizer-circuit intermediate representation and its text format.
+"""Stabilizer-circuit intermediate representation.
 
-A circuit is a flat list of instructions over declared qubits.  Supported
-operations:
+A circuit is a flat list of instructions over declared qubits, checked
+when it is built.  Supported operations:
 
 * Clifford gates ``H S X Y Z CX``
 * ``RESET_Z`` / ``RESET_X`` and ``MEAS_Z`` (single-qubit, Z basis)
@@ -41,7 +41,8 @@ QUBIT_KINDS = (KIND_DATA, KIND_ANCILLA_X, KIND_ANCILLA_Z)
 
 
 class CircuitError(ValueError):
-    """Raised for malformed circuits or unparsable circuit text."""
+    """Raised for malformed circuits and models and for invalid builder or
+    sampler input; the base of every ghostdec error."""
 
 
 @dataclass(frozen=True)
@@ -277,143 +278,3 @@ def _validate(circuit: Circuit) -> None:
     circuit.detectors  # noqa: B018  - force observable/detector resolution
     circuit.observables
 
-
-def _fmt_num(v: float) -> str:
-    f = float(v)
-    if f.is_integer() and abs(f) < 1e16:
-        return str(int(f))
-    return repr(f)
-
-
-def serialize_circuit(circuit: Circuit) -> str:
-    """Render a circuit in the line-oriented text format."""
-    lines = []
-    for q in circuit.qubits:
-        lines.append(f"QUBIT {q.id} {_fmt_num(q.x)} {_fmt_num(q.y)} {q.patch} {q.kind}")
-    ins_list = circuit.instructions
-    i = 0
-    while i < len(ins_list):
-        ins = ins_list[i]
-        nxt = ins_list[i + 1] if i + 1 < len(ins_list) else None
-        if ins.op == "MEAS_Z" and nxt is not None and nxt.op == "MEAS_FLIP":
-            tg = " ".join(str(t) for t in ins.targets)
-            lines.append(f"MEAS_Z {tg} MEASFLIP({repr(nxt.arg)})")
-            i += 2
-            continue
-        lines.append(_fmt_instruction(ins))
-        i += 1
-    return "\n".join(lines) + "\n"
-
-
-def _fmt_instruction(ins: Instruction) -> str:
-    if ins.op == "TICK":
-        return "TICK"
-    if ins.op == "MEAS_FLIP":
-        raise CircuitError("dangling MEAS_FLIP cannot be serialized")
-    if ins.op in ("DEPOL1", "DEPOL2"):
-        tg = " ".join(str(t) for t in ins.targets)
-        return f"{ins.op}({repr(ins.arg)}) {tg}"
-    if ins.op == "DETECTOR":
-        cs = ",".join(_fmt_num(c) for c in ins.coords)
-        recs = " ".join(f"rec[{off}]" for off in ins.targets)
-        return f"DETECTOR({cs}) {recs}"
-    if ins.op == "OBSERVABLE":
-        recs = " ".join(f"rec[{off}]" for off in ins.targets)
-        return f"OBSERVABLE({ins.index}) {recs}"
-    if ins.op == "MPP":
-        body = "*".join(f"{p}{q}" for q, p in ins.paulis)
-        return f"MPP {'-' if ins.sign else ''}{body}"
-    tg = " ".join(str(t) for t in ins.targets)
-    return f"{ins.op} {tg}"
-
-
-def parse_circuit(text: str) -> Circuit:
-    """Parse the text format produced by :func:`serialize_circuit`."""
-    qubits: list[QubitDecl] = []
-    instructions: list[Instruction] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            _parse_line(line, qubits, instructions)
-        except CircuitError as e:
-            raise CircuitError(f"line {lineno}: {e}") from None
-        except (ValueError, IndexError) as e:
-            raise CircuitError(f"line {lineno}: {e}") from None
-    return Circuit(tuple(qubits), tuple(instructions))
-
-
-def _parse_line(line: str, qubits: list, instructions: list) -> None:
-    tokens = line.split()
-    head = tokens[0]
-    if head == "QUBIT":
-        if len(tokens) != 6:
-            raise CircuitError("QUBIT needs: id x y patch kind")
-        qubits.append(QubitDecl(int(tokens[1]), float(tokens[2]), float(tokens[3]),
-                                int(tokens[4]), tokens[5]))
-        return
-    if head == "TICK":
-        if len(tokens) != 1:
-            raise CircuitError("TICK takes no arguments")
-        instructions.append(Instruction("TICK"))
-        return
-    if head.startswith("DETECTOR(") or head.startswith("OBSERVABLE("):
-        op = head.split("(", 1)[0]
-        argstr = head[len(op) + 1:]
-        if not argstr.endswith(")"):
-            raise CircuitError(f"malformed {op} header {head!r}")
-        argstr = argstr[:-1]
-        offs = []
-        for tok in tokens[1:]:
-            if not (tok.startswith("rec[") and tok.endswith("]")):
-                raise CircuitError(f"malformed record token {tok!r}")
-            offs.append(int(tok[4:-1]))
-        if op == "DETECTOR":
-            parts = argstr.split(",")
-            if len(parts) != 3:
-                raise CircuitError("DETECTOR needs (t,x,y)")
-            instructions.append(Instruction("DETECTOR", tuple(offs),
-                                            coords=tuple(float(p) for p in parts)))
-        else:
-            instructions.append(Instruction("OBSERVABLE", tuple(offs), index=int(argstr)))
-        return
-    if head.startswith("DEPOL1(") or head.startswith("DEPOL2("):
-        op = head.split("(", 1)[0]
-        if not head.endswith(")"):
-            raise CircuitError(f"malformed {op} header {head!r}")
-        p = float(head[len(op) + 1:-1])
-        instructions.append(Instruction(op, tuple(int(t) for t in tokens[1:]), arg=p))
-        return
-    if head == "MPP":
-        if len(tokens) != 2:
-            raise CircuitError("MPP takes a single Pauli product")
-        body = tokens[1]
-        sign = 0
-        if body.startswith("-"):
-            sign = 1
-            body = body[1:]
-        paulis = []
-        for term in body.split("*"):
-            if not term or term[0] not in "XYZ":
-                raise CircuitError(f"malformed MPP term {term!r}")
-            paulis.append((int(term[1:]), term[0]))
-        instructions.append(Instruction("MPP", paulis=tuple(paulis), sign=sign))
-        return
-    if head == "MEAS_Z":
-        flip = None
-        body = tokens[1:]
-        if body and body[-1].startswith("MEASFLIP("):
-            tok = body.pop()
-            if not tok.endswith(")"):
-                raise CircuitError(f"malformed MEASFLIP suffix {tok!r}")
-            flip = float(tok[9:-1])
-        targets = tuple(int(t) for t in body)
-        instructions.append(Instruction("MEAS_Z", targets))
-        if flip is not None:
-            instructions.append(Instruction("MEAS_FLIP", targets, arg=flip))
-        return
-    if head in GATES_1Q + GATES_2Q + RESETS:
-        instructions.append(Instruction(head, tuple(int(t) for t in tokens[1:])))
-        return
-    raise CircuitError(f"unknown opcode {head!r}")

@@ -89,7 +89,7 @@ def _natural_pairs(dem) -> set[tuple[int, int]]:
     return pairs
 
 
-def _split_three(dem, e, key, dets, natural) -> list[tuple[int, ...]]:
+def _split_three(dem, dets, natural) -> list[tuple[int, ...]]:
     """Break a 3-detector component into a pair and a singleton."""
     a, b, c = dets
     options = [(a, b), (a, c), (b, c)]
@@ -148,7 +148,7 @@ def ghost_decompose(dem: DetectorErrorModel) -> DecomposedDEM:
             if len(dets) <= 2:
                 fragments.append((key, dets, False))
             elif len(dets) == 3:
-                pair, single = _split_three(dem, e, key, dets, natural)
+                pair, single = _split_three(dem, dets, natural)
                 fragments.append((key, pair, True))
                 fragments.append((key, single, True))
             else:

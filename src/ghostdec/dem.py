@@ -1,4 +1,4 @@
-"""Detector-error-model extraction, serialization, and sampling.
+"""Detector-error-model extraction and sampling.
 
 Extraction runs one backward pass over the circuit, maintaining for
 every qubit two sensitivity registers (big-int bitmasks over detector
@@ -232,90 +232,6 @@ def _observable_metadata(circuit: Circuit):
     return tuple(patches), tuple(classes)
 
 
-# -- text format ---------------------------------------------------------------
-
-
-def serialize_dem(dem: DetectorErrorModel) -> str:
-    lines = [f"detectors {dem.detector_count}",
-             f"observables {dem.observable_count}"]
-    for i in range(dem.detector_count):
-        lines.append(f"patch D{i} {dem.detector_patch[i]}")
-        lines.append(f"time D{i} {dem.detector_time[i]}")
-        lines.append(f"class D{i} {dem.detector_class[i]}")
-    for j, p in enumerate(dem.observable_patch):
-        lines.append(f"lpatch L{j} {'-' if p is None else p}")
-        c = dem.observable_class[j]
-        lines.append(f"lclass L{j} {'-' if c is None else c}")
-    for m in dem.mechanisms:
-        terms = [f"D{i}" for i in m.detectors] + [f"L{j}" for j in m.observables]
-        lines.append(f"error({m.probability!r}) " + " ".join(terms))
-    return "\n".join(lines) + "\n"
-
-
-def parse_dem(text: str) -> DetectorErrorModel:
-    n_det = n_obs = None
-    patch: dict[int, int] = {}
-    time: dict[int, int] = {}
-    cls: dict[int, str] = {}
-    lpatch: dict[int, int | None] = {}
-    lclass: dict[int, str | None] = {}
-    mechanisms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("detectors "):
-                n_det = int(line.split()[1])
-            elif line.startswith("observables "):
-                n_obs = int(line.split()[1])
-            elif line.startswith("patch "):
-                _, d, v = line.split()
-                patch[int(d[1:])] = int(v)
-            elif line.startswith("time "):
-                _, d, v = line.split()
-                time[int(d[1:])] = int(v)
-            elif line.startswith("class "):
-                _, d, v = line.split()
-                if v not in ("Z", "X"):
-                    raise ValueError(f"bad class {v!r}")
-                cls[int(d[1:])] = v
-            elif line.startswith("lpatch "):
-                _, d, v = line.split()
-                lpatch[int(d[1:])] = None if v == "-" else int(v)
-            elif line.startswith("lclass "):
-                _, d, v = line.split()
-                if v not in ("Z", "X", "-"):
-                    raise ValueError(f"bad observable class {v!r}")
-                lclass[int(d[1:])] = None if v == "-" else v
-            elif line.startswith("error("):
-                head, rest = line.split(")", 1)
-                p = float(head[len("error("):])
-                dets, obs = [], []
-                for tok in rest.split():
-                    if tok.startswith("D"):
-                        dets.append(int(tok[1:]))
-                    elif tok.startswith("L"):
-                        obs.append(int(tok[1:]))
-                    else:
-                        raise ValueError(f"unknown term {tok!r}")
-                mechanisms.append(ErrorMechanism(p, tuple(sorted(dets)),
-                                                 tuple(sorted(obs))))
-            else:
-                raise ValueError(f"unknown line {line.split()[0]!r}")
-        except (ValueError, IndexError) as exc:
-            raise CircuitError(f"line {lineno}: {exc}") from exc
-    if n_det is None or n_obs is None:
-        raise CircuitError("missing detectors/observables header")
-    return DetectorErrorModel(
-        tuple(mechanisms), n_det, n_obs,
-        tuple(patch[i] for i in range(n_det)),
-        tuple(time[i] for i in range(n_det)),
-        tuple(cls[i] for i in range(n_det)),
-        tuple(lpatch.get(j) for j in range(n_obs)),
-        tuple(lclass.get(j) for j in range(n_obs)))
-
-
 # -- sampling --------------------------------------------------------------------
 
 SAMPLE_CHUNK = 1024
@@ -330,6 +246,8 @@ def sample_dem(dem: DetectorErrorModel, seed: int, shots: int,
     substream, so any partitioning of the shot range over workers
     produces identical results.
     """
+    if seed < 0 or shots < 0 or first_chunk < 0:
+        raise CircuitError("seed, shots and first_chunk must be non-negative")
     n_mech = len(dem.mechanisms)
     probs = np.array([m.probability for m in dem.mechanisms])
     dets = np.zeros((shots, dem.detector_count), dtype=bool)

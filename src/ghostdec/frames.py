@@ -155,9 +155,8 @@ class CircuitSampler:
 
     Draws every noise channel outcome explicitly, propagates the frames
     of all shots in lockstep, and returns detector/observable flip
-    arrays.  With ``collect_sites=True`` it also reports which canonical
-    fault sites fired in each shot, enabling bit-exact cross-checks
-    against mechanism-level resampling.
+    arrays with the canonical fault sites that fired in each shot, for
+    bit-exact cross-checks against mechanism-level resampling.
     """
 
     def __init__(self, circuit: Circuit):
@@ -166,20 +165,18 @@ class CircuitSampler:
         self._col = {q.id: i for i, q in enumerate(circuit.qubits)}
         self.num_measurements = circuit.num_measurements
 
-    def sample(self, shots: int, rng: np.random.Generator,
-               collect_sites: bool = False):
+    def sample(self, shots: int, rng: np.random.Generator):
         """Run ``shots`` noisy shots.
 
-        Returns (dets, obs) boolean arrays of shape (shots, num) or, with
-        ``collect_sites``, (dets, obs, fired) where fired is a list of
-        sorted site-id tuples per shot.
+        Returns (dets, obs, fired): boolean arrays of shape (shots, num)
+        and, per shot, the sorted tuple of fired site ids.
         """
         c = self.circuit
         col = self._col
         x = np.zeros((shots, self.n), dtype=bool)
         z = np.zeros((shots, self.n), dtype=bool)
         rec = np.zeros((shots, self.num_measurements), dtype=bool)
-        fired: list[list[int]] | None = [[] for _ in range(shots)] if collect_sites else None
+        fired: list[list[int]] = [[] for _ in range(shots)]
         m = 0
         for idx, ins in enumerate(c.instructions):
             op = ins.op
@@ -225,9 +222,8 @@ class CircuitSampler:
                     i = col[q]
                     x[:, i] ^= hit & bits[:, 0]
                     z[:, i] ^= hit & bits[:, 1]
-                    if fired is not None:
-                        for s in np.flatnonzero(hit):
-                            fired[s].append(base + 3 * j + int(kind[s]))
+                    for s in np.flatnonzero(hit):
+                        fired[s].append(base + 3 * j + int(kind[s]))
             elif op == "DEPOL2":
                 base = c.fault_site_base[idx]
                 for j, (qa, qb) in enumerate(ins.target_pairs()):
@@ -239,17 +235,15 @@ class CircuitSampler:
                     z[:, a] ^= hit & bits[:, 1]
                     x[:, b] ^= hit & bits[:, 2]
                     z[:, b] ^= hit & bits[:, 3]
-                    if fired is not None:
-                        for s in np.flatnonzero(hit):
-                            fired[s].append(base + 15 * j + int(v[s]) - 1)
+                    for s in np.flatnonzero(hit):
+                        fired[s].append(base + 15 * j + int(v[s]) - 1)
             elif op == "MEAS_FLIP":
                 base = c.fault_site_base[idx]
                 for j, q in enumerate(ins.targets):
                     hit = rng.random(shots) < ins.arg
                     rec[:, m - len(ins.targets) + j] ^= hit
-                    if fired is not None:
-                        for s in np.flatnonzero(hit):
-                            fired[s].append(base + j)
+                    for s in np.flatnonzero(hit):
+                        fired[s].append(base + j)
         dets = np.zeros((shots, c.num_detectors), dtype=bool)
         for det in c.detectors:
             for r in det.meas:
@@ -258,6 +252,4 @@ class CircuitSampler:
         for o in c.observables:
             for r in o.meas:
                 obs[:, o.index] ^= rec[:, r]
-        if fired is not None:
-            return dets, obs, [tuple(sorted(f)) for f in fired]
-        return dets, obs
+        return dets, obs, [tuple(sorted(f)) for f in fired]

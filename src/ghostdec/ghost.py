@@ -1,15 +1,17 @@
 """Iterative multi-patch decoding with ghost-edge discovery.
 
-Each patch is decoded independently several times.  Whenever a pass
-selects a ghost witness edge (g_e), the whole interpatch mechanism is
-committed: the issuing patch's defects at the edge's endpoints are
-cleared, the partner patch's lone ghost-singleton defect is flipped,
-and the mechanism's observable flips enter the logical frame.  Commits
-are buffered as ghost-pair ids and applied at a barrier between passes,
-so the outcome does not depend on patch evaluation order.  Commits
-follow XOR semantics: re-selecting a committed mechanism's witness
-cancels the earlier commit.  The final pass is read-out only; its corrections are
-combined with the committed frame to form the logical answer.
+Each patch is decoded independently on each of :data:`PASSES` passes,
+and ghost singletons are shown to the matcher on :data:`EXPOSED_PASS`
+only.  Whenever a pass selects a ghost witness edge (g_e), the whole
+interpatch mechanism is committed: the issuing patch's defects at the
+edge's endpoints are cleared, the partner patch's lone ghost-singleton
+defect is flipped, and the mechanism's observable flips enter the
+logical frame.  Commits are buffered as ghost-pair ids and applied at a
+barrier between passes, so the outcome does not depend on patch
+evaluation order.  Commits follow XOR semantics: re-selecting a
+committed mechanism's witness cancels the earlier commit.  The final
+pass is read-out only; its corrections are combined with the committed
+frame to form the logical answer.
 """
 
 from __future__ import annotations
@@ -25,40 +27,11 @@ from .matching import build_matching_graph, decode_correlated_two_pass
 
 
 class ProtocolError(CircuitError):
-    """Schedule, syndrome or final-correction validation failure."""
+    """Syndrome or final-correction validation failure."""
 
 
-@dataclass(frozen=True)
-class PassSchedule:
-    passes: int = 4
-    expose_gs_on: frozenset[int] = frozenset({1})
-
-    def __post_init__(self):
-        object.__setattr__(self, "expose_gs_on", frozenset(self.expose_gs_on))
-        if self.passes < 2:
-            raise ProtocolError("schedule needs at least 2 passes")
-        for k in self.expose_gs_on:
-            if not 1 <= k <= self.passes:
-                raise ProtocolError(f"exposure pass {k} out of range")
-        if self.passes in self.expose_gs_on:
-            raise ProtocolError("ghost singletons must stay hidden on the final pass")
-
-
-DEFAULT_SCHEDULE = PassSchedule()
-
-
-def select_schedule(d: int, n_r: int, family: str) -> PassSchedule:
-    """Pass schedules that were found to converge for each problem shape.
-
-    Deep transversal circuits at d=11 need extra passes with repeated
-    singleton exposure; everything else uses the 4-pass default.
-    """
-    if family == "deep" and d == 11:
-        if n_r in (2, 3):
-            return PassSchedule(6, frozenset({1, 4}))
-        if n_r == 1:
-            return PassSchedule(8, frozenset({1, 4, 6}))
-    return DEFAULT_SCHEDULE
+PASSES = 4
+EXPOSED_PASS = 1
 
 
 @dataclass
@@ -67,7 +40,6 @@ class GhostResult:
     logical_flips: np.ndarray  # bool, observable space (frame delta + final)
     frame_delta: np.ndarray    # bool, observable flips of net-toggled commits
     refinement_delta: np.ndarray  # bool, detector flips of net-toggled commits
-    commit_toggles: tuple      # commit keys (mech_id, g_s detector) net-toggled
     trace: list = field(default_factory=list)
     passes_with_commits: int = 0
 
@@ -99,8 +71,7 @@ def build_protocol_graphs(decomposed: DecomposedDEM,
     return graphs
 
 
-def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
-                       schedule: PassSchedule = DEFAULT_SCHEDULE, *,
+def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
                        graphs: dict,
                        collect_trace: bool = True) -> GhostResult:
     """Decode all patches of one decomposed model against one syndrome.
@@ -115,7 +86,6 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
     working = np.array(syndrome, dtype=bool, copy=True)
     frame_delta = np.zeros(dem.observable_count, dtype=bool)
     refinement_delta = np.zeros(dem.detector_count, dtype=bool)
-    toggled: set = set()
     trace: list = []
     comps = decomposed.components
     passes_with_commits = 0
@@ -129,9 +99,9 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
     version = 0
     seen: dict[tuple[int, int], tuple[int, tuple]] = {}
 
-    for k in range(1, schedule.passes + 1):
-        exposed = k in schedule.expose_gs_on
-        final = k == schedule.passes
+    for k in range(1, PASSES + 1):
+        exposed = k == EXPOSED_PASS
+        final = k == PASSES
         barrier: list[int] = []        # pair ids committed this pass
         for patch in patches:
             gx = graphs[patch, "X", exposed]
@@ -164,14 +134,12 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
         for pid in barrier:
             pr = decomposed.pairs[pid]
             ge, gs = comps[pr.g_e], comps[pr.g_s]
-            key = (gs.mech_id, gs.detectors[0])
             flips = list(ge.detectors) + list(gs.detectors)
             for d in flips:
                 working[d] ^= True
                 refinement_delta[d] ^= True
             for j in set(ge.observables) ^ set(gs.observables):
                 frame_delta[j] ^= True
-            toggled ^= {key}
             applied.append([gs.detectors[0], pid])
         if applied:
             passes_with_commits += 1
@@ -184,7 +152,7 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray,
         for j in corr.observables:
             logical[j] ^= True
     return GhostResult(corrections, logical, frame_delta, refinement_delta,
-                       tuple(sorted(toggled)), trace, passes_with_commits)
+                       trace, passes_with_commits)
 
 
 def _trace_entry(k, patch, x_pair, z_pair, sent, decomposed):

@@ -45,6 +45,8 @@ def brute_force_ml_decode(dem: DetectorErrorModel, syndrome: np.ndarray,
     or a boolean vector over all detectors.  Intended for small models
     only.
     """
+    if weight_cap < 0:
+        raise VerifyError(f"weight_cap must be non-negative, got {weight_cap}")
     mechs = [(e, m) for e, m in enumerate(dem.mechanisms) if m.detectors]
     if len(mechs) > 4000:
         raise VerifyError(f"{len(mechs)} mechanisms is too large for enumeration")
@@ -129,7 +131,7 @@ def frame_sim_crosscheck(circuit: Circuit, dem: DetectorErrorModel,
     """
     sampler = CircuitSampler(circuit)
     rng = np.random.default_rng(seed)
-    dets, obs, fired = sampler.sample(shots, rng, collect_sites=True)
+    dets, obs, fired = sampler.sample(shots, rng)
     lookup = site_to_mechanism(dem)
     d2, o2 = mechanism_symptom_xor(dem, lookup, fired)
     bad = 0

@@ -1,11 +1,11 @@
-"""Circuit builders, noise application, and the text format."""
+"""Circuit builders, noise application, and circuit validation."""
 
 import pytest
 
 from ghostdec.builders import (CircuitBuilder, NoiseParams, apply_noise_model,
                                build_deep_clifford_circuit, build_memory_circuit,
                                build_tproxy_circuit)
-from ghostdec.circuits import CircuitError, parse_circuit, serialize_circuit
+from ghostdec.circuits import Circuit, CircuitError, Instruction, QubitDecl
 from ghostdec.tableau import check_detector_determinism
 
 
@@ -87,14 +87,16 @@ def test_tproxy_extra_rounds_extend_tail():
 def test_tproxy_rejects_small_buffer():
     with pytest.raises(CircuitError):
         build_tproxy_circuit(3, 1, n_buf=0)
+    with pytest.raises(CircuitError, match="extra_rounds"):
+        build_tproxy_circuit(3, 1, extra_rounds=-2)
 
 
 # -- deep transversal Clifford ---------------------------------------------------
 
 def test_deep_clifford_reproducible():
-    a = serialize_circuit(build_deep_clifford_circuit(3, 1, 8, seed=3))
-    b = serialize_circuit(build_deep_clifford_circuit(3, 1, 8, seed=3))
-    c = serialize_circuit(build_deep_clifford_circuit(3, 1, 8, seed=4))
+    a = build_deep_clifford_circuit(3, 1, 8, seed=3)
+    b = build_deep_clifford_circuit(3, 1, 8, seed=3)
+    c = build_deep_clifford_circuit(3, 1, 8, seed=4)
     assert a == b
     assert a != c
 
@@ -116,6 +118,8 @@ def test_deep_clifford_layer_rounds():
 def test_deep_clifford_rejects_odd_qubit_count():
     with pytest.raises(CircuitError):
         build_deep_clifford_circuit(3, 1, 4, n_qubits=3)
+    with pytest.raises(CircuitError, match="syndrome round"):
+        build_deep_clifford_circuit(3, 0, 1)
 
 
 # -- noise ------------------------------------------------------------------------
@@ -166,30 +170,18 @@ def test_noise_rejects_out_of_range():
         apply_noise_model(build_memory_circuit(3, 1), NoiseParams(0.6))
 
 
-# -- text format ---------------------------------------------------------------------
+# -- validation ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("make", [
-    lambda: build_memory_circuit(3, 2),
-    lambda: build_tproxy_circuit(3, 2),
-    lambda: build_deep_clifford_circuit(3, 1, 3, seed=1),
-    lambda: apply_noise_model(build_tproxy_circuit(3, 1), NoiseParams(0.002)),
-])
-def test_round_trip(make):
-    c = make()
-    assert parse_circuit(serialize_circuit(c)) == c
+DATA_QUBIT = (QubitDecl(0, 0.5, 0.5, 0, "data"),)
 
 
-def test_parse_reports_unknown_opcode():
+def test_circuit_rejects_unknown_op():
     with pytest.raises(CircuitError, match="FROB"):
-        parse_circuit("QUBIT 0 0.5 0.5 0 data\nFROB 0\n")
+        Circuit(DATA_QUBIT, (Instruction("FROB", (0,)),))
 
 
-def test_parse_reports_line_number():
-    with pytest.raises(CircuitError, match="line 2"):
-        parse_circuit("QUBIT 0 0.5 0.5 0 data\nH abc\n")
-
-
-def test_parse_rejects_out_of_range_record():
-    text = "QUBIT 0 0.5 0.5 0 data\nMEAS_Z 0\nDETECTOR(0,0,0) rec[-2]\n"
-    with pytest.raises(CircuitError, match="rec"):
-        parse_circuit(text)
+def test_circuit_rejects_out_of_range_record():
+    ins = (Instruction("MEAS_Z", (0,)),
+           Instruction("DETECTOR", (-2,), coords=(0, 0, 0)))
+    with pytest.raises(CircuitError, match="record offset -2"):
+        Circuit(DATA_QUBIT, ins)

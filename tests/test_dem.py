@@ -5,8 +5,9 @@ import pytest
 
 from ghostdec.builders import (NoiseParams, apply_noise_model, build_memory_circuit,
                                build_tproxy_circuit)
+from ghostdec.circuits import CircuitError
 from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
-                          parse_dem, sample_dem, serialize_dem)
+                          sample_dem)
 from ghostdec.frames import FaultPropagator, iter_fault_sites
 
 
@@ -66,17 +67,6 @@ def test_observable_readout_class():
     assert xmem.observable_class == ("X",)
 
 
-def test_text_round_trip():
-    dem = extract_dem(noisy(build_tproxy_circuit(3, 1)))
-    back = parse_dem(serialize_dem(dem))
-    assert back.mechanisms == dem.mechanisms
-    assert back.detector_patch == dem.detector_patch
-    assert back.detector_class == dem.detector_class
-    assert back.detector_time == dem.detector_time
-    assert back.observable_patch == dem.observable_patch
-    assert back.observable_class == dem.observable_class
-
-
 def test_noiseless_circuit_yields_empty_model():
     dem = extract_dem(build_memory_circuit(3, 2))
     assert not dem.mechanisms
@@ -125,3 +115,14 @@ def test_sampling_is_chunk_partition_invariant():
         chunk_index += 1
     assert np.array_equal(np.vstack(parts_d), whole[0])
     assert np.array_equal(np.vstack(parts_o), whole[1])
+
+
+@pytest.mark.parametrize("args", [
+    {"seed": -1, "shots": 4},
+    {"seed": 0, "shots": -1},
+    {"seed": 0, "shots": 4, "first_chunk": -1},
+], ids=["seed", "shots", "first_chunk"])
+def test_sampling_rejects_negative_input(args):
+    dem = extract_dem(noisy(build_memory_circuit(3, 1)))
+    with pytest.raises(CircuitError, match="non-negative"):
+        sample_dem(dem, **args)

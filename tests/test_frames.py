@@ -109,8 +109,7 @@ def test_sampler_collect_sites_consistent():
     c = noisy_memory(p=0.01)
     prop = FaultPropagator(c)
     sites = list(iter_fault_sites(c))
-    dets, obs, fired = CircuitSampler(c).sample(32, np.random.default_rng(9),
-                                                collect_sites=True)
+    dets, obs, fired = CircuitSampler(c).sample(32, np.random.default_rng(9))
     for shot in range(32):
         dd = np.zeros(c.num_detectors, dtype=bool)
         oo = np.zeros(c.num_observables, dtype=bool)

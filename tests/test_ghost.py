@@ -1,4 +1,4 @@
-"""Iterative ghost-edge protocol: schedules, commits, and the logical frame."""
+"""Iterative ghost-edge protocol: graph sets, commits, and the logical frame."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,8 @@ from ghostdec.builders import (NoiseParams, apply_noise_model,
                                build_memory_circuit, build_tproxy_circuit)
 from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import extract_dem, sample_dem
-from ghostdec.ghost import (DEFAULT_SCHEDULE, PassSchedule, ProtocolError,
-                            build_protocol_graphs, run_ghost_protocol,
-                            select_schedule)
+from ghostdec.ghost import (ProtocolError, build_protocol_graphs,
+                            run_ghost_protocol)
 from ghostdec.matching import decode_mwpm
 from ghostdec.verify import brute_force_ml_decode
 
@@ -28,28 +27,6 @@ def vec(dem, dets):
     for t in dets:
         v[t] = True
     return v
-
-
-# -- schedules ---------------------------------------------------------------------
-
-def test_schedule_validation():
-    with pytest.raises(ProtocolError):
-        PassSchedule(1, frozenset())
-    with pytest.raises(ProtocolError):
-        PassSchedule(4, frozenset({0}))
-    with pytest.raises(ProtocolError):
-        PassSchedule(4, frozenset({5}))
-    with pytest.raises(ProtocolError):
-        PassSchedule(4, frozenset({4}))  # final pass must stay unexposed
-
-
-def test_schedule_selection_table():
-    assert select_schedule(3, 1, "tproxy") == DEFAULT_SCHEDULE
-    assert select_schedule(11, 1, "memory") == DEFAULT_SCHEDULE
-    assert select_schedule(11, 2, "deep") == PassSchedule(6, frozenset({1, 4}))
-    assert select_schedule(11, 3, "deep") == PassSchedule(6, frozenset({1, 4}))
-    assert select_schedule(11, 1, "deep") == PassSchedule(8, frozenset({1, 4, 6}))
-    assert select_schedule(5, 1, "deep") == DEFAULT_SCHEDULE
 
 
 # -- graph sets ------------------------------------------------------------------
@@ -95,7 +72,7 @@ def test_empty_syndrome_is_a_no_op(setup):
     assert not res.logical_flips.any()
     assert not res.frame_delta.any()
     assert not res.refinement_delta.any()
-    assert res.commit_toggles == ()
+    assert not any(t.get("barrier") for t in res.trace)
     assert all(c.edges == () for c in res.corrections.values())
 
 
@@ -107,12 +84,14 @@ def test_syndrome_length_checked(setup):
 
 def test_interpatch_hyperedge_commits_and_refines(setup):
     dem, dec, graphs = setup
-    pair = next(p for p in dec.pairs
-                if len(dec.components[p.g_e].detectors) == 2)
+    pid, pair = next((i, p) for i, p in enumerate(dec.pairs)
+                     if len(dec.components[p.g_e].detectors) == 2)
     gs = dec.components[pair.g_s]
     mech = dem.mechanisms[gs.mech_id]
     res = run_ghost_protocol(dec, vec(dem, mech.detectors), graphs=graphs)
-    assert (gs.mech_id, gs.detectors[0]) in res.commit_toggles
+    # the pair is applied at the barriers an odd number of times
+    applied = [a for t in res.trace if t.get("barrier") for a in t["applied"]]
+    assert applied.count([gs.detectors[0], pid]) % 2 == 1
     # the commit's refinement covers the whole mechanism across patches
     flipped = set(np.flatnonzero(res.refinement_delta))
     assert set(dec.components[pair.g_e].detectors) <= flipped
@@ -174,11 +153,11 @@ def test_rerun_with_committed_keys_adds_nothing(setup):
     mech = dem.mechanisms[dec.components[pair.g_s].mech_id]
     first = run_ghost_protocol(dec, vec(dem, mech.detectors), graphs=graphs,
                                collect_trace=False)
-    assert first.commit_toggles
+    assert first.refinement_delta.any()
     refined = vec(dem, mech.detectors) ^ first.refinement_delta
     again = run_ghost_protocol(dec, refined, graphs=graphs,
                                collect_trace=False)
-    assert again.commit_toggles == ()
+    assert not again.refinement_delta.any()
     assert not again.frame_delta.any()
     combined = again.logical_flips ^ first.frame_delta
     assert np.array_equal(combined, first.logical_flips)
@@ -191,7 +170,7 @@ def test_protocol_is_deterministic(setup):
         a = run_ghost_protocol(dec, dets[s], graphs=graphs, collect_trace=False)
         b = run_ghost_protocol(dec, dets[s], graphs=graphs, collect_trace=False)
         assert np.array_equal(a.logical_flips, b.logical_flips)
-        assert a.commit_toggles == b.commit_toggles
+        assert np.array_equal(a.refinement_delta, b.refinement_delta)
 
 
 def test_trace_shape(setup):

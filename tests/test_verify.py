@@ -93,6 +93,8 @@ def test_unexplainable_syndrome_raises():
                              (0, 0), (0, 0), ("Z", "Z"), ())
     with pytest.raises(VerifyError):
         brute_force_ml_decode(dem, frozenset({1}), weight_cap=4)
+    with pytest.raises(VerifyError, match="weight_cap"):
+        brute_force_ml_decode(dem, frozenset({0}), weight_cap=-1)
 
 
 @pytest.mark.parametrize("circuit", [

@@ -14,7 +14,8 @@ from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
 from ghostdec.ghost import build_protocol_graphs, run_ghost_protocol
 import ghostdec.patience
 import ghostdec.windows
-from ghostdec.patience import (HeraldResult, PatienceError, patience_delay,
+from ghostdec.patience import (HeraldResult, PatienceError,
+                               herald_weight_growth, patience_delay,
                                patient_decode, plan_patience)
 from ghostdec.windows import (TproxyPlan, WindowConfig, WindowError,
                               _slice_components, build_window,
@@ -85,6 +86,34 @@ def test_patience_without_delay_keeps_windowed_decisions():
     assert heralded
     with pytest.raises(PatienceError):
         HeraldResult(False, False, 1, False)
+
+
+def herald_trace(last_edges):
+    """Protocol trace of patch 0's first and final passes, with noise
+    around them: a barrier and another patch's heavy edge into the region."""
+    def entry(k, patch, edges):
+        return {"pass": k, "patch": patch, "edges": edges}
+    return [entry(1, 0, [["Z", 1, None, 2.0]]),
+            {"pass": 1, "barrier": True, "applied": [[1, 0]]},
+            entry(4, 1, [["Z", 9, 1, 50.0]]),
+            entry(4, 0, last_edges)]
+
+
+@pytest.mark.parametrize("last_edges,grows", [
+    ([["Z", 7, 1, 3.0]], True),
+    ([["Z", 2, None, 2.0]], False),
+    ([["Z", 2, None, 2.0], ["X", 5, 6, 9.0], ["X", 5, None, 4.0]], False),
+], ids=["grows", "equal", "outside-region"])
+def test_weight_growth_herald_reads_regional_weight(last_edges, grows):
+    assert herald_weight_growth(herald_trace(last_edges),
+                                frozenset({1, 2}), 0) is grows
+
+
+def test_weight_growth_herald_needs_passes_of_the_patch():
+    with pytest.raises(PatienceError, match="needs a protocol trace"):
+        herald_weight_growth([], frozenset({1}), 0)
+    with pytest.raises(PatienceError, match="no passes for patch 3"):
+        herald_weight_growth(herald_trace([]), frozenset({1}), 3)
 
 
 def test_patience_delay_table():
