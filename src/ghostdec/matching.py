@@ -2,10 +2,13 @@
 
 Each patch is decoded as two independent class graphs (cells that
 measure ZZZZ catch bit flips, cells that measure XXXX catch phase
-flips).  Defects are matched pairwise or to a virtual boundary node
-with exact blossom matching over shortest-path distances; a two-pass
-scheme reweights cross-class partner edges so correlated pairs from
-Y-type faults are recovered.
+flips).  Defects are matched pairwise or to a virtual boundary node,
+exactly, over shortest-path distances: pairs whose shortest path runs
+through the boundary are dropped, the defects split into components
+joined by the pairs that stay, lone defects and pairs are solved in
+closed form and only larger components go to blossom matching.  A
+two-pass scheme reweights cross-class partner edges so correlated
+pairs from Y-type faults are recovered.
 
 A `MatchingGraph` is plain data: detectors and edges, each edge with
 its cross-class partners.  Everything a decode derives from them lives
@@ -33,6 +36,10 @@ from .dem import _merge_odd
 # a correlated partner edge is discounted to this fraction of the
 # graph's lightest edge weight
 CORRELATION_SCALE = 0.01
+
+# relative slack, for float summation order, when a pair's distance is
+# compared with its two boundary legs
+PRUNE_TOL = 1e-9
 
 
 class MatchingError(CircuitError):
@@ -245,9 +252,12 @@ def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,
     """Exact minimum-weight matching of this graph's defects.
 
     The syndrome is a boolean vector over all detectors of the model;
-    only this graph's detectors are consulted.  Matching runs on the
-    complete defect graph with one boundary copy per defect, so odd
-    defect parity is absorbed by the boundary when reachable.
+    only this graph's detectors are consulted.  Each defect either pairs
+    with another or takes its own path to the boundary, so odd defect
+    parity is absorbed by the boundary when reachable.  Pairs routed
+    through the boundary are dropped, what stays splits into independent
+    components, and only components of three or more defects need
+    blossom matching.
     """
     if graph.detectors and len(syndrome) <= graph.detectors[-1]:
         raise MatchingError(f"syndrome of length {len(syndrome)} does not "
@@ -261,33 +271,13 @@ def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,
         if routes.indptr[v] == routes.indptr[v + 1]:
             raise MatchingError(f"defect detector {d} has no incident edges")
     dist, pred, best = _shortest_paths(graph, nodes, weight_overrides)
-    k = len(nodes)
-    g = nx.Graph()
-    g.add_nodes_from(range(2 * k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.isfinite(dist[i, nodes[j]]):
-                g.add_edge(i, j, weight=dist[i, nodes[j]])
-            g.add_edge(k + i, k + j, weight=0.0)
-        if np.isfinite(dist[i, graph.boundary]):
-            g.add_edge(i, k + i, weight=dist[i, graph.boundary])
-    mate = nx.min_weight_matching(g)
-    matched = {a for pair in mate for a in pair if a < k}
-    if len(matched) != k:
-        raise MatchingError("defects cannot be matched (no boundary path)")
     chosen: list[int] = []
-    for a, b in mate:
-        a, b = min(a, b), max(a, b)
-        if a >= k:
-            continue
-        if b >= k:
-            chosen.extend(_walk(pred[a], routes, best, nodes[a],
-                                graph.boundary))
-        else:
-            chosen.extend(_walk(pred[a], routes, best, nodes[a], nodes[b]))
+    for a, b in _match(dist[:, nodes], dist[:, graph.boundary]):
+        target = graph.boundary if b is None else nodes[b]
+        chosen.extend(_walk(pred[a], routes, best, nodes[a], target))
     # report true log-likelihood weight even when the optimizer ran on
     # correlation-discounted weights
-    total = float(sum(graph.edges[i].weight for i in chosen))
+    total = math.fsum(graph.edges[i].weight for i in chosen)
     flips = np.zeros(graph.boundary, dtype=bool)
     obs: set[int] = set()
     for i in chosen:
@@ -303,6 +293,69 @@ def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,
         raise MatchingError("correction symptom does not reproduce defects")
     return Correction(tuple(sorted(chosen)), total, tuple(sorted(obs)),
                       tuple(defects))
+
+
+def _match(pair_dist: np.ndarray, boundary_dist: np.ndarray):
+    """Minimum-weight matching of k defects as (a, b) with a < b, or
+    (a, None) for a boundary leg.
+
+    The boundary is a node of the routing graph, so a pair never costs
+    more than its two boundary legs; a pair costing as much is routed
+    through the boundary and is dropped.  The boundary takes any number
+    of legs, so defects joined by no kept pair never interact.
+    """
+    k = len(boundary_dist)
+    legs = boundary_dist[:, None] + boundary_dist[None, :]
+    # infinite legs (no boundary path) never drop a pair, and a pair with
+    # no path between its defects is never kept
+    kept = pair_dist < legs * (1.0 - PRUNE_TOL)
+    pairs = np.argwhere(np.triu(kept, 1)).tolist()
+    root = list(range(k))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for a, b in pairs:
+        root[find(b)] = find(a)
+    members: dict[int, list[int]] = {}
+    for a in range(k):
+        members.setdefault(find(a), []).append(a)
+    mate: list[tuple[int, int | None]] = []
+    for comp in members.values():
+        if len(comp) == 2:
+            mate.append((comp[0], comp[1]))
+        elif len(comp) == 1:
+            if not np.isfinite(boundary_dist[comp[0]]):
+                raise MatchingError("defects cannot be matched "
+                                    "(no boundary path)")
+            mate.append((comp[0], None))
+        else:
+            inside = set(comp)
+            mate.extend(_blossom(comp, [p for p in pairs if p[0] in inside],
+                                 pair_dist, boundary_dist))
+    return mate
+
+
+def _blossom(comp, pairs, pair_dist, boundary_dist):
+    """Blossom matching of one component, each defect with its own
+    boundary copy and the copies joined at zero weight."""
+    m = len(comp)
+    local = {a: i for i, a in enumerate(comp)}
+    g = nx.Graph()
+    g.add_nodes_from(range(2 * m))
+    for a, b in pairs:
+        g.add_edge(local[a], local[b], weight=pair_dist[a, b])
+    for i, a in enumerate(comp):
+        for j in range(i + 1, m):
+            g.add_edge(m + i, m + j, weight=0.0)
+        if np.isfinite(boundary_dist[a]):
+            g.add_edge(i, m + i, weight=boundary_dist[a])
+    mate = [sorted(pair) for pair in nx.min_weight_matching(g)]
+    if sum(i < m for pair in mate for i in pair) != m:
+        raise MatchingError("defects cannot be matched (no boundary path)")
+    return [(comp[i], None if j >= m else comp[j]) for i, j in mate if i < m]
 
 
 def decode_correlated_two_pass(

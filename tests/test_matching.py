@@ -3,7 +3,9 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from ghostdec.builders import (NoiseParams, apply_noise_model, build_memory_circ
 from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import extract_dem
 from ghostdec.matching import (MatchingError, MatchingGraph, GraphEdge,
+                               _partner_overrides, _shortest_paths,
                                build_matching_graph, decode_correlated_two_pass,
                                decode_mwpm, edge_weight)
+from ghostdec.patience import plan_patience
 from ghostdec.verify import brute_force_ml_decode
 from ghostdec.windows import WindowConfig, plan_tproxy_windows
 
@@ -302,3 +306,185 @@ def test_overrides_pick_parallel_edges_like_a_full_rebuild():
                 w = over.get(want, g.edges[want].weight)
                 assert dense[u, v] == dense[v, u] == w
     assert parallel > 500
+
+
+# -- pruned, split matching against one blossom over every defect --------------------
+
+def full_graph_objective(graph, syndrome, overrides=None):
+    """Optimum of one blossom over every defect, each with a boundary copy,
+    the copies joined at zero weight; None when no matching exists."""
+    nodes = [graph.routes.node[d] for d in graph.detectors if syndrome[d]]
+    dist = _shortest_paths(graph, nodes, overrides)[0]
+    k = len(nodes)
+    g = nx.Graph()
+    g.add_nodes_from(range(2 * k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            if np.isfinite(dist[i, nodes[j]]):
+                g.add_edge(i, j, weight=dist[i, nodes[j]])
+            g.add_edge(k + i, k + j, weight=0.0)
+        if np.isfinite(dist[i, graph.boundary]):
+            g.add_edge(i, k + i, weight=dist[i, graph.boundary])
+    mate = [(min(a, b), max(a, b)) for a, b in nx.min_weight_matching(g)]
+    if sum(a < k for pair in mate for a in pair) != k:
+        return None
+    return math.fsum(dist[a, graph.boundary if b >= k else nodes[b]]
+                     for a, b in mate if a < k)
+
+
+def matched_objective(graph, corr, overrides=None):
+    """The optimizer's weight of a correction: its edges' routing weights."""
+    over = overrides or {}
+    return math.fsum(over.get(i, graph.edges[i].weight) for i in corr.edges)
+
+
+def assert_reproduces(graph, corr, syndrome):
+    flips = np.zeros(graph.boundary + 1, dtype=int)
+    for i in corr.edges:
+        flips[graph.edges[i].u] ^= 1
+        flips[graph.edges[i].v] ^= 1
+    assert [graph.detectors[v] for v in np.flatnonzero(flips[:-1])] == \
+        [d for d in graph.detectors if syndrome[d]]
+
+
+def count_blossoms(monkeypatch):
+    calls = []
+    blossom = nx.min_weight_matching
+
+    def counted(g, *args, **kwargs):
+        calls.append(g.number_of_nodes())
+        return blossom(g, *args, **kwargs)
+    monkeypatch.setattr(nx, "min_weight_matching", counted)
+    return calls
+
+
+def test_split_matching_has_the_full_graph_optimum(monkeypatch):
+    dem, dec = memory_model(d=7, rounds=7, p=5e-3)
+    gx, gz = class_graph(dec, 0, "X"), class_graph(dec, 0, "Z")
+    rng = np.random.default_rng(9)
+    blossoms = count_blossoms(monkeypatch)
+    split_nodes = full_nodes = overridden = 0
+    for _ in range(100):
+        syndrome = np.zeros(dem.detector_count, dtype=bool)
+        for g in (gx, gz):
+            k = int(rng.integers(4, 26))
+            syndrome[list(rng.choice(g.detectors, size=k, replace=False))] = True
+        first = {g.cls: decode_mwpm(g, syndrome) for g in (gx, gz)}
+        overrides = {"X": _partner_overrides(first["Z"], gz, gx),
+                     "Z": _partner_overrides(first["X"], gx, gz)}
+        for g in (gx, gz):
+            for over in (None, overrides[g.cls]):
+                blossoms.clear()
+                corr = decode_mwpm(g, syndrome, over)
+                split_nodes += sum(blossoms)
+                assert_reproduces(g, corr, syndrome)
+                blossoms.clear()
+                want = full_graph_objective(g, syndrome, over)
+                full_nodes += sum(blossoms)
+                assert matched_objective(g, corr, over) == pytest.approx(
+                    want, rel=1e-9)
+                overridden += bool(over)
+    assert overridden > 150
+    # components of 3+ defects still reach blossom, on fewer nodes
+    assert 0 < split_nodes < full_nodes
+
+
+def test_closed_graphs_fail_exactly_where_the_full_graph_does():
+    # closing the temporal cut leaves every detector a spatial boundary
+    # path here, so the same graphs without boundary edges supply the
+    # syndromes that cannot be matched
+    dem, dec, _ = tproxy_model(d=3, n=2)
+    plan = plan_patience(dec, WindowConfig(), 3)
+    closed = {id(g): g for gs in plan.closed_graphs for g in gs.values()
+              if g.detectors}.values()
+    rng = np.random.default_rng(3)
+    outcomes = Counter()
+    for g in closed:
+        walled = dataclasses.replace(g, edges=tuple(
+            e for e in g.edges if e.v != g.boundary))
+        for graph in (g, walled):
+            for _ in range(20):
+                k = min(int(rng.integers(1, 7)), len(g.detectors))
+                syndrome = np.zeros(dem.detector_count, dtype=bool)
+                syndrome[list(rng.choice(g.detectors, size=k,
+                                         replace=False))] = True
+                want = full_graph_objective(graph, syndrome)
+                if want is None:
+                    with pytest.raises(MatchingError):
+                        decode_mwpm(graph, syndrome)
+                else:
+                    corr = decode_mwpm(graph, syndrome)
+                    assert matched_objective(graph, corr) == pytest.approx(
+                        want, rel=1e-9)
+                outcomes[graph is walled, want is None] += 1
+    assert outcomes[False, True] == 0
+    assert outcomes[True, True] > 50 and outcomes[True, False] > 50
+
+
+# -- the closed-form rules on hand-made graphs ---------------------------------------
+
+def chain_graph(boundary_weight):
+    """Detectors 0-1-2 in a chain of weight-1 edges; when boundary_weight is
+    not None, 0 reaches the boundary (3) flipping observable 0, and 2
+    reaches it flipping observable 1."""
+    edges = [GraphEdge(0, 1, 1.0, (0,), (), "normal", None),
+             GraphEdge(1, 2, 1.0, (1,), (), "normal", None)]
+    if boundary_weight is not None:
+        edges += [GraphEdge(0, 3, boundary_weight, (2,), (0,), "normal", None),
+                  GraphEdge(2, 3, boundary_weight, (3,), (1,), "normal", None)]
+    return MatchingGraph(0, "Z", (0, 1, 2), tuple(edges))
+
+
+def no_blossom(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed-form components need no blossom")
+    monkeypatch.setattr(nx, "min_weight_matching", refuse)
+
+
+def test_lone_defect_goes_to_the_boundary(monkeypatch):
+    no_blossom(monkeypatch)
+    corr = decode_mwpm(chain_graph(1.0), np.array([True, False, False]))
+    assert (corr.edges, corr.observables, corr.weight) == ((2,), (0,), 1.0)
+
+
+def test_close_pair_is_matched_together(monkeypatch):
+    no_blossom(monkeypatch)
+    corr = decode_mwpm(chain_graph(5.0), np.array([True, True, False]))
+    assert (corr.edges, corr.observables, corr.weight) == ((0,), (), 1.0)
+
+
+def test_pair_routed_through_the_boundary_takes_two_legs(monkeypatch):
+    # the shortest path from 0 to 2 runs through the boundary, so the
+    # pair is dropped and each defect takes its own leg: the same edges
+    # and observables as the path through the boundary node
+    g = chain_graph(0.75)
+    from0, from2 = _shortest_paths(g, [0, 2], None)[0]
+    assert from0[2] == from0[3] + from2[3] == 1.5
+    no_blossom(monkeypatch)
+    corr = decode_mwpm(g, np.array([True, False, True]))
+    assert (corr.edges, corr.observables, corr.weight) == ((2, 3), (0, 1), 1.5)
+
+
+def test_pairs_through_the_boundary_do_not_join_components(monkeypatch):
+    # two close pairs whose cross pairs all route through the boundary:
+    # two closed-form components, not one component of four
+    edges = [GraphEdge(0, 1, 1.0, (0,), (), "normal", None),
+             GraphEdge(2, 3, 1.0, (1,), (), "normal", None)]
+    edges += [GraphEdge(v, 4, 2.0, (2 + v,), (0,), "normal", None)
+              for v in range(4)]
+    g = MatchingGraph(0, "Z", (0, 1, 2, 3), tuple(edges))
+    no_blossom(monkeypatch)
+    corr = decode_mwpm(g, np.ones(4, dtype=bool))
+    assert (corr.edges, corr.observables, corr.weight) == ((0, 1), (), 2.0)
+
+
+def test_closed_boundary_odd_component_raises(monkeypatch):
+    g = chain_graph(None)
+    blossoms = count_blossoms(monkeypatch)
+    for defects in ([True, False, False], [True, True, True]):
+        with pytest.raises(MatchingError, match="no boundary path"):
+            decode_mwpm(g, np.array(defects))
+    # an even pair needs no boundary; it matches along the chain
+    corr = decode_mwpm(g, np.array([True, False, True]))
+    assert (corr.edges, corr.observables, corr.weight) == ((0, 1), (), 2.0)
+    assert blossoms == [6]
