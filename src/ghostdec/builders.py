@@ -40,9 +40,6 @@ from .circuits import (Circuit, CircuitError, Instruction, QubitDecl,
 _ORDER_X = ((-1, -1), (0, -1), (-1, 0), (0, 0))
 _ORDER_Z = ((-1, -1), (-1, 0), (0, -1), (0, 0))
 
-_ROT_DATA = "rotate data grid"
-
-
 def _rot_data(g: tuple[int, int], d: int) -> tuple[int, int]:
     i, j = g
     return (j, d - 1 - i)
@@ -552,18 +549,14 @@ def apply_noise_model(circuit: Circuit, noise: NoiseParams) -> Circuit:
             active.update(touched)
             if touched:
                 gate_tick = True
-            if ins.op in GATES_1Q and p1 > 0:
+            if ins.op in GATES_1Q or ins.op in RESETS:
                 out.append(Instruction("DEPOL1", ins.targets, arg=p1))
-            elif ins.op in GATES_2Q and p2 > 0:
+            elif ins.op in GATES_2Q:
                 out.append(Instruction("DEPOL2", ins.targets, arg=p2))
-            elif ins.op in RESETS and p1 > 0:
-                out.append(Instruction("DEPOL1", ins.targets, arg=p1))
             elif ins.op == "MEAS_Z":
-                if pf > 0:
-                    out.append(Instruction("MEAS_FLIP", ins.targets, arg=pf))
-                if p1 > 0:
-                    out.append(Instruction("DEPOL1", ins.targets, arg=p1))
-        if not gate_tick or p1 == 0:
+                out.append(Instruction("MEAS_FLIP", ins.targets, arg=pf))
+                out.append(Instruction("DEPOL1", ins.targets, arg=p1))
+        if not gate_tick:
             continue
         has_mpp = any(ins.op == "MPP" for ins in circuit.instructions[a:z])
         if has_mpp:

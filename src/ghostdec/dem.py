@@ -171,12 +171,10 @@ def extract_dem(circuit: Circuit, check: bool = True) -> DetectorErrorModel:
 
 
 def _bits(v: int):
-    i = 0
     while v:
-        if v & 1:
-            yield i
-        v >>= 1
-        i += 1
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
 
 
 def _detector_metadata(circuit: Circuit):

@@ -16,7 +16,6 @@ frame to form the logical answer.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,9 +121,9 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
             sent = []
             if not final:
                 for g, c in ((gx, corr_x), (gz, corr_z)):
-                    # each net-selected witness edge commits its pair
-                    for i, n in sorted(Counter(c.edges).items()):
-                        if n % 2 and g.edges[i].role == "ghost_e":
+                    # each selected witness edge commits its pair
+                    for i in c.edges:
+                        if g.edges[i].role == "ghost_e":
                             sent.append(g.edges[i].pair_id)
                 barrier.extend(sent)
             if collect_trace:

@@ -12,15 +12,16 @@ pairs from Y-type faults are recovered.
 
 A `MatchingGraph` is plain data: detectors and edges, each edge with
 its cross-class partners.  Everything a decode derives from them lives
-in one `Routes` object, built on the graph's first decode and kept.
-Base and reweighted decodes pick the lightest parallel edge by one
-rule and fill one fixed matrix layout.
+in one `Routes` object, built on the graph's first decode and kept;
+its base shortest paths are computed whole, from every node, when it
+is built, so decoding reads them and writes no graph state.  Base and
+reweighted decodes pick the lightest parallel edge by one rule and
+fill one fixed matrix layout.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,8 +117,11 @@ class Routes:
                               for ids in self.key_edges], dtype=int)
         self.key_weight = np.array([edges[ei].weight for ei in self.best],
                                    dtype=float)
-        self.matrix = self.fill(self.key_weight)
-        self.rows: dict[int, tuple] = {}   # base Dijkstra rows by source
+        # base routes never change, and decodes reach nearly every node
+        # of a graph, so every row is computed once, here
+        self.dist, self.pred = dijkstra(self.fill(self.key_weight),
+                                        directed=True, indices=np.arange(n),
+                                        return_predecessors=True)
 
     def fill(self, key_weight: np.ndarray) -> csr_matrix:
         """The routing matrix with each key's weight in both directions."""
@@ -201,36 +205,30 @@ def _partners(comps) -> tuple[tuple[int, float], ...]:
 
 @dataclass(frozen=True)
 class Correction:
-    """Edge multiset explaining one class graph's defects."""
+    """Edge set explaining one class graph's defects.
 
-    edges: tuple[int, ...]        # edge indices; repeats cancel mod 2
-    weight: float
-    observables: tuple[int, ...]  # odd-multiplicity observable flips
+    Matched paths combine mod 2, so an edge is either in the correction
+    or not; with positive weights the paths of an exact matching share
+    no edge anyway, since two paths sharing edge e could be rerouted
+    around it for 2 w(e) less.
+    """
+
+    edges: tuple[int, ...]        # distinct edge indices, sorted
+    weight: float                 # fsum of those edges' weights
+    observables: tuple[int, ...]  # observables flipped an odd number of times
     defects: tuple[int, ...]      # global detector ids that were matched
 
 
 def _shortest_paths(graph: MatchingGraph, sources, overrides):
-    """Dijkstra over local nodes; returns (dist, pred, edge per key)."""
+    """Routes from local source nodes: the rows built with the graph, or
+    a Dijkstra on reweighted edges; returns (dist, pred, edge per key)."""
     routes = graph.routes
     if overrides:
         mat, best = routes.reweighted(overrides)
         dist, pred = dijkstra(mat, directed=True, indices=sources,
                               return_predecessors=True)
         return dist, pred, best
-    # routes from a given defect node never change without overrides,
-    # so rows are computed once per graph and reassembled per call
-    cache = routes.rows
-    missing = [s for s in sources if s not in cache]
-    if missing:
-        if len(cache) > 4096:
-            cache.clear()
-        dist, pred = dijkstra(routes.matrix, directed=True,
-                              indices=missing, return_predecessors=True)
-        for i, s in enumerate(missing):
-            cache[s] = (dist[i], pred[i])
-    dist = np.stack([cache[s][0] for s in sources])
-    pred = np.stack([cache[s][1] for s in sources])
-    return dist, pred, routes.best
+    return routes.dist[sources], routes.pred[sources], routes.best
 
 
 def _walk(pred_row, routes, best, src_pos, target):
@@ -271,10 +269,10 @@ def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,
         if routes.indptr[v] == routes.indptr[v + 1]:
             raise MatchingError(f"defect detector {d} has no incident edges")
     dist, pred, best = _shortest_paths(graph, nodes, weight_overrides)
-    chosen: list[int] = []
+    chosen: set[int] = set()
     for a, b in _match(dist[:, nodes], dist[:, graph.boundary]):
         target = graph.boundary if b is None else nodes[b]
-        chosen.extend(_walk(pred[a], routes, best, nodes[a], target))
+        chosen ^= set(_walk(pred[a], routes, best, nodes[a], target))
     # report true log-likelihood weight even when the optimizer ran on
     # correlation-discounted weights
     total = math.fsum(graph.edges[i].weight for i in chosen)
@@ -381,9 +379,7 @@ def _partner_overrides(corr: Correction, src_graph: MatchingGraph,
                        dst_graph: MatchingGraph) -> dict[int, float]:
     """Discounted weights for the partners of a correction's live edges."""
     trigger: dict[int, float] = {}
-    for i, n in Counter(corr.edges).items():
-        if n % 2 == 0:
-            continue
+    for i in corr.edges:
         for comp, p in src_graph.edges[i].partners:
             target = dst_graph.routes.edge_of_component.get(comp)
             if target is not None:

@@ -101,8 +101,11 @@ def herald_complementary(window: Window, syndrome: np.ndarray,
 
     ``graphs`` are the window's graphs built without open-boundary
     edges.  Error strings may no longer terminate at the cut; a
-    differing answer, or an infeasible matching (defects stranded
-    without their boundary), heralds a likely windowing failure.
+    differing answer heralds a likely windowing failure.  Closing the
+    cut keeps every spatial boundary edge, so on the builders' models
+    each detector still reaches the boundary and the matching is always
+    feasible; the ``MatchingError`` branch only guards a model where a
+    defect is stranded, and heralds it too.
     """
     try:
         res = run_ghost_protocol(window.decomposed, syndrome,
@@ -144,9 +147,8 @@ def plan_patience(decomposed: DecomposedDEM, config: WindowConfig,
     radius = config.n_buf + 2
     extended = None
     if delay:
-        cache: dict = {}
         extended = tuple(build_window(decomposed, None,
-                                      gate.decision_round + delay, cache)
+                                      gate.decision_round + delay)
                          for gate in base.gates)
     closed = tuple(build_protocol_graphs(w.decomposed,
                                          exclude_open_boundary=True)
@@ -159,7 +161,9 @@ def plan_patience(decomposed: DecomposedDEM, config: WindowConfig,
 @dataclass
 class PatientShot:
     decisions: np.ndarray        # final per-observable answers
-    base_decisions: np.ndarray   # what the undelayed pipeline said
+    # each gate's answer before its own retry, decoded on the state
+    # carried from the earlier gates' final answers
+    base_decisions: np.ndarray
     heralds: tuple[HeraldResult, ...]
 
 

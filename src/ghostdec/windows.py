@@ -22,7 +22,6 @@ refinement toggles stay valid across windows.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,13 +113,10 @@ class Window:
     graphs: dict               # protocol graphs of the sliced model
 
 
-def build_window(decomposed: DecomposedDEM, lo: int | None, hi: int,
-                 cache: dict) -> Window:
-    """Slice and build graphs once per (lo, hi) cut held in ``cache``."""
-    if (lo, hi) not in cache:
-        sliced = _slice_components(decomposed, lo, hi)
-        cache[lo, hi] = Window(lo, hi, sliced, build_protocol_graphs(sliced))
-    return cache[lo, hi]
+def build_window(decomposed: DecomposedDEM, lo: int | None, hi: int) -> Window:
+    """Slice the model to the (lo, hi) cut and build its graphs."""
+    sliced = _slice_components(decomposed, lo, hi)
+    return Window(lo, hi, sliced, build_protocol_graphs(sliced))
 
 
 def patch_last_round(dem: DetectorErrorModel) -> dict[int, int]:
@@ -182,13 +178,12 @@ def plan_tproxy_windows(decomposed: DecomposedDEM,
 
     A horizon beyond the surviving patch's last round is an error unless
     it swallows the whole circuit, which degenerates to the global
-    problem.  Windows are shared between gates with the same horizon.
+    problem.
     """
     dem = decomposed.dem
     gates = tproxy_gates(dem, config)
     last = patch_last_round(dem)
     global_max = max(dem.detector_time, default=0)
-    cache: dict = {}
     windows = []
     for gate in gates:
         if last[gate.patch] < gate.decision_round < global_max:
@@ -196,8 +191,7 @@ def plan_tproxy_windows(decomposed: DecomposedDEM,
                 f"decision round {gate.decision_round} runs past the syndrome "
                 f"available on patch {gate.patch} "
                 f"(last round {last[gate.patch]})")
-        windows.append(build_window(decomposed, None, gate.decision_round,
-                                    cache))
+        windows.append(build_window(decomposed, None, gate.decision_round))
     return TproxyPlan(config, gates, tuple(windows))
 
 
@@ -316,11 +310,10 @@ def plan_memory_windows(decomposed: DecomposedDEM, commit_rounds: int,
     if not time:
         raise WindowError("model has no detectors")
     lo, t_end = min(time), max(time)
-    cache: dict = {}
     windows = []
     while True:
         hi = min(lo + commit_rounds + buffer_rounds - 1, t_end)
-        windows.append(build_window(decomposed, lo, hi, cache))
+        windows.append(build_window(decomposed, lo, hi))
         if hi == t_end:
             return MemoryPlan(commit_rounds, tuple(windows))
         lo += commit_rounds
@@ -349,9 +342,7 @@ def decode_memory_sliding(decomposed: DecomposedDEM, syndrome: np.ndarray,
                                  collect_trace=False)
         for (patch, cls), corr in res.corrections.items():
             g = w.graphs[patch, cls, False]
-            for ei, n in sorted(Counter(corr.edges).items()):
-                if n % 2 == 0:
-                    continue
+            for ei in corr.edges:
                 e = g.edges[ei]
                 dets = [g.detectors[e.u]]
                 if e.v < g.boundary:

@@ -17,7 +17,7 @@ from ghostdec.matching import (MatchingError, MatchingGraph, GraphEdge,
                                _partner_overrides, _shortest_paths,
                                build_matching_graph, decode_correlated_two_pass,
                                decode_mwpm, edge_weight)
-from ghostdec.patience import plan_patience
+from ghostdec.patience import patience_delay, plan_patience
 from ghostdec.verify import brute_force_ml_decode
 from ghostdec.windows import WindowConfig, plan_tproxy_windows
 
@@ -38,9 +38,10 @@ def memory_model(d=3, rounds=2, p=0.002):
     return dem, ghost_decompose(dem)
 
 
-def tproxy_model(d=3, n=1, p=0.001):
+def tproxy_model(d=3, n=1, p=0.001, extra_rounds=0):
     """A teleportation-proxy model and its patch ids."""
-    dem = extract_dem(apply_noise_model(build_tproxy_circuit(d, n), NoiseParams(p)))
+    dem = extract_dem(apply_noise_model(
+        build_tproxy_circuit(d, n, extra_rounds=extra_rounds), NoiseParams(p)))
     return dem, ghost_decompose(dem), sorted(set(dem.detector_patch))
 
 
@@ -378,6 +379,9 @@ def test_split_matching_has_the_full_graph_optimum(monkeypatch):
                 corr = decode_mwpm(g, syndrome, over)
                 split_nodes += sum(blossoms)
                 assert_reproduces(g, corr, syndrome)
+                assert list(corr.edges) == sorted(set(corr.edges))
+                assert corr.weight == math.fsum(g.edges[i].weight
+                                                for i in corr.edges)
                 blossoms.clear()
                 want = full_graph_objective(g, syndrome, over)
                 full_nodes += sum(blossoms)
@@ -389,14 +393,28 @@ def test_split_matching_has_the_full_graph_optimum(monkeypatch):
     assert 0 < split_nodes < full_nodes
 
 
+def closed_graphs(plan):
+    """The distinct patience closed-boundary graphs that have detectors."""
+    return {id(g): g for gs in plan.closed_graphs for g in gs.values()
+            if g.detectors}.values()
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_closed_graphs_keep_a_boundary_path_from_every_detector(d):
+    # closing the temporal cut keeps every spatial boundary edge, so the
+    # complementary herald's closed decode can always match its defects
+    dec = tproxy_model(d=d, n=2, extra_rounds=patience_delay(d))[1]
+    closed = closed_graphs(plan_patience(dec, WindowConfig(), d))
+    assert len(closed) > 4
+    for g in closed:
+        assert np.isfinite(g.routes.dist[:, g.boundary]).all()
+
+
 def test_closed_graphs_fail_exactly_where_the_full_graph_does():
-    # closing the temporal cut leaves every detector a spatial boundary
-    # path here, so the same graphs without boundary edges supply the
-    # syndromes that cannot be matched
+    # the closed graphs always reach the boundary, so the same graphs
+    # without boundary edges supply the syndromes that cannot be matched
     dem, dec, _ = tproxy_model(d=3, n=2)
-    plan = plan_patience(dec, WindowConfig(), 3)
-    closed = {id(g): g for gs in plan.closed_graphs for g in gs.values()
-              if g.detectors}.values()
+    closed = closed_graphs(plan_patience(dec, WindowConfig(), 3))
     rng = np.random.default_rng(3)
     outcomes = Counter()
     for g in closed:

@@ -43,7 +43,7 @@ def test_full_horizon_windowed_equals_global():
     graphs = build_protocol_graphs(dec)
     # every gate's horizon lies at the last round: one global window
     gates = tproxy_gates(dem, CONFIG)
-    window = build_window(dec, None, max(dem.detector_time), {})
+    window = build_window(dec, None, max(dem.detector_time))
     plan = TproxyPlan(CONFIG, gates, (window,) * len(gates))
     dets, _ = sample_dem(dem, seed=3, shots=200)
     assert dets.any(axis=1).sum() > 150
