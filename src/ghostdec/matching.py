@@ -4,11 +4,13 @@ Each patch is decoded as two independent class graphs (cells that
 measure ZZZZ catch bit flips, cells that measure XXXX catch phase
 flips).  Defects are matched pairwise or to a virtual boundary node,
 exactly, over shortest-path distances: pairs whose shortest path runs
-through the boundary are dropped, the defects split into components
-joined by the pairs that stay, lone defects and pairs are solved in
-closed form and only larger components go to blossom matching.  A
-two-pass scheme reweights cross-class partner edges so correlated
-pairs from Y-type faults are recovered.
+through the boundary are dropped, and the defects split into components
+joined by the pairs that stay.  Each component has its own solver by
+size: lone defects and pairs are solved in closed form, components of
+up to DP_MAX defects by an exact DP over bitmasks of their defects, and
+larger ones by blossom matching.  A two-pass scheme reweights
+cross-class partner edges so correlated pairs from Y-type faults are
+recovered.
 
 A `MatchingGraph` is plain data: detectors and edges, each edge with
 its cross-class partners.  Everything a decode derives from them lives
@@ -41,6 +43,12 @@ CORRELATION_SCALE = 0.01
 # relative slack, for float summation order, when a pair's distance is
 # compared with its two boundary legs
 PRUNE_TOL = 1e-9
+
+# components of 3 to DP_MAX defects are matched by an exact bitmask DP,
+# larger ones by blossom: up to this size the DP is no slower than
+# blossom even when every pair of the component is kept (it then meets
+# 2,584 masks at most)
+DP_MAX = 16
 
 
 class MatchingError(CircuitError):
@@ -253,9 +261,8 @@ def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,
     only this graph's detectors are consulted.  Each defect either pairs
     with another or takes its own path to the boundary, so odd defect
     parity is absorbed by the boundary when reachable.  Pairs routed
-    through the boundary are dropped, what stays splits into independent
-    components, and only components of three or more defects need
-    blossom matching.
+    through the boundary are dropped and what stays splits into
+    independent components, each matched exactly by `_match`.
     """
     if graph.detectors and len(syndrome) <= graph.detectors[-1]:
         raise MatchingError(f"syndrome of length {len(syndrome)} does not "
@@ -300,7 +307,10 @@ def _match(pair_dist: np.ndarray, boundary_dist: np.ndarray):
     The boundary is a node of the routing graph, so a pair never costs
     more than its two boundary legs; a pair costing as much is routed
     through the boundary and is dropped.  The boundary takes any number
-    of legs, so defects joined by no kept pair never interact.
+    of legs, so defects joined by no kept pair never interact: each
+    component of kept pairs is solved alone, in closed form for one or
+    two defects, by `_exact_dp` up to DP_MAX defects and by `_blossom`
+    above.
     """
     k = len(boundary_dist)
     legs = boundary_dist[:, None] + boundary_dist[None, :]
@@ -331,8 +341,58 @@ def _match(pair_dist: np.ndarray, boundary_dist: np.ndarray):
             mate.append((comp[0], None))
         else:
             inside = set(comp)
-            mate.extend(_blossom(comp, [p for p in pairs if p[0] in inside],
-                                 pair_dist, boundary_dist))
+            solve = _exact_dp if len(comp) <= DP_MAX else _blossom
+            mate.extend(solve(comp, [p for p in pairs if p[0] in inside],
+                              pair_dist, boundary_dist))
+    return mate
+
+
+def _exact_dp(comp, pairs, pair_dist, boundary_dist):
+    """Exact matching of one component over bitmasks of its free defects.
+
+    The lowest free defect either takes its boundary leg or pairs with a
+    free kept partner, whichever is cheaper; strict < keeps the first of
+    equal moves, the boundary leg before partners in ascending order.
+    """
+    m = len(comp)
+    local = {a: i for i, a in enumerate(comp)}
+    legs = [float(boundary_dist[a]) for a in comp]
+    partners: list[list[tuple[int, float]]] = [[] for _ in range(m)]
+    for a, b in pairs:
+        partners[local[a]].append((1 << local[b], float(pair_dist[a, b])))
+    # optimal cost of each free mask met, and the partner bit its lowest
+    # defect takes (0: its boundary leg)
+    cost_of = {0: 0.0}
+    move_of = {}
+
+    def solve(mask):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        rest = mask ^ low
+        cost, move = math.inf, 0
+        if legs[i] < math.inf:
+            c = cost_of.get(rest)
+            cost = legs[i] + (solve(rest) if c is None else c)
+        for bit, w in partners[i]:
+            if rest & bit:
+                c = cost_of.get(rest ^ bit)
+                c = w + (solve(rest ^ bit) if c is None else c)
+                if c < cost:
+                    cost, move = c, bit
+        cost_of[mask] = cost
+        move_of[mask] = move
+        return cost
+
+    mask = (1 << m) - 1
+    if solve(mask) == math.inf:
+        raise MatchingError("defects cannot be matched (no boundary path)")
+    mate = []
+    while mask:
+        low = mask & -mask
+        move = move_of[mask]
+        mate.append((comp[low.bit_length() - 1],
+                     comp[move.bit_length() - 1] if move else None))
+        mask ^= low | move
     return mate
 
 

@@ -13,10 +13,11 @@ from ghostdec.builders import (NoiseParams, apply_noise_model, build_memory_circ
                                build_tproxy_circuit)
 from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import extract_dem
-from ghostdec.matching import (MatchingError, MatchingGraph, GraphEdge,
-                               _partner_overrides, _shortest_paths,
-                               build_matching_graph, decode_correlated_two_pass,
-                               decode_mwpm, edge_weight)
+from ghostdec.matching import (DP_MAX, MatchingError, MatchingGraph, GraphEdge,
+                               _blossom, _exact_dp, _match, _partner_overrides,
+                               _shortest_paths, build_matching_graph,
+                               decode_correlated_two_pass, decode_mwpm,
+                               edge_weight)
 from ghostdec.patience import patience_delay, plan_patience
 from ghostdec.verify import brute_force_ml_decode
 from ghostdec.windows import WindowConfig, plan_tproxy_windows
@@ -389,7 +390,7 @@ def test_split_matching_has_the_full_graph_optimum(monkeypatch):
                     want, rel=1e-9)
                 overridden += bool(over)
     assert overridden > 150
-    # components of 3+ defects still reach blossom, on fewer nodes
+    # components above DP_MAX still reach blossom, on fewer nodes
     assert 0 < split_nodes < full_nodes
 
 
@@ -498,11 +499,77 @@ def test_pairs_through_the_boundary_do_not_join_components(monkeypatch):
 
 def test_closed_boundary_odd_component_raises(monkeypatch):
     g = chain_graph(None)
-    blossoms = count_blossoms(monkeypatch)
+    no_blossom(monkeypatch)
     for defects in ([True, False, False], [True, True, True]):
         with pytest.raises(MatchingError, match="no boundary path"):
             decode_mwpm(g, np.array(defects))
     # an even pair needs no boundary; it matches along the chain
     corr = decode_mwpm(g, np.array([True, False, True]))
     assert (corr.edges, corr.observables, corr.weight) == ((0, 1), (), 2.0)
-    assert blossoms == [6]
+    # the smallest odd closed chain above DP_MAX raises through blossom
+    monkeypatch.undo()
+    n = DP_MAX + 1 + DP_MAX % 2
+    chain = MatchingGraph(0, "Z", tuple(range(n)), tuple(
+        GraphEdge(v, v + 1, 1.0, (v,), (), "normal", None)
+        for v in range(n - 1)))
+    blossoms = count_blossoms(monkeypatch)
+    with pytest.raises(MatchingError, match="no boundary path"):
+        decode_mwpm(chain, np.ones(n, dtype=bool))
+    assert blossoms == [2 * n]
+
+
+# -- the exact DP against blossom on random components -------------------------------
+
+def random_component(m, rng, complete, closed):
+    """(pair_dist, boundary_dist, kept pairs) of m defects joined into one
+    component by kept pairs: every pair, or a random path plus a few more.
+    Every boundary leg is infinite when closed, else about a fifth."""
+    legs = rng.uniform(2.0, 6.0, m)
+    legs[closed | (rng.random(m) < 0.2)] = np.inf
+    kept = np.ones((m, m), dtype=bool) if complete else rng.random((m, m)) < 0.1
+    order = rng.permutation(m)
+    kept[order[:-1], order[1:]] = True
+    kept = np.triu(kept | kept.T, 1)
+    both = legs[:, None] + legs[None, :]
+    pair_dist = np.where(kept, rng.uniform(0.3, 0.98, (m, m))
+                         * np.minimum(both, 12.0), both)
+    pair_dist = np.triu(pair_dist, 1) + np.triu(pair_dist, 1).T
+    return pair_dist, legs, np.argwhere(kept).tolist()
+
+
+def solved_objective(solve, pairs, pair_dist, legs):
+    """A solver's objective on one whole component, None when it raises
+    "no boundary path"; each defect is matched once, over kept pairs or
+    finite legs."""
+    try:
+        mate = solve(list(range(len(legs))), pairs, pair_dist, legs)
+    except MatchingError as exc:
+        assert "no boundary path" in str(exc)
+        return None
+    assert sorted(d for a, b in mate for d in (a, b) if d is not None) == \
+        list(range(len(legs)))
+    assert all([a, b] in pairs for a, b in mate if b is not None)
+    return math.fsum(legs[a] if b is None else pair_dist[a, b]
+                     for a, b in mate)
+
+
+@pytest.mark.parametrize("m", range(3, DP_MAX + 3))
+def test_exact_dp_has_the_blossom_optimum(monkeypatch, m):
+    rng = np.random.default_rng(m)
+    blossoms = count_blossoms(monkeypatch)
+    infeasible = 0
+    for complete in (False, True):
+        for closed in (False, False, False, True):
+            pair_dist, legs, pairs = random_component(m, rng, complete, closed)
+            want = solved_objective(_blossom, pairs, pair_dist, legs)
+            infeasible += want is None
+            for solve in (_exact_dp, lambda *_: _match(pair_dist, legs)):
+                blossoms.clear()
+                got = solved_objective(solve, pairs, pair_dist, legs)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got == pytest.approx(want, rel=1e-9)
+            # through _match, the component reaches blossom only above DP_MAX
+            assert blossoms == ([2 * m] if m > DP_MAX else [])
+    # both closed components of an odd size cannot be matched
+    assert infeasible >= 2 * (m % 2)
