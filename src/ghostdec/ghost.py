@@ -33,13 +33,21 @@ PASSES = 4
 EXPOSED_PASS = 1
 
 
+@dataclass(frozen=True)
+class PassRecord:
+    """One protocol pass, kept when ``collect_trace`` is set."""
+
+    corrections: dict  # (patch, cls) -> (MatchingGraph, Correction)
+    committed: list    # ghost-pair ids its barrier applied, in order
+
+
 @dataclass
 class GhostResult:
     corrections: dict          # (patch, cls) -> final Correction
     logical_flips: np.ndarray  # bool, observable space (frame delta + final)
     frame_delta: np.ndarray    # bool, observable flips of net-toggled commits
     refinement_delta: np.ndarray  # bool, detector flips of net-toggled commits
-    trace: list = field(default_factory=list)
+    trace: list[PassRecord] = field(default_factory=list)
     passes_with_commits: int = 0
 
 
@@ -72,100 +80,68 @@ def build_protocol_graphs(decomposed: DecomposedDEM,
 
 def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
                        graphs: dict,
-                       collect_trace: bool = True) -> GhostResult:
+                       collect_trace: bool = False) -> GhostResult:
     """Decode all patches of one decomposed model against one syndrome.
 
     ``graphs`` are the model's :func:`build_protocol_graphs`.  The
-    returned deltas describe only the net toggles made here.
+    returned deltas describe only the net toggles made here; with
+    ``collect_trace`` the result also keeps one :class:`PassRecord` per
+    pass.
     """
     dem = decomposed.dem
     if len(syndrome) != dem.detector_count:
         raise ProtocolError("syndrome length does not match detector count")
     patches = sorted({p for p, _, _ in graphs})
-    working = np.array(syndrome, dtype=bool, copy=True)
+    working = np.array(syndrome, dtype=bool)
     frame_delta = np.zeros(dem.observable_count, dtype=bool)
-    refinement_delta = np.zeros(dem.detector_count, dtype=bool)
-    trace: list = []
+    trace: list[PassRecord] = []
     comps = decomposed.components
     passes_with_commits = 0
-    corrections = {}
 
     # passes repeat the same matching problem until a barrier actually
     # changes the working syndrome, so a quiet pass reuses the last
     # decode of the same (X, Z) graph objects; a patch whose graphs have
     # no ghost singleton shares them across exposure states and is
     # decoded once per barrier state
-    version = 0
-    seen: dict[tuple[int, int], tuple[int, tuple]] = {}
+    seen: dict[tuple[int, int], tuple] = {}
 
     for k in range(1, PASSES + 1):
-        exposed = k == EXPOSED_PASS
         final = k == PASSES
-        barrier: list[int] = []        # pair ids committed this pass
+        decoded = {}                   # (patch, cls) -> (graph, correction)
         for patch in patches:
-            gx = graphs[patch, "X", exposed]
-            gz = graphs[patch, "Z", exposed]
+            gx = graphs[patch, "X", k == EXPOSED_PASS]
+            gz = graphs[patch, "Z", k == EXPOSED_PASS]
             key = (id(gx), id(gz))
-            cached = seen.get(key)
-            if cached is not None and cached[0] == version:
-                corr_x, corr_z = cached[1]
-            else:
-                corr_x, corr_z = decode_correlated_two_pass(gx, gz, working)
-                seen[key] = (version, (corr_x, corr_z))
-            if final:
-                for g, c in ((gx, corr_x), (gz, corr_z)):
-                    if any(g.edges[i].role == "ghost_s" for i in c.edges):
-                        raise ProtocolError("ghost singleton in final correction")
-                corrections[patch, "X"] = corr_x
-                corrections[patch, "Z"] = corr_z
-            sent = []
-            if not final:
-                for g, c in ((gx, corr_x), (gz, corr_z)):
-                    # each selected witness edge commits its pair
-                    for i in c.edges:
-                        if g.edges[i].role == "ghost_e":
-                            sent.append(g.edges[i].pair_id)
-                barrier.extend(sent)
-            if collect_trace:
-                trace.append(_trace_entry(k, patch, (gx, corr_x), (gz, corr_z),
-                                          sent, decomposed))
-        applied = []
-        for pid in barrier:
+            if key not in seen:
+                seen[key] = decode_correlated_two_pass(gx, gz, working)
+            corr_x, corr_z = seen[key]
+            for cls, g, c in (("X", gx, corr_x), ("Z", gz, corr_z)):
+                if final and any(g.edges[i].role == "ghost_s" for i in c.edges):
+                    raise ProtocolError("ghost singleton in final correction")
+                decoded[patch, cls] = (g, c)
+        # each selected witness edge commits its pair; the final pass is
+        # read-out only
+        committed = [] if final else [
+            g.edges[i].pair_id for g, c in decoded.values() for i in c.edges
+            if g.edges[i].role == "ghost_e"]
+        for pid in committed:
             pr = decomposed.pairs[pid]
             ge, gs = comps[pr.g_e], comps[pr.g_s]
-            flips = list(ge.detectors) + list(gs.detectors)
-            for d in flips:
+            for d in list(ge.detectors) + list(gs.detectors):
                 working[d] ^= True
-                refinement_delta[d] ^= True
             for j in set(ge.observables) ^ set(gs.observables):
                 frame_delta[j] ^= True
-            applied.append([gs.detectors[0], pid])
-        if applied:
+        if committed:
             passes_with_commits += 1
-            version += 1
-        if collect_trace and applied:
-            trace.append({"pass": k, "barrier": True, "applied": applied})
+            seen.clear()
+        if collect_trace:
+            trace.append(PassRecord(decoded, committed))
 
+    corrections = {key: c for key, (_, c) in decoded.items()}
     logical = frame_delta.copy()
     for corr in corrections.values():
         for j in corr.observables:
             logical[j] ^= True
+    refinement_delta = working ^ np.asarray(syndrome, dtype=bool)
     return GhostResult(corrections, logical, frame_delta, refinement_delta,
                        trace, passes_with_commits)
-
-
-def _trace_entry(k, patch, x_pair, z_pair, sent, decomposed):
-    """One patch's pass; ``sent`` holds its committed pair ids."""
-    entry = {"pass": k, "patch": patch, "weight": 0.0, "edges": [],
-             "committed": sorted(set(sent)), "sent": []}
-    for pid in sent:
-        gs = decomposed.components[decomposed.pairs[pid].g_s]
-        entry["sent"].append([gs.patch, gs.detectors[0], pid])
-    for g, corr in (x_pair, z_pair):
-        entry["weight"] += corr.weight
-        for i in corr.edges:
-            e = g.edges[i]
-            u = g.detectors[e.u]
-            v = g.detectors[e.v] if e.v < g.boundary else None
-            entry["edges"].append([g.cls, u, v, e.weight])
-    return entry

@@ -224,7 +224,6 @@ class Correction:
     edges: tuple[int, ...]        # distinct edge indices, sorted
     weight: float                 # fsum of those edges' weights
     observables: tuple[int, ...]  # observables flipped an odd number of times
-    defects: tuple[int, ...]      # global detector ids that were matched
 
 
 def _shortest_paths(graph: MatchingGraph, sources, overrides):
@@ -269,12 +268,9 @@ def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,
                             f"cover detector {graph.detectors[-1]}")
     defects = [d for d in graph.detectors if syndrome[d]]
     if not defects:
-        return Correction((), 0.0, (), ())
+        return Correction((), 0.0, ())
     routes = graph.routes
     nodes = [routes.node[d] for d in defects]
-    for d, v in zip(defects, nodes):
-        if routes.indptr[v] == routes.indptr[v + 1]:
-            raise MatchingError(f"defect detector {d} has no incident edges")
     dist, pred, best = _shortest_paths(graph, nodes, weight_overrides)
     chosen: set[int] = set()
     for a, b in _match(dist[:, nodes], dist[:, graph.boundary]):
@@ -296,8 +292,7 @@ def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,
     want[nodes] = True
     if not np.array_equal(flips, want):
         raise MatchingError("correction symptom does not reproduce defects")
-    return Correction(tuple(sorted(chosen)), total, tuple(sorted(obs)),
-                      tuple(defects))
+    return Correction(tuple(sorted(chosen)), total, tuple(sorted(obs)))
 
 
 def _match(pair_dist: np.ndarray, boundary_dist: np.ndarray):

@@ -24,7 +24,7 @@ import numpy as np
 from .circuits import CircuitError
 from .decompose import DecomposedDEM
 from .dem import DetectorErrorModel
-from .ghost import build_protocol_graphs, run_ghost_protocol
+from .ghost import PassRecord, build_protocol_graphs, run_ghost_protocol
 from .matching import MatchingError
 from .windows import (TproxyGate, TproxyPlan, Window, WindowConfig,
                       WindowError, build_window, carry_gates, patch_last_round,
@@ -71,27 +71,29 @@ def weight_growth_region(dem: DetectorErrorModel, gate: TproxyGate,
         and abs(dem.detector_time[d] - gate.decision_round) <= radius)
 
 
-def herald_weight_growth(trace: list, region: frozenset[int],
+def herald_weight_growth(trace: list[PassRecord], region: frozenset[int],
                          patch: int) -> bool:
     """True when the regional correction weight strictly grows.
 
-    Compares the first and final protocol passes of ``patch``, counting
+    Compares the first and final pass records of ``patch``, counting
     only correction edges touching a detector in ``region``.  A ghost
     flip committed by mistake shows up as a long correction string near
     the severance that was absent on the first pass.
     """
     if not trace:
         raise PatienceError("weight-growth herald needs a protocol trace")
-    per_pass: dict[int, float] = {}
-    for entry in trace:
-        if entry.get("barrier") or entry["patch"] != patch:
-            continue
-        w = sum(ew for _, u, v, ew in entry["edges"]
-                if u in region or (v is not None and v in region))
-        per_pass[entry["pass"]] = w
-    if not per_pass:
+    if (patch, "X") not in trace[0].corrections:
         raise PatienceError(f"trace holds no passes for patch {patch}")
-    return per_pass[max(per_pass)] > per_pass[min(per_pass)] + 1e-9
+
+    def weight(record: PassRecord) -> float:
+        return sum(e.weight
+                   for g, corr in (record.corrections[patch, "X"],
+                                   record.corrections[patch, "Z"])
+                   for e in (g.edges[i] for i in corr.edges)
+                   if g.detectors[e.u] in region
+                   or (e.v < g.boundary and g.detectors[e.v] in region))
+
+    return weight(trace[-1]) > weight(trace[0]) + 1e-9
 
 
 def herald_complementary(window: Window, syndrome: np.ndarray,
@@ -108,8 +110,7 @@ def herald_complementary(window: Window, syndrome: np.ndarray,
     defect is stranded, and heralds it too.
     """
     try:
-        res = run_ghost_protocol(window.decomposed, syndrome,
-                                 graphs=graphs, collect_trace=False)
+        res = run_ghost_protocol(window.decomposed, syndrome, graphs=graphs)
     except MatchingError:
         return True
     return bool(res.logical_flips[observable]) != bool(base_flip)
@@ -172,8 +173,8 @@ def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
                    plan: PatiencePlan) -> PatientShot:
     """Windowed decode where heralded gates get one delayed retry.
 
-    Gates are decoded in time order at their decision rounds with a
-    full trace; when either herald fires and the distance grants a
+    Gates are decoded in time order at their decision rounds with pass
+    records; when either herald fires and the distance grants a
     delay, the gate re-windows at the delayed horizon and decodes once
     more from the same carried state.  The retry's commits then carry
     forward instead of the original's.  The ``plan`` fixes the windows,
@@ -198,15 +199,14 @@ def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
         changed = False
         if heralded and plan.delay_rounds:
             res = run_ghost_protocol(plan.extended[g].decomposed, refined,
-                                     graphs=plan.extended[g].graphs,
-                                     collect_trace=False)
+                                     graphs=plan.extended[g].graphs)
             changed = bool(res.logical_flips[j]) != base_flip
         heralds.append(HeraldResult(
             growth, comp, plan.delay_rounds if heralded else 0, changed))
         return res
 
-    decisions, _ = carry_gates(decomposed.dem, syndrome, plan.base.gates,
-                               decode_gate)
+    decisions = carry_gates(decomposed.dem, syndrome, plan.base.gates,
+                            decode_gate)
     base_decisions = decisions.copy()
     for gate, herald in zip(plan.base.gates, heralds):
         base_decisions[gate.observable] ^= herald.changed

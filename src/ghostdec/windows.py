@@ -198,12 +198,10 @@ def plan_tproxy_windows(decomposed: DecomposedDEM,
 @dataclass
 class TproxyDecodeResult:
     decisions: np.ndarray      # bool per observable
-    gate_results: list         # GhostResult per gate, in decision order
 
 
 def carry_gates(dem: DetectorErrorModel, syndrome: np.ndarray,
-                gates: tuple[TproxyGate, ...], decode_gate,
-                ) -> tuple[np.ndarray, list]:
+                gates: tuple[TproxyGate, ...], decode_gate) -> np.ndarray:
     """Decide gates in time order, carrying each window's commits forward.
 
     ``decode_gate(g, refined)`` decodes gate ``g`` against the carried
@@ -211,22 +209,20 @@ def carry_gates(dem: DetectorErrorModel, syndrome: np.ndarray,
     singleton flips enter the carried syndrome and observable flips the
     carried frame, so later windows decode the refined problem.  A
     gate's decision is the carried frame at its observable XOR that
-    result's answer.  Returns the decisions and the per-gate results.
+    result's answer.  Returns the decisions.
     """
     refined = np.array(syndrome, dtype=bool, copy=True)
     if refined.shape != (dem.detector_count,):
         raise WindowError("syndrome length does not match detector count")
     frame = np.zeros(dem.observable_count, dtype=bool)
     decisions = np.zeros(dem.observable_count, dtype=bool)
-    results = []
     for g, gate in enumerate(gates):
         res = decode_gate(g, refined)
         j = gate.observable
         decisions[j] = frame[j] ^ res.logical_flips[j]
         refined ^= res.refinement_delta
         frame ^= res.frame_delta
-        results.append(res)
-    return decisions, results
+    return decisions
 
 
 def decode_tproxy_windowed(decomposed: DecomposedDEM, syndrome: np.ndarray,
@@ -244,18 +240,16 @@ def decode_tproxy_windowed(decomposed: DecomposedDEM, syndrome: np.ndarray,
     def decode_gate(g, refined):
         window = plan.windows[g]
         return run_ghost_protocol(window.decomposed, refined,
-                                  graphs=window.graphs, collect_trace=False)
+                                  graphs=window.graphs)
 
-    decisions, results = carry_gates(decomposed.dem, syndrome, plan.gates,
-                                     decode_gate)
-    return TproxyDecodeResult(decisions, results)
+    return TproxyDecodeResult(carry_gates(decomposed.dem, syndrome,
+                                          plan.gates, decode_gate))
 
 
 def decode_tproxy_global(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
                          graphs: dict) -> np.ndarray:
     """Hindsight decode: the whole problem at once, all gates together."""
-    res = run_ghost_protocol(decomposed, syndrome, graphs=graphs,
-                             collect_trace=False)
+    res = run_ghost_protocol(decomposed, syndrome, graphs=graphs)
     return res.logical_flips.copy()
 
 
@@ -338,8 +332,7 @@ def decode_memory_sliding(decomposed: DecomposedDEM, syndrome: np.ndarray,
     for w in plan.windows:
         commit_end = (w.hi + 1 if w is plan.windows[-1]
                       else w.lo + plan.commit_rounds)
-        res = run_ghost_protocol(w.decomposed, carried, graphs=w.graphs,
-                                 collect_trace=False)
+        res = run_ghost_protocol(w.decomposed, carried, graphs=w.graphs)
         for (patch, cls), corr in res.corrections.items():
             g = w.graphs[patch, cls, False]
             for ei in corr.edges:

@@ -59,7 +59,7 @@ def test_shared_graphs_are_decoded_once_per_barrier_state(memory_setup,
     monkeypatch.setattr(ghostdec.ghost, "decode_correlated_two_pass", counted)
     dets, _ = sample_dem(dem, seed=5, shots=20)
     s = next(s for s in range(20) if dets[s].sum() >= 2)
-    res = run_ghost_protocol(dec, dets[s], graphs=graphs, collect_trace=False)
+    res = run_ghost_protocol(dec, dets[s], graphs=graphs)
     assert len(calls) == 1
     assert any(c.edges for c in res.corrections.values())
 
@@ -68,11 +68,12 @@ def test_shared_graphs_are_decoded_once_per_barrier_state(memory_setup,
 
 def test_empty_syndrome_is_a_no_op(setup):
     dem, dec, graphs = setup
-    res = run_ghost_protocol(dec, vec(dem, ()), graphs=graphs)
+    res = run_ghost_protocol(dec, vec(dem, ()), graphs=graphs,
+                             collect_trace=True)
     assert not res.logical_flips.any()
     assert not res.frame_delta.any()
     assert not res.refinement_delta.any()
-    assert not any(t.get("barrier") for t in res.trace)
+    assert not any(record.committed for record in res.trace)
     assert all(c.edges == () for c in res.corrections.values())
 
 
@@ -88,17 +89,23 @@ def test_interpatch_hyperedge_commits_and_refines(setup):
                      if len(dec.components[p.g_e].detectors) == 2)
     gs = dec.components[pair.g_s]
     mech = dem.mechanisms[gs.mech_id]
-    res = run_ghost_protocol(dec, vec(dem, mech.detectors), graphs=graphs)
+    res = run_ghost_protocol(dec, vec(dem, mech.detectors), graphs=graphs,
+                             collect_trace=True)
     # the pair is applied at the barriers an odd number of times
-    applied = [a for t in res.trace if t.get("barrier") for a in t["applied"]]
-    assert applied.count([gs.detectors[0], pid]) % 2 == 1
+    committed = [c for record in res.trace for c in record.committed]
+    assert committed.count(pid) % 2 == 1
     # the commit's refinement covers the whole mechanism across patches
     flipped = set(np.flatnonzero(res.refinement_delta))
     assert set(dec.components[pair.g_e].detectors) <= flipped
     assert set(gs.detectors) <= flipped
-    # messages crossed patches
-    sent = [t for t in res.trace if not t.get("barrier") and t["sent"]]
-    assert sent
+    # messages crossed patches: the witness is selected in the patch
+    # that does not hold the singleton
+    ge = dec.components[pair.g_e]
+    assert ge.patch != gs.patch
+    assert any(g.edges[i].pair_id == pid
+               for record in res.trace
+               for (patch, _), (g, corr) in record.corrections.items()
+               if patch == ge.patch for i in corr.edges)
     # answer agrees with exhaustive likelihood
     ml = brute_force_ml_decode(dem, frozenset(mech.detectors), weight_cap=3)
     assert tuple(int(x) for x in np.flatnonzero(res.logical_flips)) == ml.observables
@@ -109,8 +116,7 @@ def test_single_mechanism_answers_match_ml(setup):
     for i, m in enumerate(dem.mechanisms):
         if not m.detectors:
             continue
-        res = run_ghost_protocol(dec, vec(dem, m.detectors), graphs=graphs,
-                                 collect_trace=False)
+        res = run_ghost_protocol(dec, vec(dem, m.detectors), graphs=graphs)
         ml = brute_force_ml_decode(dem, frozenset(m.detectors), weight_cap=3)
         got = tuple(int(x) for x in np.flatnonzero(res.logical_flips))
         assert got == ml.observables, f"mechanism {i}"
@@ -122,7 +128,7 @@ def test_final_corrections_never_contain_ghost_singletons(setup):
     dem, dec, graphs = setup
     dets, _ = sample_dem(dem, seed=23, shots=300)
     for s in range(300):
-        res = run_ghost_protocol(dec, dets[s], graphs=graphs, collect_trace=False)
+        res = run_ghost_protocol(dec, dets[s], graphs=graphs)
         for (patch, cls), corr in res.corrections.items():
             g = graphs[patch, cls, False]
             assert all(g.edges[i].role != "ghost_s" for i in corr.edges)
@@ -135,7 +141,7 @@ def test_frame_consistency_with_refined_syndrome(setup):
     dem, dec, graphs = setup
     dets, _ = sample_dem(dem, seed=29, shots=200)
     for s in range(200):
-        res = run_ghost_protocol(dec, dets[s], graphs=graphs, collect_trace=False)
+        res = run_ghost_protocol(dec, dets[s], graphs=graphs)
         refined = dets[s] ^ res.refinement_delta
         plain = np.zeros(dem.observable_count, dtype=bool)
         for (patch, cls), corr in res.corrections.items():
@@ -151,12 +157,10 @@ def test_rerun_with_committed_keys_adds_nothing(setup):
     pair = next(p for p in dec.pairs
                 if len(dec.components[p.g_e].detectors) == 2)
     mech = dem.mechanisms[dec.components[pair.g_s].mech_id]
-    first = run_ghost_protocol(dec, vec(dem, mech.detectors), graphs=graphs,
-                               collect_trace=False)
+    first = run_ghost_protocol(dec, vec(dem, mech.detectors), graphs=graphs)
     assert first.refinement_delta.any()
     refined = vec(dem, mech.detectors) ^ first.refinement_delta
-    again = run_ghost_protocol(dec, refined, graphs=graphs,
-                               collect_trace=False)
+    again = run_ghost_protocol(dec, refined, graphs=graphs)
     assert not again.refinement_delta.any()
     assert not again.frame_delta.any()
     combined = again.logical_flips ^ first.frame_delta
@@ -167,8 +171,8 @@ def test_protocol_is_deterministic(setup):
     dem, dec, graphs = setup
     dets, _ = sample_dem(dem, seed=31, shots=50)
     for s in range(50):
-        a = run_ghost_protocol(dec, dets[s], graphs=graphs, collect_trace=False)
-        b = run_ghost_protocol(dec, dets[s], graphs=graphs, collect_trace=False)
+        a = run_ghost_protocol(dec, dets[s], graphs=graphs)
+        b = run_ghost_protocol(dec, dets[s], graphs=graphs)
         assert np.array_equal(a.logical_flips, b.logical_flips)
         assert np.array_equal(a.refinement_delta, b.refinement_delta)
 
@@ -176,8 +180,33 @@ def test_protocol_is_deterministic(setup):
 def test_trace_shape(setup):
     dem, dec, graphs = setup
     res = run_ghost_protocol(dec, vec(dem, dem.mechanisms[2].detectors),
-                             graphs=graphs)
-    patch_entries = [t for t in res.trace if not t.get("barrier")]
-    assert {t["pass"] for t in patch_entries} == set(range(1, 5))
-    for t in patch_entries:
-        assert set(t) == {"pass", "patch", "weight", "edges", "committed", "sent"}
+                             graphs=graphs, collect_trace=True)
+    assert len(res.trace) == 4
+    keys = {(patch, cls) for patch, cls, _ in graphs}
+    for k, record in enumerate(res.trace, 1):
+        assert set(record.corrections) == keys
+        for (patch, cls), (g, _) in record.corrections.items():
+            assert g is graphs[patch, cls, k == 1]
+    final = {key: corr for key, (_, corr) in res.trace[-1].corrections.items()}
+    assert final == res.corrections
+    assert res.trace[-1].committed == []
+
+
+def test_tracing_changes_nothing():
+    dem = extract_dem(apply_noise_model(build_tproxy_circuit(3, 2),
+                                        NoiseParams(5e-3)))
+    dec = ghost_decompose(dem)
+    graphs = build_protocol_graphs(dec)
+    dets, _ = sample_dem(dem, seed=37, shots=100)
+    commits = 0
+    for s in range(100):
+        plain = run_ghost_protocol(dec, dets[s], graphs=graphs)
+        traced = run_ghost_protocol(dec, dets[s], graphs=graphs,
+                                    collect_trace=True)
+        for name in ("logical_flips", "frame_delta", "refinement_delta"):
+            assert np.array_equal(getattr(plain, name), getattr(traced, name))
+        assert plain.corrections == traced.corrections
+        assert plain.passes_with_commits == traced.passes_with_commits
+        assert plain.trace == [] and len(traced.trace) == 4
+        commits += plain.passes_with_commits
+    assert commits

@@ -11,7 +11,8 @@ from ghostdec.circuits import CircuitError
 from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
                           sample_dem)
-from ghostdec.ghost import build_protocol_graphs, run_ghost_protocol
+from ghostdec.ghost import PassRecord, build_protocol_graphs, run_ghost_protocol
+from ghostdec.matching import Correction, GraphEdge, MatchingGraph
 import ghostdec.patience
 import ghostdec.windows
 from ghostdec.patience import (HeraldResult, PatienceError,
@@ -88,15 +89,32 @@ def test_patience_without_delay_keeps_windowed_decisions():
         HeraldResult(False, False, 1, False)
 
 
+def pass_record(edges, committed=()):
+    """A two-patch pass record from (patch, cls, u, v, weight) edges in
+    global detector ids, v None for the boundary."""
+    corrections = {}
+    for patch in (0, 1):
+        for cls in ("X", "Z"):
+            mine = [e[2:] for e in edges if e[:2] == (patch, cls)]
+            dets = sorted({d for u, v, _ in mine for d in (u, v) if d is not None})
+            node = {d: i for i, d in enumerate(dets)}
+            g = MatchingGraph(patch, cls, tuple(dets), tuple(
+                GraphEdge(node[u], len(dets) if v is None else node[v], w,
+                          (), (), "normal", None) for u, v, w in mine))
+            corr = Correction(tuple(range(len(mine))),
+                              sum(w for _, _, w in mine), ())
+            corrections[patch, cls] = (g, corr)
+    return PassRecord(corrections, list(committed))
+
+
 def herald_trace(last_edges):
-    """Protocol trace of patch 0's first and final passes, with noise
-    around them: a barrier and another patch's heavy edge into the region."""
-    def entry(k, patch, edges):
-        return {"pass": k, "patch": patch, "edges": edges}
-    return [entry(1, 0, [["Z", 1, None, 2.0]]),
-            {"pass": 1, "barrier": True, "applied": [[1, 0]]},
-            entry(4, 1, [["Z", 9, 1, 50.0]]),
-            entry(4, 0, last_edges)]
+    """Pass records of patch 0's first and final passes, with noise
+    around them: a commit, a heavier middle pass and another patch's
+    heavy edge into the region."""
+    return [pass_record([(0, "Z", 1, None, 2.0)], committed=[0]),
+            pass_record([(0, "Z", 1, 2, 40.0)]),
+            pass_record([(1, "Z", 9, 1, 50.0)]
+                        + [(0, *e) for e in last_edges])]
 
 
 @pytest.mark.parametrize("last_edges,grows", [
@@ -242,8 +260,7 @@ def test_single_sliding_window_equals_global_memory():
     dets, _ = sample_dem(dem, seed=6, shots=200)
     for s in range(200):
         sliding = decode_memory_sliding(dec, dets[s], plan)
-        glob = run_ghost_protocol(dec, dets[s], graphs=graphs,
-                                  collect_trace=False)
+        glob = run_ghost_protocol(dec, dets[s], graphs=graphs)
         assert np.array_equal(sliding, glob.logical_flips), f"shot {s}"
 
 
