@@ -104,11 +104,11 @@ class _Patch:
         self.extra_refs = {_rot_vertex(v, d): r for v, r in self.extra_refs.items()}
         self.known = {"Z": self.known["X"], "X": self.known["Z"]}
 
-    def logical_support(self, basis: str) -> list[int]:
-        d = self.d
+    def logical_grid(self, basis: str) -> list[tuple[int, int]]:
+        """Data grid positions of the basis-``basis`` logical operator."""
         if basis == "Z":
-            return [self.data_map[(0, j)] for j in range(d)]
-        return [self.data_map[(i, 0)] for i in range(d)]
+            return [(0, j) for j in range(self.d)]
+        return [(i, 0) for i in range(self.d)]
 
 
 class CircuitBuilder:
@@ -142,12 +142,6 @@ class CircuitBuilder:
         self.num_observables = 0
         self.tracker: PauliStringTracker | None = None
 
-    def track_logicals(self, basis: str = "X") -> None:
-        """Start tracking each patch's initial logical generator."""
-        self.tracker = PauliStringTracker(len(self.patches), len(self.qubits))
-        for k, p in enumerate(self.patches):
-            self.tracker.seed_logical(k, p, basis)
-
     # -- low-level emission ---------------------------------------------
 
     def _tick(self) -> None:
@@ -174,6 +168,15 @@ class CircuitBuilder:
         offs = tuple(sorted(m - self.meas_count for m in meas))
         self.instructions.append(Instruction("OBSERVABLE", offs, index=index))
         self.num_observables = max(self.num_observables, index + 1)
+
+    def _cell_detector(self, p: _Patch, v: tuple[int, int], refs: list[int]) -> None:
+        """Detector of cell ``v``: ``refs``, the cell's last measurement
+        when it has one, then its pending extra references."""
+        if v in p.last_meas:
+            refs = refs + [p.last_meas[v]]
+        ox, oy = p.origin
+        self._detector(self.round_index, (ox + v[0], oy + v[1]),
+                       refs + p.extra_refs.pop(v, []))
 
     def _alive(self) -> list[_Patch]:
         return [p for p in self.patches if p.alive]
@@ -226,23 +229,12 @@ class CircuitBuilder:
         self._tick()
         self._emit("H", tuple(sorted(xanc)))
         self._tick()
-        meas_of: dict[tuple[int, tuple[int, int]], int] = {}
         order = [(p, v) for p in alive for v in sorted(p.cells)]
         ids = self._measure([p.ancilla[v] for p, v in order])
         for (p, v), m in zip(order, ids):
-            meas_of[(p.index, v)] = m
-        for p, v in order:
-            m = meas_of[(p.index, v)]
-            refs = [m]
-            if p.rounds_done == 0:
-                if not p.known[cell_kind(v)]:
-                    p.last_meas[v] = m
-                    continue
-            else:
-                refs.append(p.last_meas[v])
-            refs += p.extra_refs.pop(v, [])
-            ox, oy = p.origin
-            self._detector(self.round_index, (ox + v[0], oy + v[1]), refs)
+            # a first-round cell is checked only when its value is known
+            if p.rounds_done or p.known[cell_kind(v)]:
+                self._cell_detector(p, v, [m])
             p.last_meas[v] = m
         for p in alive:
             p.rounds_done += 1
@@ -312,17 +304,13 @@ class CircuitBuilder:
         order = sorted(p.data_map)
         ids = self._measure([p.data_map[g] for g in order])
         meas_of = dict(zip(order, ids))
-        ox, oy = p.origin
         for v in sorted(p.cells):
-            if cell_kind(v) != basis:
-                continue
-            refs = [meas_of[g] for g in cell_data_neighbors(v, p.d)]
-            refs.append(p.last_meas[v])
-            refs += p.extra_refs.pop(v, [])
-            self._detector(self.round_index, (ox + v[0], oy + v[1]), refs)
+            if cell_kind(v) == basis:
+                self._cell_detector(
+                    p, v, [meas_of[g] for g in cell_data_neighbors(v, p.d)])
         if observable is not None:
-            grid = [(0, j) for j in range(p.d)] if basis == "Z" else [(i, 0) for i in range(p.d)]
-            self._observable(observable, [meas_of[g] for g in grid])
+            self._observable(observable,
+                             [meas_of[g] for g in p.logical_grid(basis)])
         p.alive = False
 
     # -- final Pauli-product measurements -------------------------------------
@@ -339,14 +327,11 @@ class CircuitBuilder:
         """Noiseless MPP of every live cell's stabilizer, each checked by a
         detector against the cell's last ancilla measurement."""
         for p in self._alive():
-            ox, oy = p.origin
             for v in sorted(p.cells):
                 kind = cell_kind(v)
                 self.mpp([(p.data_map[g], kind)
                           for g in cell_data_neighbors(v, p.d)], 0, None)
-                refs = [self.meas_count - 1, p.last_meas[v]]
-                refs += p.extra_refs.pop(v, [])
-                self._detector(self.round_index, (ox + v[0], oy + v[1]), refs)
+                self._cell_detector(p, v, [self.meas_count - 1])
 
     def finish(self) -> Circuit:
         return Circuit(tuple(self.qubits), tuple(self.instructions))
@@ -370,13 +355,6 @@ class PauliStringTracker:
         self.x = np.zeros((num_rows, num_qubits), dtype=bool)
         self.z = np.zeros((num_rows, num_qubits), dtype=bool)
         self.sign = np.zeros(num_rows, dtype=bool)
-
-    def seed_logical(self, row: int, patch: _Patch, basis: str) -> None:
-        for q in patch.logical_support(basis):
-            if basis == "X":
-                self.x[row, q] = True
-            else:
-                self.z[row, q] = True
 
     def apply_1q(self, gate: str, qubits: list[int]) -> None:
         for q in qubits:
@@ -476,7 +454,10 @@ def build_deep_clifford_circuit(d: int, n_r: int, layers: int,
     rng = np.random.default_rng(seed)
     b = CircuitBuilder(d, n_qubits)
     b.prep(list(range(n_qubits)), "X")
-    b.track_logicals("X")
+    # row k tracks patch k's initial logical X
+    b.tracker = PauliStringTracker(n_qubits, len(b.qubits))
+    for k, p in enumerate(b.patches):
+        b.tracker.x[k, [p.data_map[g] for g in p.logical_grid("X")]] = True
     for _ in range(layers):
         for k in range(n_qubits):
             b.transversal_gate(k, ("H", "X", "Y", "Z")[rng.integers(4)])

@@ -3,7 +3,7 @@
 A circuit is a flat list of instructions over declared qubits, checked
 when it is built.  Supported operations:
 
-* Clifford gates ``H S X Y Z CX``
+* Clifford gates ``H X Y Z CX``
 * ``RESET_Z`` / ``RESET_X`` and ``MEAS_Z`` (single-qubit, Z basis)
 * ``MPP`` multi-qubit Pauli-product measurement (optionally negated),
   only permitted at the end of a circuit and never followed by noise
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-GATES_1Q = ("H", "S", "X", "Y", "Z")
+GATES_1Q = ("H", "X", "Y", "Z")
 GATES_2Q = ("CX",)
 RESETS = ("RESET_Z", "RESET_X")
 NOISE_OPS = ("DEPOL1", "DEPOL2", "MEAS_FLIP")

@@ -16,7 +16,7 @@ to coincide with an edge that already exists naturally when possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .circuits import CircuitError
 from .dem import DetectorErrorModel
@@ -80,15 +80,6 @@ def _collect_split(dem, mech):
     return {k: tuple(sorted(v)) for k, v in split.items()}
 
 
-def _natural_pairs(dem) -> set[tuple[int, int]]:
-    pairs = set()
-    for mech in dem.mechanisms:
-        for dets in _collect_split(dem, mech).values():
-            if len(dets) == 2:
-                pairs.add(dets)
-    return pairs
-
-
 def _split_three(dem, dets, natural) -> list[tuple[int, ...]]:
     """Break a 3-detector component into a pair and a singleton."""
     a, b, c = dets
@@ -129,98 +120,62 @@ def _assign_observables(dem, mech_obs, fragment_keys):
 
 
 def ghost_decompose(dem: DetectorErrorModel) -> DecomposedDEM:
-    natural = _natural_pairs(dem)
+    splits = [_collect_split(dem, mech) for mech in dem.mechanisms]
+    natural = {dets for split in splits for dets in split.values()
+               if len(dets) == 2}
     components: list[Component] = []
     pairs: list[GhostPair] = []
     invisible: list[int] = []
-    for e, mech in enumerate(dem.mechanisms):
-        if not mech.detectors:
+    for e, (mech, split) in enumerate(zip(dem.mechanisms, splits)):
+        if not split:
             invisible.append(e)
             continue
-        split = _collect_split(dem, mech)
         patches = {p for p, _ in split}
         if len(patches) > 2:
             raise DecompositionError(f"mechanism {e} spans patches {sorted(patches)}")
-        # fragments: list of ((patch, cls), det tuple, came_from_split)
-        fragments = []
+        fragments = []            # ((patch, cls), detector tuple)
         for key in sorted(split):
             dets = split[key]
             if len(dets) <= 2:
-                fragments.append((key, dets, False))
+                fragments.append((key, dets))
             elif len(dets) == 3:
-                pair, single = _split_three(dem, dets, natural)
-                fragments.append((key, pair, True))
-                fragments.append((key, single, True))
+                fragments += [(key, part) for part in _split_three(dem, dets, natural)]
             else:
                 raise DecompositionError(
                     f"mechanism {e} has {len(dets)} detectors on patch {key[0]} "
                     f"class {key[1]}: {sorted(dets)}")
-        obs_assign = _assign_observables(dem, mech.observables,
-                                         [(k, d) for k, d, _ in fragments])
         first = len(components)
-        for (key, dets, _), obs in zip(fragments, obs_assign):
-            components.append(Component(len(components), e, key[0], key[1],
-                                        dets, tuple(sorted(obs)),
-                                        mech.probability))
-        _link_partners(components, first, len(components))
+        partner = _partner_links(fragments)
+        roles = {}
         # only clean two-fragment splits become ghost pairs, so that the
-        # pair's detectors XOR back to the whole source mechanism
+        # pair's detectors XOR back to the whole source mechanism; each
+        # patch then holds one fragment.  g_s is a lone detector (the
+        # lower patch's when both are), g_e the other patch's fragment.
         if len(patches) == 2 and len(fragments) == 2:
-            _assign_ghost_roles(components, pairs, first, len(components),
-                                [f[2] for f in fragments])
+            singles = [i for i, (_, dets) in enumerate(fragments) if len(dets) == 1]
+            if singles:
+                gs = singles[0]
+                roles = {1 - gs: "ghost_e", gs: "ghost_s"}
+                pairs.append(GhostPair(first + 1 - gs, first + gs))
+        obs_assign = _assign_observables(dem, mech.observables, fragments)
+        for i, ((patch, cls), dets) in enumerate(fragments):
+            components.append(Component(
+                first + i, e, patch, cls, dets, tuple(sorted(obs_assign[i])),
+                mech.probability, role=roles.get(i, "normal"),
+                pair_id=len(pairs) - 1 if i in roles else None,
+                partner=first + partner[i] if i in partner else None))
     return DecomposedDEM(dem, tuple(components), tuple(pairs), tuple(invisible))
 
 
-def _link_partners(components, lo, hi) -> None:
-    """Cross-class correlation links within each patch of one mechanism."""
-    by_patch: dict[int, dict[str, int]] = {}
-    for i in range(lo, hi):
-        c = components[i]
-        slot = by_patch.setdefault(c.patch, {})
-        # keep the largest fragment per class as the correlation anchor
-        if c.cls not in slot or len(c.detectors) > len(components[slot[c.cls]].detectors):
-            slot[c.cls] = i
-    for slot in by_patch.values():
-        if len(slot) == 2:
-            a, b = sorted(slot.values())
-            components[a] = replace(components[a], partner=b)
-            components[b] = replace(components[b], partner=a)
+def _partner_links(fragments) -> dict[int, int]:
+    """Cross-class correlation links within each patch of one mechanism.
 
-
-def _assign_ghost_roles(components, pairs, lo, hi, from_split) -> None:
-    """Pick at most one (g_e, g_s) pair among an interpatch mechanism's parts.
-
-    g_s is the lone detector on the side with fewer defects; g_e is its
-    best witness on the other patch (same class preferred, then larger).
-    Remaining fragments stay as always-present edges.
+    The anchor of each (patch, class) is its first fragment, which is
+    its largest: a split 3-detector part lists its pair first.
     """
-    idx = list(range(lo, hi))
-    per_patch: dict[int, int] = {}
-    for i in idx:
-        c = components[i]
-        per_patch[c.patch] = per_patch.get(c.patch, 0) + len(c.detectors)
-    singles = [i for i in idx if len(components[i].detectors) == 1]
-    if not singles:
-        return
-    # components that were whole before any 3-detector split are preferred
-    whole = [i for i in singles if not from_split[i - lo]]
-
-    def gs_rank(i):
-        c = components[i]
-        return (per_patch[c.patch], c.patch, c.cls, c.detectors)
-
-    gs_i = min(whole or singles, key=gs_rank)
-    gs = components[gs_i]
-    other = [i for i in idx if components[i].patch != gs.patch]
-    if not other:
-        return
-
-    def ge_rank(i):
-        c = components[i]
-        return (c.cls != gs.cls, -len(c.detectors), c.cls, c.detectors)
-
-    ge_i = min(other, key=ge_rank)
-    pair_id = len(pairs)
-    components[gs_i] = replace(gs, role="ghost_s", pair_id=pair_id)
-    components[ge_i] = replace(components[ge_i], role="ghost_e", pair_id=pair_id)
-    pairs.append(GhostPair(ge_i, gs_i))
+    anchor: dict[tuple[int, str], int] = {}
+    for i, (key, _) in enumerate(fragments):
+        anchor.setdefault(key, i)
+    return {i: anchor[patch, other]
+            for (patch, cls), i in anchor.items()
+            for other in CLASSES if other != cls and (patch, other) in anchor}

@@ -72,14 +72,13 @@ def _merge_odd(p1: float, p2: float) -> float:
     return p1 * (1.0 - p2) + p2 * (1.0 - p1)
 
 
-def extract_dem(circuit: Circuit, check: bool = True) -> DetectorErrorModel:
+def extract_dem(circuit: Circuit) -> DetectorErrorModel:
     """Single-fault symbolic extraction of the detector error model."""
-    if check:
-        report = check_detector_determinism(circuit)
-        if not report.ok:
-            raise CircuitError(
-                "nondeterministic detectors "
-                f"{report.nondeterministic_detectors + report.nonzero_detectors}")
+    report = check_detector_determinism(circuit)
+    if not report.ok:
+        raise CircuitError(
+            "nondeterministic detectors "
+            f"{report.nondeterministic_detectors + report.nonzero_detectors}")
     n_det = circuit.num_detectors
     n_obs = circuit.num_observables
     # parity mask per measurement record
@@ -128,9 +127,6 @@ def extract_dem(circuit: Circuit, check: bool = True) -> DetectorErrorModel:
         elif op == "H":
             for q in ins.targets:
                 sx[q], sz[q] = sz[q], sx[q]
-        elif op == "S":
-            for q in ins.targets:
-                sx[q] ^= sz[q]
         elif op == "CX":
             t = ins.targets
             for i in range(0, len(t), 2):

@@ -115,10 +115,6 @@ class FaultPropagator:
                 for q in ins.targets:
                     i = col[q]
                     x[i], z[i] = z[i], x[i]
-            elif op == "S":
-                for q in ins.targets:
-                    i = col[q]
-                    z[i] ^= x[i]
             elif op == "MEAS_Z":
                 for j, q in enumerate(ins.targets):
                     if x[col[q]]:
@@ -191,9 +187,6 @@ class CircuitSampler:
                 tmp = x[:, idxs].copy()
                 x[:, idxs] = z[:, idxs]
                 z[:, idxs] = tmp
-            elif op == "S":
-                idxs = [col[q] for q in ins.targets]
-                z[:, idxs] ^= x[:, idxs]
             elif op == "MEAS_Z":
                 for q in ins.targets:
                     rec[:, m] = x[:, col[q]]

@@ -418,16 +418,14 @@ def decode_correlated_two_pass(
 
     The first pass decodes both class graphs independently; every
     selected edge with a cross-class partner discounts the partner's
-    weight before both graphs are decoded again.
+    weight, and a class graph with discounted edges is decoded again.
     """
     first_x = decode_mwpm(x_graph, syndrome)
     first_z = decode_mwpm(z_graph, syndrome)
     over_z = _partner_overrides(first_x, x_graph, z_graph)
     over_x = _partner_overrides(first_z, z_graph, x_graph)
-    if not over_x and not over_z:
-        return first_x, first_z
-    return (decode_mwpm(x_graph, syndrome, over_x),
-            decode_mwpm(z_graph, syndrome, over_z))
+    return (decode_mwpm(x_graph, syndrome, over_x) if over_x else first_x,
+            decode_mwpm(z_graph, syndrome, over_z) if over_z else first_z)
 
 
 def _partner_overrides(corr: Correction, src_graph: MatchingGraph,

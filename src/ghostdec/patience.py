@@ -35,7 +35,7 @@ class PatienceError(CircuitError):
     pass
 
 
-def patience_delay(d: int, n_buf: int = 1) -> int:
+def patience_delay(d: int, n_buf: int) -> int:
     """Extra rounds a heralded decision waits before the final attempt.
 
     The extended window grants ceil(d/2) - 1 rounds past the CNOT, the
@@ -148,9 +148,9 @@ def plan_patience(decomposed: DecomposedDEM, config: WindowConfig,
     radius = config.n_buf + 2
     extended = None
     if delay:
-        extended = tuple(build_window(decomposed, None,
+        extended = tuple(build_window(decomposed, window.lo,
                                       gate.decision_round + delay)
-                         for gate in base.gates)
+                         for gate, window in zip(base.gates, base.windows))
     closed = tuple(build_protocol_graphs(w.decomposed,
                                          exclude_open_boundary=True)
                    for w in base.windows)

@@ -189,9 +189,6 @@ def check_detector_determinism(circuit: Circuit) -> DeterminismReport:
         elif op == "H":
             for q in ins.targets:
                 sim.h(cols[q])
-        elif op == "S":
-            for q in ins.targets:
-                sim.s(cols[q])
         elif op == "X":
             for q in ins.targets:
                 sim.x_gate(cols[q])

@@ -54,7 +54,7 @@ class WindowConfig:
             raise WindowError("n_buf must be at least 1")
 
 
-def _slice_components(decomposed: DecomposedDEM, lo: int | None,
+def _slice_components(decomposed: DecomposedDEM, lo: int,
                       hi: int) -> DecomposedDEM:
     """Restrict components to detector times in [lo, hi].
 
@@ -72,7 +72,7 @@ def _slice_components(decomposed: DecomposedDEM, lo: int | None,
     comps = decomposed.components
     new: dict[int, int] = {}   # old component index -> sliced index
     for c in comps:
-        if ((lo is None or all(time[d] >= lo for d in c.detectors))
+        if (all(time[d] >= lo for d in c.detectors)
                 and any(time[d] <= hi for d in c.detectors)):
             new[c.index] = len(new)
     pairs: list[GhostPair] = []
@@ -102,18 +102,15 @@ def _slice_components(decomposed: DecomposedDEM, lo: int | None,
 
 @dataclass(frozen=True)
 class Window:
-    """The model sliced to detector times [lo, hi], with its graphs.
+    """The model sliced to detector times [lo, hi], with its graphs."""
 
-    ``lo`` is None when nothing below the cut is dropped.
-    """
-
-    lo: int | None
+    lo: int
     hi: int
     decomposed: DecomposedDEM  # sliced, global detector indexing
     graphs: dict               # protocol graphs of the sliced model
 
 
-def build_window(decomposed: DecomposedDEM, lo: int | None, hi: int) -> Window:
+def build_window(decomposed: DecomposedDEM, lo: int, hi: int) -> Window:
     """Slice the model to the (lo, hi) cut and build its graphs."""
     sliced = _slice_components(decomposed, lo, hi)
     return Window(lo, hi, sliced, build_protocol_graphs(sliced))
@@ -183,7 +180,7 @@ def plan_tproxy_windows(decomposed: DecomposedDEM,
     dem = decomposed.dem
     gates = tproxy_gates(dem, config)
     last = patch_last_round(dem)
-    global_max = max(dem.detector_time, default=0)
+    first, global_max = min(dem.detector_time), max(dem.detector_time)
     windows = []
     for gate in gates:
         if last[gate.patch] < gate.decision_round < global_max:
@@ -191,7 +188,7 @@ def plan_tproxy_windows(decomposed: DecomposedDEM,
                 f"decision round {gate.decision_round} runs past the syndrome "
                 f"available on patch {gate.patch} "
                 f"(last round {last[gate.patch]})")
-        windows.append(build_window(decomposed, None, gate.decision_round))
+        windows.append(build_window(decomposed, first, gate.decision_round))
     return TproxyPlan(config, gates, tuple(windows))
 
 

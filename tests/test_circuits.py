@@ -185,3 +185,54 @@ def test_circuit_rejects_out_of_range_record():
            Instruction("DETECTOR", (-2,), coords=(0, 0, 0)))
     with pytest.raises(CircuitError, match="record offset -2"):
         Circuit(DATA_QUBIT, ins)
+
+
+TWO_QUBITS = (QubitDecl(0, 0.5, 0.5, 0, "data"),
+              QubitDecl(1, 1.5, 0.5, 0, "data"))
+MEAS = Instruction("MEAS_Z", (0,))
+
+
+def on_two_qubits(*instructions):
+    return lambda: Circuit(TWO_QUBITS, instructions)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: QubitDecl(0, 0.5, 0.5, 0, "spare"), "unknown qubit kind"),
+    (lambda: Circuit(TWO_QUBITS[:1] + (QubitDecl(0, 1.5, 0.5, 0, "data"),), ()),
+     "duplicate qubit ids"),
+    (lambda: Circuit(TWO_QUBITS[:1] + (QubitDecl(1, 0.5, 0.5, 0, "data"),), ()),
+     "duplicate qubit coordinates"),
+    (on_two_qubits(Instruction("S", (0,))), "unknown op 'S'"),
+    (on_two_qubits(Instruction("H", (0, 2))), r"undeclared qubits \[2\]"),
+    (on_two_qubits(Instruction("RESET_Z")), "RESET_Z with no targets"),
+    (on_two_qubits(Instruction("MPP", paulis=((0, "Z"),)),
+                   Instruction("H", (0,))), "may follow the first MPP"),
+    (on_two_qubits(Instruction("CX", (0, 1, 0))), "even number of targets"),
+    (on_two_qubits(Instruction("CX", (1, 1))), "targets the same qubit 1"),
+    (on_two_qubits(Instruction("DEPOL1", (0,))), "must lie in"),
+    (on_two_qubits(Instruction("DEPOL2", (0, 1), arg=0.5)), "must lie in"),
+    (on_two_qubits(Instruction("MEAS_FLIP", (0,), arg=0.1)),
+     "MEAS_FLIP must directly follow"),
+    (on_two_qubits(MEAS, Instruction("MEAS_FLIP", (1,), arg=0.1)),
+     "MEAS_FLIP must directly follow"),
+    (on_two_qubits(Instruction("MPP", paulis=())), "empty Pauli product"),
+    (on_two_qubits(Instruction("MPP", paulis=((0, "Z"), (0, "X")))),
+     "repeats a qubit"),
+    (on_two_qubits(Instruction("MPP", paulis=((2, "Z"),))),
+     "undeclared qubit 2"),
+    (on_two_qubits(Instruction("MPP", paulis=((0, "I"),))), "invalid Pauli"),
+    (on_two_qubits(MEAS, Instruction("DETECTOR", (0,), coords=(0, 0, 0))),
+     "record offset 0"),
+    (on_two_qubits(MEAS, Instruction("DETECTOR", (-1,))), "coords"),
+    (on_two_qubits(MEAS, Instruction("OBSERVABLE", (-1,))), "needs an index"),
+    (on_two_qubits(MEAS, Instruction("OBSERVABLE", (-1,), index=1)),
+     "contiguous from 0"),
+], ids=["qubit-kind", "duplicate-id", "duplicate-coords", "s-gate",
+        "undeclared-target", "empty-targets", "op-after-mpp", "odd-pairs",
+        "self-pair", "noise-without-probability", "noise-probability-high",
+        "lone-meas-flip", "meas-flip-other-targets", "mpp-empty",
+        "mpp-repeat", "mpp-undeclared", "mpp-pauli", "record-offset",
+        "detector-coords", "observable-index", "observable-gap"])
+def test_malformed_circuits_raise(build, match):
+    with pytest.raises(CircuitError, match=match):
+        build()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ghostdec.builders import (NoiseParams, apply_noise_model, build_memory_circuit,
+from ghostdec.builders import (NoiseParams, apply_noise_model,
+                               build_deep_clifford_circuit, build_memory_circuit,
                                build_tproxy_circuit)
 from ghostdec.circuits import CircuitError
 from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
@@ -29,7 +30,8 @@ def noisy(circuit, p=0.001):
 @pytest.mark.parametrize("circuit", [
     noisy(build_memory_circuit(3, 3)),
     noisy(build_tproxy_circuit(3, 1)),
-], ids=["memory-d3", "tproxy-d3"])
+    noisy(build_deep_clifford_circuit(3, 1, 1, n_qubits=2)),
+], ids=["memory-d3", "tproxy-d3", "deep-d3"])
 def test_extraction_matches_forward_oracle(circuit):
     dem = extract_dem(circuit)
     expect = oracle_dem(circuit)

@@ -7,7 +7,8 @@ import ghostdec.ghost
 from ghostdec.builders import (NoiseParams, apply_noise_model,
                                build_memory_circuit, build_tproxy_circuit)
 from ghostdec.decompose import ghost_decompose
-from ghostdec.dem import extract_dem, sample_dem
+from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
+                          sample_dem)
 from ghostdec.ghost import (ProtocolError, build_protocol_graphs,
                             run_ghost_protocol)
 from ghostdec.matching import decode_mwpm
@@ -109,6 +110,30 @@ def test_interpatch_hyperedge_commits_and_refines(setup):
     # answer agrees with exhaustive likelihood
     ml = brute_force_ml_decode(dem, frozenset(mech.detectors), weight_cap=3)
     assert tuple(int(x) for x in np.flatnonzero(res.logical_flips)) == ml.observables
+
+
+def test_ghost_commit_flips_an_observable():
+    # patch 0 holds the witness (0, 1), patch 1 the singleton (2,) and the
+    # observable; each detector also has a less likely boundary edge
+    dem = DetectorErrorModel(
+        (ErrorMechanism(0.01, (0, 1, 2), (0,)),
+         ErrorMechanism(0.001, (0,), ()), ErrorMechanism(0.001, (1,), ()),
+         ErrorMechanism(0.001, (2,), ())),
+        3, 1, (0, 0, 1), (1, 1, 1), ("Z",) * 3, (1,), ("Z",))
+    dec = ghost_decompose(dem)
+    (pair,) = dec.pairs
+    ge, gs = dec.components[pair.g_e], dec.components[pair.g_s]
+    assert (ge.detectors, ge.observables) == ((0, 1), ())
+    assert (gs.detectors, gs.observables) == ((2,), (0,))
+    res = run_ghost_protocol(dec, vec(dem, (0, 1, 2)),
+                             graphs=build_protocol_graphs(dec),
+                             collect_trace=True)
+    assert [record.committed for record in res.trace] == [[0], [], [], []]
+    # the observable flip reaches the answer through the frame alone
+    assert res.frame_delta.tolist() == [True]
+    assert res.logical_flips.tolist() == [True]
+    assert res.refinement_delta.tolist() == [True, True, True]
+    assert all(c.edges == () for c in res.corrections.values())
 
 
 def test_single_mechanism_answers_match_ml(setup):

@@ -408,8 +408,10 @@ def closed_graphs(plan):
 def test_closed_graphs_keep_a_boundary_path_from_every_detector(d):
     # closing the temporal cut keeps every spatial boundary edge, so the
     # complementary herald's closed decode can always match its defects
-    dec = tproxy_model(d=d, n=2, extra_rounds=patience_delay(d))[1]
-    closed = closed_graphs(plan_patience(dec, WindowConfig(), d))
+    config = WindowConfig()
+    dec = tproxy_model(d=d, n=2,
+                       extra_rounds=patience_delay(d, config.n_buf))[1]
+    closed = closed_graphs(plan_patience(dec, config, d))
     assert len(closed) > 4
     for g in closed:
         assert np.isfinite(g.routes.dist[:, g.boundary]).all()

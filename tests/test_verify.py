@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from ghostdec.builders import (NoiseParams, apply_noise_model, build_memory_circuit,
+from ghostdec.builders import (NoiseParams, apply_noise_model,
+                               build_deep_clifford_circuit, build_memory_circuit,
                                build_tproxy_circuit)
 from ghostdec.dem import DetectorErrorModel, ErrorMechanism, extract_dem
 from ghostdec.verify import (VerifyError, brute_force_ml_decode,
@@ -100,7 +101,9 @@ def test_unexplainable_syndrome_raises():
 @pytest.mark.parametrize("circuit", [
     apply_noise_model(build_memory_circuit(3, 3), NoiseParams(0.01)),
     apply_noise_model(build_tproxy_circuit(3, 1), NoiseParams(0.01)),
-], ids=["memory", "tproxy"])
+    apply_noise_model(build_deep_clifford_circuit(3, 1, 1, n_qubits=2),
+                      NoiseParams(0.01)),
+], ids=["memory", "tproxy", "deep"])
 def test_crosscheck_paths_agree(circuit):
     dem = extract_dem(circuit)
     report = frame_sim_crosscheck(circuit, dem, seed=3, shots=2000)

@@ -13,11 +13,13 @@ from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
                           sample_dem)
 from ghostdec.ghost import PassRecord, build_protocol_graphs, run_ghost_protocol
 from ghostdec.matching import Correction, GraphEdge, MatchingGraph
+import ghostdec.dem
 import ghostdec.patience
 import ghostdec.windows
 from ghostdec.patience import (HeraldResult, PatienceError,
                                herald_weight_growth, patience_delay,
                                patient_decode, plan_patience)
+from ghostdec.tableau import DeterminismReport
 from ghostdec.windows import (TproxyPlan, WindowConfig, WindowError,
                               _slice_components, build_window,
                               compute_tw_error, decode_memory_sliding,
@@ -44,7 +46,7 @@ def test_full_horizon_windowed_equals_global():
     graphs = build_protocol_graphs(dec)
     # every gate's horizon lies at the last round: one global window
     gates = tproxy_gates(dem, CONFIG)
-    window = build_window(dec, None, max(dem.detector_time))
+    window = build_window(dec, min(dem.detector_time), max(dem.detector_time))
     plan = TproxyPlan(CONFIG, gates, (window,) * len(gates))
     dets, _ = sample_dem(dem, seed=3, shots=200)
     assert dets.any(axis=1).sum() > 150
@@ -135,13 +137,17 @@ def test_weight_growth_herald_needs_passes_of_the_patch():
 
 
 def test_patience_delay_table():
-    assert [patience_delay(d) for d in (3, 5, 7, 9, 11)] == [0, 1, 2, 3, 4]
+    assert [patience_delay(d, 1) for d in (3, 5, 7, 9, 11)] == [0, 1, 2, 3, 4]
+    assert [patience_delay(d, 2) for d in (3, 5, 7, 9, 11)] == [0, 0, 1, 2, 3]
 
 
 def test_patience_needs_delay_rounds_in_the_circuit(monkeypatch):
     # a noiseless model has every detector's time and patch, and no
-    # mechanisms to extract
-    dec = ghost_decompose(extract_dem(build_tproxy_circuit(9, 2), check=False))
+    # mechanisms to extract; its determinism is checked elsewhere and
+    # costs seconds at d=9
+    monkeypatch.setattr(ghostdec.dem, "check_detector_determinism",
+                        lambda circuit: DeterminismReport())
+    dec = ghost_decompose(extract_dem(build_tproxy_circuit(9, 2)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("graphs built before the delay check")
@@ -176,7 +182,7 @@ def test_plan_fixes_window_parameters(patience_setup):
 def test_only_ghost_free_patches_share_window_graphs(patience_setup):
     dem, dec, pplan, wplan = patience_setup
     window = wplan.windows[0]
-    assert (window.lo, window.hi) == (None, 2)
+    assert (window.lo, window.hi) == (min(dem.detector_time), 2)
     shared = {(p, c) for p, c, _ in window.graphs
               if window.graphs[p, c, True] is window.graphs[p, c, False]}
     assert shared == {(2, "X"), (2, "Z")}
@@ -184,8 +190,7 @@ def test_only_ghost_free_patches_share_window_graphs(patience_setup):
                    for c in window.decomposed.components)
 
 
-@pytest.mark.parametrize("lo, hi", [(None, 2), (None, 5), (1, 4), (3, 6),
-                                    (5, 5)])
+@pytest.mark.parametrize("lo, hi", [(1, 2), (1, 5), (1, 4), (3, 6), (5, 5)])
 def test_slice_keeps_detectors_and_whole_pairs(patience_setup, lo, hi):
     dem, dec, _, _ = patience_setup
     time = dem.detector_time
@@ -196,7 +201,7 @@ def test_slice_keeps_detectors_and_whole_pairs(patience_setup, lo, hi):
             ge, gs = model.components[pr.g_e], model.components[pr.g_s]
             assert ge.pair_id == gs.pair_id == i
     kept = [c for c in dec.components
-            if (lo is None or all(time[d] >= lo for d in c.detectors))
+            if all(time[d] >= lo for d in c.detectors)
             and any(time[d] <= hi for d in c.detectors)]
     assert 0 < len(kept) < len(dec.components)
     assert len(sliced.components) == len(kept)
@@ -225,7 +230,7 @@ def test_slice_keeps_detectors_and_whole_pairs(patience_setup, lo, hi):
     assert (opened > 0) == (hi < max(time))
 
 
-@pytest.mark.parametrize("witness_time, lo, is_open", [(2, None, True),
+@pytest.mark.parametrize("witness_time, lo, is_open", [(2, 1, True),
                                                       (0, 1, False)])
 def test_broken_singleton_opens_when_its_witness_lies_above_the_cut(
         witness_time, lo, is_open):
