@@ -139,7 +139,6 @@ class CircuitBuilder:
                 kind = KIND_ANCILLA_X if cell_kind(v) == "X" else KIND_ANCILLA_Z
                 self.qubits.append(QubitDecl(q, ox + v[0], oy + v[1], k, kind))
                 p.ancilla[v] = q
-        self.num_observables = 0
         self.tracker: PauliStringTracker | None = None
 
     # -- low-level emission ---------------------------------------------
@@ -167,7 +166,6 @@ class CircuitBuilder:
     def _observable(self, index: int, meas: list[int]) -> None:
         offs = tuple(sorted(m - self.meas_count for m in meas))
         self.instructions.append(Instruction("OBSERVABLE", offs, index=index))
-        self.num_observables = max(self.num_observables, index + 1)
 
     def _cell_detector(self, p: _Patch, v: tuple[int, int], refs: list[int]) -> None:
         """Detector of cell ``v``: ``refs``, the cell's last measurement
@@ -262,13 +260,9 @@ class CircuitBuilder:
         a, b = self.patches[control], self.patches[target]
         if a is b:
             raise CircuitError("control and target patches must differ")
-        if a.d != b.d:
-            raise CircuitError("mismatched patch distances")
         for p in (a, b):
             if not p.alive or not p.prepped:
                 raise CircuitError(f"patch {p.index} is not active")
-        if (a.rounds_done == 0) != (b.rounds_done == 0):
-            raise CircuitError("patches must agree on having prior rounds")
         self._tick()
         targets = []
         pairs = []

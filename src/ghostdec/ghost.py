@@ -43,7 +43,7 @@ class PassRecord:
 
 @dataclass
 class GhostResult:
-    corrections: dict          # (patch, cls) -> final Correction
+    corrections: dict          # (patch, cls) -> (graph, final Correction)
     logical_flips: np.ndarray  # bool, observable space (frame delta + final)
     frame_delta: np.ndarray    # bool, observable flips of net-toggled commits
     refinement_delta: np.ndarray  # bool, detector flips of net-toggled commits
@@ -53,12 +53,15 @@ class GhostResult:
 
 def build_protocol_graphs(decomposed: DecomposedDEM,
                           exclude_open_boundary: bool = False):
-    """Both exposure variants of every patch-class graph, built once.
+    """Both exposure variants of every patch-class graph.
 
     Keys are ``(patch, cls, exposed)`` for both classes of every patch
     with detectors, so a class without components still has a graph.
-    A patch-class with no ghost singleton has one graph, stored under
-    both exposure keys.
+    Each patch-class graph is built once, less its open-boundary edges
+    when ``exclude_open_boundary`` is set; that graph is the exposed
+    variant, and the unexposed one is it without ghost singletons.  So a
+    patch-class with no ghost singleton has one graph, stored under both
+    exposure keys.
     """
     groups: dict[tuple[int, str], list] = {
         (p, cls): [] for p in sorted(set(decomposed.dem.detector_patch))
@@ -67,13 +70,10 @@ def build_protocol_graphs(decomposed: DecomposedDEM,
         groups[c.patch, c.cls].append(c)
     graphs = {}
     for (patch, cls), comps in groups.items():
-        hidden = shown = build_matching_graph(
-            patch, cls, comps, exclude_open_boundary=exclude_open_boundary)
-        if any(c.role == "ghost_s" for c in comps):
-            shown = build_matching_graph(
-                patch, cls, comps, expose_gs=True,
-                exclude_open_boundary=exclude_open_boundary)
-        graphs[patch, cls, False] = hidden
+        shown = build_matching_graph(patch, cls, comps)
+        if exclude_open_boundary:
+            shown = shown.without(lambda e: e.open_boundary)
+        graphs[patch, cls, False] = shown.without(lambda e: e.role == "ghost_s")
         graphs[patch, cls, True] = shown
     return graphs
 
@@ -137,11 +137,10 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
         if collect_trace:
             trace.append(PassRecord(decoded, committed))
 
-    corrections = {key: c for key, (_, c) in decoded.items()}
     logical = frame_delta.copy()
-    for corr in corrections.values():
+    for _, corr in decoded.values():
         for j in corr.observables:
             logical[j] ^= True
     refinement_delta = working ^ np.asarray(syndrome, dtype=bool)
-    return GhostResult(corrections, logical, frame_delta, refinement_delta,
+    return GhostResult(decoded, logical, frame_delta, refinement_delta,
                        trace, passes_with_commits)

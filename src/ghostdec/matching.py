@@ -24,7 +24,7 @@ fill one fixed matrix layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import networkx as nx
@@ -68,6 +68,7 @@ class GraphEdge:
     # (partner component, probability) per component with a cross-class
     # partner; a partner shares its mechanism, hence its probability
     partners: tuple[tuple[int, float], ...] = ()
+    open_boundary: bool = False   # created by a temporal window cut
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,15 @@ class MatchingGraph:
     def routes(self) -> Routes:
         """Routing lookups, built on the first decode and kept."""
         return Routes(self)
+
+    def without(self, drop) -> MatchingGraph:
+        """This graph less the edges ``drop`` selects, in their order, or
+        ``self`` when it selects none.  The nodes stay: a defect whose
+        every edge is dropped must fail loudly instead of vanishing."""
+        kept = tuple(e for e in self.edges if not drop(e))
+        if len(kept) == len(self.edges):
+            return self
+        return replace(self, edges=kept)
 
 
 def _lightest(edges, edge_ids, overrides) -> int:
@@ -155,31 +165,21 @@ def edge_weight(probability: float) -> float:
 
 
 def build_matching_graph(patch: int, cls: str,
-                         components: list[Component],
-                         expose_gs: bool = False,
-                         exclude_open_boundary: bool = False) -> MatchingGraph:
-    """Assemble one class graph from one patch-class's components.
+                         components: list[Component]) -> MatchingGraph:
+    """Assemble one class graph from all of one patch-class's components.
 
     Nodes are the components' detectors; edges keep component order.
-    Ghost-singleton edges enter only when exposed.  Normal parallel
-    edges with identical endpoints and observable flips merge by
-    odd-occurrence combination; ghost edges keep their pair identity.
-    Setting exclude_open_boundary drops edges created by a temporal
-    window cut, closing that boundary.
+    Normal parallel edges with identical endpoints, observable flips and
+    open-boundary flag merge by odd-occurrence combination; ghost edges
+    keep their pair identity.  A decode that hides ghost singletons or
+    closes the open boundary uses a :meth:`MatchingGraph.without` view.
     """
-    # nodes cover every detector of the class, even when the current
-    # variant hides or excludes all of a detector's edges: a defect on
-    # such a node must fail loudly instead of being dropped
     dets = sorted({d for c in components for d in c.detectors})
     node = {d: i for i, d in enumerate(dets)}
     boundary = len(dets)
     merged: dict[tuple, list] = {}
     ghosts = []
     for c in components:
-        if c.role == "ghost_s" and not expose_gs:
-            continue
-        if c.open_boundary and exclude_open_boundary:
-            continue
         u = node[c.detectors[0]]
         v = node[c.detectors[1]] if len(c.detectors) == 2 else boundary
         u, v = min(u, v), max(u, v)
@@ -191,18 +191,18 @@ def build_matching_graph(patch: int, cls: str,
         else:
             ghosts.append((u, v, c))
     edges = []
-    for (u, v, obs, _, cut), comps in sorted(
+    for (u, v, obs, open_b, cut), comps in sorted(
             merged.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2], kv[0][4])):
         p = 0.0
         for c in comps:
             p = _merge_odd(p, c.probability)
         edges.append(GraphEdge(u, v, edge_weight(p),
                                tuple(c.index for c in comps), obs,
-                               "normal", None, cut, _partners(comps)))
+                               "normal", None, cut, _partners(comps), open_b))
     for u, v, c in sorted(ghosts, key=lambda t: (t[0], t[1], t[2].index)):
         edges.append(GraphEdge(u, v, edge_weight(c.probability), (c.index,),
                                c.observables, c.role, c.pair_id,
-                               c.cut_partners, _partners([c])))
+                               c.cut_partners, _partners([c]), c.open_boundary))
     return MatchingGraph(patch, cls, tuple(dets), tuple(edges))
 
 

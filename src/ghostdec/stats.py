@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .circuits import CircuitError
+
 RELATIVE_PRECISION = 1e-10
 
 
@@ -24,11 +26,11 @@ def likelihood_interval(k: int, n: int,
     upper endpoint is one minus the lower one for n - k failures.
     """
     if n <= 0:
-        raise ValueError("need at least one sample")
+        raise CircuitError("need at least one sample")
     if not 0 <= k <= n:
-        raise ValueError(f"failure count {k} outside [0, {n}]")
+        raise CircuitError(f"failure count {k} outside [0, {n}]")
     if factor <= 1.0:
-        raise ValueError("likelihood factor must exceed 1")
+        raise CircuitError("likelihood factor must exceed 1")
     return _lower(k, n, factor)[0], _lower(n - k, n, factor)[1]
 
 

@@ -173,23 +173,17 @@ def plan_tproxy_windows(decomposed: DecomposedDEM,
                         config: WindowConfig) -> TproxyPlan:
     """One window per gate, cut at its decision round.
 
-    A horizon beyond the surviving patch's last round is an error unless
-    it swallows the whole circuit, which degenerates to the global
-    problem.
+    No horizon runs past its surviving patch's syndrome: a gate's
+    survivor is the next carrier, which ends no earlier, or for the last
+    gate the final survivor, which ends the circuit unless that gate
+    does.
     """
     dem = decomposed.dem
     gates = tproxy_gates(dem, config)
-    last = patch_last_round(dem)
-    first, global_max = min(dem.detector_time), max(dem.detector_time)
-    windows = []
-    for gate in gates:
-        if last[gate.patch] < gate.decision_round < global_max:
-            raise WindowError(
-                f"decision round {gate.decision_round} runs past the syndrome "
-                f"available on patch {gate.patch} "
-                f"(last round {last[gate.patch]})")
-        windows.append(build_window(decomposed, first, gate.decision_round))
-    return TproxyPlan(config, gates, tuple(windows))
+    first = min(dem.detector_time)
+    windows = tuple(build_window(decomposed, first, gate.decision_round)
+                    for gate in gates)
+    return TproxyPlan(config, gates, windows)
 
 
 @dataclass
@@ -330,8 +324,7 @@ def decode_memory_sliding(decomposed: DecomposedDEM, syndrome: np.ndarray,
         commit_end = (w.hi + 1 if w is plan.windows[-1]
                       else w.lo + plan.commit_rounds)
         res = run_ghost_protocol(w.decomposed, carried, graphs=w.graphs)
-        for (patch, cls), corr in res.corrections.items():
-            g = w.graphs[patch, cls, False]
+        for g, corr in res.corrections.values():
             for ei in corr.edges:
                 e = g.edges[ei]
                 dets = [g.detectors[e.u]]

@@ -2,9 +2,9 @@
 
 import pytest
 
-from ghostdec.builders import (CircuitBuilder, NoiseParams, apply_noise_model,
-                               build_deep_clifford_circuit, build_memory_circuit,
-                               build_tproxy_circuit)
+from ghostdec.builders import (CircuitBuilder, NoiseParams, PauliStringTracker,
+                               apply_noise_model, build_deep_clifford_circuit,
+                               build_memory_circuit, build_tproxy_circuit)
 from ghostdec.circuits import Circuit, CircuitError, Instruction, QubitDecl
 from ghostdec.tableau import check_detector_determinism
 
@@ -58,6 +58,38 @@ def test_cnot_requires_prepared_patches():
     b.prep([0], "Z")
     with pytest.raises(CircuitError):
         b.transversal_cnot(0, 1)
+
+
+def one_patch(prepped=True, rounds=0):
+    """A d=3 one-patch builder, prepared in Z with ``rounds`` rounds run."""
+    b = CircuitBuilder(3, 1)
+    if prepped:
+        b.prep([0], "Z")
+    b.run_rounds(rounds)
+    return b
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: one_patch(False).prep([0], "Y"), "prep basis must be Z or X"),
+    (lambda: one_patch().prep([0], "X"), "patch 0 already prepared"),
+    (lambda: one_patch(False).run_round(), "before all live patches"),
+    (lambda: one_patch().transversal_gate(0, "S"),
+     "unsupported transversal gate 'S'"),
+    (lambda: one_patch(False).transversal_gate(0, "H"), "patch 0 is not active"),
+    (lambda: CircuitBuilder(3, 2).transversal_cnot(0, 0), "must differ"),
+    (lambda: one_patch().readout(0), "patch 0 cannot be read out"),
+    (lambda: one_patch(rounds=1).readout(0, "Y"),
+     "readout basis must be Z or X"),
+    (lambda: PauliStringTracker(1, 1).apply_1q("S", [0]),
+     "cannot track gate 'S'"),
+    (lambda: build_tproxy_circuit(3, 0), "at least one gate"),
+    (lambda: build_deep_clifford_circuit(3, 1, 0), "at least one layer"),
+], ids=["prep-basis", "second-prep", "round-before-prep", "gate-s",
+        "gate-unprepared", "cnot-self", "readout-before-round",
+        "readout-basis", "track-s", "tproxy-no-gates", "deep-no-layers"])
+def test_builder_misuse_raises(build, match):
+    with pytest.raises(CircuitError, match=match):
+        build()
 
 
 # -- T-gate proxy ---------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from ghostdec.builders import (NoiseParams, apply_noise_model,
                                build_deep_clifford_circuit, build_memory_circuit,
                                build_tproxy_circuit)
-from ghostdec.decompose import DecompositionError, ghost_decompose
+from ghostdec.decompose import Component, DecompositionError, ghost_decompose
 from ghostdec.dem import DetectorErrorModel, ErrorMechanism, extract_dem
 from ghostdec.ghost import build_protocol_graphs
 
@@ -174,6 +174,15 @@ def test_rejects_four_detectors_in_one_class():
                     patches=(0, 0, 0, 0), classes=("Z",) * 4)
     with pytest.raises(DecompositionError):
         ghost_decompose(dem)
+
+
+@pytest.mark.parametrize("detectors, role, match", [
+    ((0, 1, 2), "normal", "component with 3 detectors"),
+    ((0, 1), "ghost", "unknown role 'ghost'"),
+], ids=["three-detectors", "unknown-role"])
+def test_component_rejects_bad_shape(detectors, role, match):
+    with pytest.raises(DecompositionError, match=match):
+        Component(0, 0, 0, "Z", detectors, (), 0.01, role)
 
 
 def test_three_detector_split_prefers_small_time_gap():

@@ -6,7 +6,7 @@ import pytest
 from ghostdec.builders import (NoiseParams, apply_noise_model,
                                build_deep_clifford_circuit, build_memory_circuit,
                                build_tproxy_circuit)
-from ghostdec.circuits import CircuitError
+from ghostdec.circuits import Circuit, CircuitError, Instruction, QubitDecl
 from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
                           sample_dem)
 from ghostdec.frames import FaultPropagator, iter_fault_sites
@@ -81,6 +81,38 @@ def test_mechanism_validation():
         ErrorMechanism(0.6, (0,), ())
     with pytest.raises(Exception):
         ErrorMechanism(0.1, (), ())
+
+
+ONE_DATA_QUBIT = (QubitDecl(0, 0.5, 0.5, 0, "data"),)
+
+
+def one_qubit_circuit(*gates):
+    """Reset, ``gates``, measure; one detector at the data qubit's place."""
+    return Circuit(ONE_DATA_QUBIT, (
+        Instruction("RESET_Z", (0,)), *(Instruction(g, (0,)) for g in gates),
+        Instruction("MEAS_Z", (0,)),
+        Instruction("DETECTOR", (-1,), coords=(0.0, 0.5, 0.5))))
+
+
+def two_detector_model(mechanism, times=(0, 0)):
+    return DetectorErrorModel((mechanism,), 2, 1, (0, 0), times, ("Z", "Z"),
+                              (0,))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: two_detector_model(ErrorMechanism(0.1, (2,), ())),
+     "detector out of range"),
+    (lambda: two_detector_model(ErrorMechanism(0.1, (0,), (1,))),
+     "observable out of range"),
+    (lambda: two_detector_model(ErrorMechanism(0.1, (0,), ()), times=(0,)),
+     "detector time map is not total"),
+    (lambda: extract_dem(one_qubit_circuit("H")), r"nondeterministic detectors \[0\]"),
+    (lambda: extract_dem(one_qubit_circuit()), "detector 0 at .* matches no cell"),
+], ids=["detector-range", "observable-range", "partial-map",
+        "random-detector", "detector-off-cell"])
+def test_malformed_models_raise(build, match):
+    with pytest.raises(CircuitError, match=match):
+        build()
 
 
 # -- sampling ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from ghostdec.ghost import (ProtocolError, build_protocol_graphs,
                             run_ghost_protocol)
 from ghostdec.matching import decode_mwpm
 from ghostdec.verify import brute_force_ml_decode
+from ghostdec.windows import _slice_components
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,37 @@ def memory_setup():
     return dem, dec, build_protocol_graphs(dec)
 
 
+@pytest.mark.parametrize("closed", [False, True])
+def test_each_patch_class_graph_is_built_once(setup, monkeypatch, closed):
+    # a window cut gives the model open-boundary edges to close
+    dem, dec, _ = setup
+    sliced = _slice_components(dec, min(dem.detector_time), 2)
+    built = []
+    build = ghostdec.ghost.build_matching_graph
+
+    def counted(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(ghostdec.ghost, "build_matching_graph", counted)
+    graphs = build_protocol_graphs(sliced, exclude_open_boundary=closed)
+    assert [(g.patch, g.cls) for g in built] == [
+        (p, cls) for p, cls, exposed in graphs if exposed]
+    singletons = opened = 0
+    for full in built:
+        shown = graphs[full.patch, full.cls, True]
+        hidden = graphs[full.patch, full.cls, False]
+        assert shown.detectors == hidden.detectors == full.detectors
+        want = [e for e in full.edges if not (closed and e.open_boundary)]
+        assert list(map(id, shown.edges)) == list(map(id, want))
+        want = [e for e in want if e.role != "ghost_s"]
+        assert list(map(id, hidden.edges)) == list(map(id, want))
+        assert (hidden is shown) == (len(want) == len(shown.edges))
+        singletons += len(shown.edges) - len(hidden.edges)
+        opened += sum(e.open_boundary for e in full.edges)
+    assert singletons and opened
+
+
 def test_memory_graphs_are_shared_across_exposure(memory_setup):
     dem, dec, graphs = memory_setup
     assert not dec.pairs
@@ -62,7 +94,7 @@ def test_shared_graphs_are_decoded_once_per_barrier_state(memory_setup,
     s = next(s for s in range(20) if dets[s].sum() >= 2)
     res = run_ghost_protocol(dec, dets[s], graphs=graphs)
     assert len(calls) == 1
-    assert any(c.edges for c in res.corrections.values())
+    assert any(c.edges for _, c in res.corrections.values())
 
 
 # -- basic runs --------------------------------------------------------------------
@@ -75,7 +107,7 @@ def test_empty_syndrome_is_a_no_op(setup):
     assert not res.frame_delta.any()
     assert not res.refinement_delta.any()
     assert not any(record.committed for record in res.trace)
-    assert all(c.edges == () for c in res.corrections.values())
+    assert all(c.edges == () for _, c in res.corrections.values())
 
 
 def test_syndrome_length_checked(setup):
@@ -133,7 +165,7 @@ def test_ghost_commit_flips_an_observable():
     assert res.frame_delta.tolist() == [True]
     assert res.logical_flips.tolist() == [True]
     assert res.refinement_delta.tolist() == [True, True, True]
-    assert all(c.edges == () for c in res.corrections.values())
+    assert all(c.edges == () for _, c in res.corrections.values())
 
 
 def test_single_mechanism_answers_match_ml(setup):
@@ -154,8 +186,7 @@ def test_final_corrections_never_contain_ghost_singletons(setup):
     dets, _ = sample_dem(dem, seed=23, shots=300)
     for s in range(300):
         res = run_ghost_protocol(dec, dets[s], graphs=graphs)
-        for (patch, cls), corr in res.corrections.items():
-            g = graphs[patch, cls, False]
+        for g, corr in res.corrections.values():
             assert all(g.edges[i].role != "ghost_s" for i in corr.edges)
 
 
@@ -212,8 +243,7 @@ def test_trace_shape(setup):
         assert set(record.corrections) == keys
         for (patch, cls), (g, _) in record.corrections.items():
             assert g is graphs[patch, cls, k == 1]
-    final = {key: corr for key, (_, corr) in res.trace[-1].corrections.items()}
-    assert final == res.corrections
+    assert res.trace[-1].corrections == res.corrections
     assert res.trace[-1].committed == []
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ghostdec.circuits import CircuitError
 from ghostdec.stats import likelihood_interval
 
 FACTOR = 1000.0
@@ -48,3 +49,14 @@ def test_upper_endpoint_mirrors_the_lower(k, n):
     hi = likelihood_interval(k, n)[1]
     assert hi == pytest.approx(1.0 - likelihood_interval(n - k, n)[0],
                                rel=0, abs=math.ulp(1.0))
+
+
+@pytest.mark.parametrize("k, n, factor, match", [
+    (0, 0, FACTOR, "at least one sample"),
+    (5, 4, FACTOR, "failure count 5 outside"),
+    (-1, 4, FACTOR, "failure count -1 outside"),
+    (1, 4, 1.0, "factor must exceed 1"),
+], ids=["no-samples", "too-many-failures", "negative-failures", "factor"])
+def test_bad_input_raises_a_circuit_error(k, n, factor, match):
+    with pytest.raises(CircuitError, match=match):
+        likelihood_interval(k, n, factor)

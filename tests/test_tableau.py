@@ -137,27 +137,35 @@ def _toy_circuit(instructions) -> Circuit:
 
 
 def test_checker_flags_nondeterministic_detector():
+    # the random outcome is read by a detector and by an observable
     ins = [
         Instruction("RESET_Z", (0,)),
         Instruction("H", (0,)),
         Instruction("MEAS_Z", (0,)),
         Instruction("DETECTOR", (-1,), coords=(0.0, 0.0, 0.0)),
+        Instruction("OBSERVABLE", (-1,), index=0),
     ]
     rep = check_detector_determinism(_toy_circuit(ins))
     assert not rep.ok
     assert rep.nondeterministic_detectors == [0]
+    assert rep.nondeterministic_observables == [0]
+    assert rep.nonzero_detectors == rep.nonzero_observables == []
 
 
 def test_checker_flags_wrong_constant_parity():
+    # the outcome is always 1, read by a detector and by an observable
     ins = [
         Instruction("RESET_Z", (0,)),
         Instruction("X", (0,)),
         Instruction("MEAS_Z", (0,)),
         Instruction("DETECTOR", (-1,), coords=(0.0, 0.0, 0.0)),
+        Instruction("OBSERVABLE", (-1,), index=0),
     ]
     rep = check_detector_determinism(_toy_circuit(ins))
     assert not rep.ok
     assert rep.nonzero_detectors == [0]
+    assert rep.nonzero_observables == [0]
+    assert rep.nondeterministic_detectors == rep.nondeterministic_observables == []
 
 
 def test_checker_passes_memory():

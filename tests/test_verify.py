@@ -1,5 +1,6 @@
 """The oracles themselves: enumeration decoder, crosscheck, weight search."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ from ghostdec.builders import (NoiseParams, apply_noise_model,
                                build_deep_clifford_circuit, build_memory_circuit,
                                build_tproxy_circuit)
 from ghostdec.dem import DetectorErrorModel, ErrorMechanism, extract_dem
+from ghostdec.frames import CircuitSampler
 from ghostdec.verify import (VerifyError, brute_force_ml_decode,
                              frame_sim_crosscheck, min_failure_weight_search)
 
@@ -109,6 +111,28 @@ def test_crosscheck_paths_agree(circuit):
     report = frame_sim_crosscheck(circuit, dem, seed=3, shots=2000)
     assert report.ok
     assert report.mismatched_shots == 0
+
+
+def test_crosscheck_reports_a_corrupted_mechanism():
+    circuit = apply_noise_model(build_memory_circuit(3, 3), NoiseParams(0.01))
+    dem = extract_dem(circuit)
+    # the likeliest mechanism gains a detector it does not flip; its
+    # provenance stays, so its fault sites still map to it
+    e = max(range(len(dem.mechanisms)), key=lambda i: dem.mechanisms[i].probability)
+    m = dem.mechanisms[e]
+    extra = min(set(range(dem.detector_count)) - set(m.detectors))
+    bad = dataclasses.replace(m, detectors=tuple(sorted(m.detectors + (extra,))))
+    corrupted = dataclasses.replace(
+        dem, mechanisms=dem.mechanisms[:e] + (bad,) + dem.mechanisms[e + 1:])
+    report = frame_sim_crosscheck(circuit, corrupted, seed=3, shots=2000)
+    # the paths differ exactly where an odd number of its sites fired
+    _, _, fired = CircuitSampler(circuit).sample(2000, np.random.default_rng(3))
+    hits = [s for s, sites in enumerate(fired)
+            if len(set(m.provenance) & set(sites)) % 2]
+    assert len(hits) > 1
+    assert report.ok is False
+    assert report.first_mismatch == hits[0]
+    assert report.mismatched_shots == len(hits)
 
 
 def test_weight_search_finds_planted_failure():

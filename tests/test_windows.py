@@ -159,6 +159,36 @@ def test_patience_needs_delay_rounds_in_the_circuit(monkeypatch):
         plan_patience(dec, CONFIG, 9)
 
 
+def noiseless(circuit):
+    return ghost_decompose(extract_dem(circuit))
+
+
+def short_sliding_syndrome():
+    dec = noiseless(build_memory_circuit(3, 2))
+    short = np.zeros(dec.dem.detector_count - 1, dtype=bool)
+    decode_memory_sliding(dec, short, plan_memory_windows(dec, 1, 0))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: WindowConfig(0), "n_buf must be at least 1"),
+    (lambda: tproxy_gates(DetectorErrorModel((), 1, 1, (0,), (1,), ("Z",),
+                                             (None,)), CONFIG),
+     "observable 0 has no home patch"),
+    (lambda: plan_tproxy_windows(noiseless(build_memory_circuit(3, 2)), CONFIG),
+     r"expected one surviving patch, found \[\]"),
+    (lambda: plan_tproxy_windows(noiseless(build_tproxy_circuit(3, 1)),
+                                 WindowConfig(2)),
+     "n_buf reaches back past the first round"),
+    (lambda: plan_memory_windows(ghost_decompose(DetectorErrorModel(
+        (), 0, 0, (), (), (), ())), 1, 0), "model has no detectors"),
+    (short_sliding_syndrome, "syndrome length does not match"),
+], ids=["n-buf", "homeless-observable", "no-survivor", "n-buf-past-start",
+        "no-detectors", "short-sliding-syndrome"])
+def test_bad_window_input_raises(call, match):
+    with pytest.raises(WindowError, match=match):
+        call()
+
+
 def test_wrong_syndrome_length_raises(patience_setup):
     dem, dec, pplan, wplan = patience_setup
     short = np.zeros(dem.detector_count - 1, dtype=bool)
