@@ -229,6 +229,9 @@ def _observable_metadata(circuit: Circuit):
 # -- sampling --------------------------------------------------------------------
 
 SAMPLE_CHUNK = 1024
+# a chunk's uniform draws are made this many rows at a time, in the same
+# order as one whole-chunk draw, so only a block is ever held as floats
+SAMPLE_BLOCK = 128
 
 
 def sample_dem(dem: DetectorErrorModel, seed: int, shots: int,
@@ -256,7 +259,10 @@ def sample_dem(dem: DetectorErrorModel, seed: int, shots: int,
     while done < shots:
         size = min(SAMPLE_CHUNK, shots - done)
         rng = np.random.default_rng([seed, chunk])
-        fired = rng.random((SAMPLE_CHUNK, n_mech))[:size] < probs
+        fired = np.empty((size, n_mech), dtype=bool)
+        for lo in range(0, size, SAMPLE_BLOCK):
+            hi = min(lo + SAMPLE_BLOCK, size)
+            fired[lo:hi] = rng.random((hi - lo, n_mech)) < probs
         for e in np.flatnonzero(fired.any(axis=0)):
             rows = np.flatnonzero(fired[:, e]) + done
             if det_rows[e].size:

@@ -51,14 +51,12 @@ class GhostResult:
     passes_with_commits: int = 0
 
 
-def build_protocol_graphs(decomposed: DecomposedDEM,
-                          exclude_open_boundary: bool = False):
+def build_protocol_graphs(decomposed: DecomposedDEM):
     """Both exposure variants of every patch-class graph.
 
     Keys are ``(patch, cls, exposed)`` for both classes of every patch
     with detectors, so a class without components still has a graph.
-    Each patch-class graph is built once, less its open-boundary edges
-    when ``exclude_open_boundary`` is set; that graph is the exposed
+    Each patch-class graph is built once; that graph is the exposed
     variant, and the unexposed one is it without ghost singletons.  So a
     patch-class with no ghost singleton has one graph, stored under both
     exposure keys.
@@ -71,8 +69,6 @@ def build_protocol_graphs(decomposed: DecomposedDEM,
     graphs = {}
     for (patch, cls), comps in groups.items():
         shown = build_matching_graph(patch, cls, comps)
-        if exclude_open_boundary:
-            shown = shown.without(lambda e: e.open_boundary)
         graphs[patch, cls, False] = shown.without(lambda e: e.role == "ghost_s")
         graphs[patch, cls, True] = shown
     return graphs
@@ -99,22 +95,17 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
     passes_with_commits = 0
 
     # passes repeat the same matching problem until a barrier actually
-    # changes the working syndrome, so a quiet pass reuses the last
-    # decode of the same (X, Z) graph objects; a patch whose graphs have
-    # no ghost singleton shares them across exposure states and is
-    # decoded once per barrier state
-    seen: dict[tuple[int, int], tuple] = {}
-
+    # changes the working syndrome, so a quiet pass finds its decode in
+    # the graphs' memo; a patch whose graphs have no ghost singleton
+    # shares them across exposure states and is decoded once per barrier
+    # state
     for k in range(1, PASSES + 1):
         final = k == PASSES
         decoded = {}                   # (patch, cls) -> (graph, correction)
         for patch in patches:
             gx = graphs[patch, "X", k == EXPOSED_PASS]
             gz = graphs[patch, "Z", k == EXPOSED_PASS]
-            key = (id(gx), id(gz))
-            if key not in seen:
-                seen[key] = decode_correlated_two_pass(gx, gz, working)
-            corr_x, corr_z = seen[key]
+            corr_x, corr_z = decode_correlated_two_pass(gx, gz, working)
             for cls, g, c in (("X", gx, corr_x), ("Z", gz, corr_z)):
                 if final and any(g.edges[i].role == "ghost_s" for i in c.edges):
                     raise ProtocolError("ghost singleton in final correction")
@@ -133,7 +124,6 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
                 frame_delta[j] ^= True
         if committed:
             passes_with_commits += 1
-            seen.clear()
         if collect_trace:
             trace.append(PassRecord(decoded, committed))
 

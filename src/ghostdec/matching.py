@@ -16,9 +16,12 @@ A `MatchingGraph` is plain data: detectors and edges, each edge with
 its cross-class partners.  Everything a decode derives from them lives
 in one `Routes` object, built on the graph's first decode and kept;
 its base shortest paths are computed whole, from every node, when it
-is built, so decoding reads them and writes no graph state.  Base and
-reweighted decodes pick the lightest parallel edge by one rule and
-fill one fixed matrix layout.
+is built, so decoding only reads them.  Base and reweighted decodes
+pick the lightest parallel edge by one rule and fill one fixed matrix
+layout.  The one state a decode writes is the memo of two-pass results
+held by the X graph's `Routes`: an answer depends on the two graphs and
+their defects alone, so a repeated input is looked up, and past
+MEMO_MAX entries the oldest is forgotten.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ PRUNE_TOL = 1e-9
 # blossom even when every pair of the component is kept (it then meets
 # 2,584 masks at most)
 DP_MAX = 16
+
+# two-pass results remembered per X graph, keyed by both graphs'
+# defects; past this many the oldest is forgotten
+MEMO_MAX = 1024
 
 
 class MatchingError(CircuitError):
@@ -110,7 +117,9 @@ class Routes:
 
     def __init__(self, graph: MatchingGraph):
         self.edges = edges = graph.edges
-        self.node = {d: i for i, d in enumerate(graph.detectors)}
+        self.detectors = np.array(graph.detectors, dtype=np.intp)
+        # id(z graph), X defects, Z defects -> (z graph, two-pass result)
+        self.memo: dict[tuple, tuple] = {}
         self.edge_of_component = {c: i for i, e in enumerate(edges)
                                   for c in e.components}
         pos = [e.weight for e in edges if e.weight > 0]
@@ -252,6 +261,14 @@ def _walk(pred_row, routes, best, src_pos, target):
         v = u
 
 
+def _defects(graph: MatchingGraph, syndrome: np.ndarray) -> np.ndarray:
+    """Local nodes of the graph's detectors that the syndrome sets."""
+    if graph.detectors and len(syndrome) <= graph.detectors[-1]:
+        raise MatchingError(f"syndrome of length {len(syndrome)} does not "
+                            f"cover detector {graph.detectors[-1]}")
+    return np.flatnonzero(syndrome[graph.routes.detectors])
+
+
 def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,
                 weight_overrides: dict[int, float] | None = None) -> Correction:
     """Exact minimum-weight matching of this graph's defects.
@@ -263,14 +280,10 @@ def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,
     through the boundary are dropped and what stays splits into
     independent components, each matched exactly by `_match`.
     """
-    if graph.detectors and len(syndrome) <= graph.detectors[-1]:
-        raise MatchingError(f"syndrome of length {len(syndrome)} does not "
-                            f"cover detector {graph.detectors[-1]}")
-    defects = [d for d in graph.detectors if syndrome[d]]
-    if not defects:
+    nodes = _defects(graph, syndrome)
+    if not len(nodes):
         return Correction((), 0.0, ())
     routes = graph.routes
-    nodes = [routes.node[d] for d in defects]
     dist, pred, best = _shortest_paths(graph, nodes, weight_overrides)
     chosen: set[int] = set()
     for a, b in _match(dist[:, nodes], dist[:, graph.boundary]):
@@ -419,13 +432,26 @@ def decode_correlated_two_pass(
     The first pass decodes both class graphs independently; every
     selected edge with a cross-class partner discounts the partner's
     weight, and a class graph with discounted edges is decoded again.
+    The result is remembered for the defects both graphs see.
     """
+    memo = x_graph.routes.memo
+    key = (id(z_graph), _defects(x_graph, syndrome).tobytes(),
+           _defects(z_graph, syndrome).tobytes())
+    hit = memo.get(key)
+    # a dead graph's id can be reused, so the remembered Z graph must be
+    # this one
+    if hit is not None and hit[0] is z_graph:
+        return hit[1]
     first_x = decode_mwpm(x_graph, syndrome)
     first_z = decode_mwpm(z_graph, syndrome)
     over_z = _partner_overrides(first_x, x_graph, z_graph)
     over_x = _partner_overrides(first_z, z_graph, x_graph)
-    return (decode_mwpm(x_graph, syndrome, over_x) if over_x else first_x,
-            decode_mwpm(z_graph, syndrome, over_z) if over_z else first_z)
+    result = (decode_mwpm(x_graph, syndrome, over_x) if over_x else first_x,
+              decode_mwpm(z_graph, syndrome, over_z) if over_z else first_z)
+    if len(memo) >= MEMO_MAX:
+        del memo[next(iter(memo))]
+    memo[key] = (z_graph, result)
+    return result
 
 
 def _partner_overrides(corr: Correction, src_graph: MatchingGraph,

@@ -24,7 +24,11 @@ import numpy as np
 from .circuits import CircuitError
 from .decompose import DecomposedDEM
 from .dem import DetectorErrorModel
-from .ghost import PassRecord, build_protocol_graphs, run_ghost_protocol
+# build_protocol_graphs is not called here, but stays a name of this
+# module: patience planning reads as a graph-building layer to tools
+# that rebind or patch ``patience.build_protocol_graphs``
+from .ghost import (PassRecord, build_protocol_graphs,  # noqa: F401
+                    run_ghost_protocol)
 from .matching import MatchingError
 from .windows import (TproxyGate, TproxyPlan, Window, WindowConfig,
                       WindowError, build_window, carry_gates, patch_last_round,
@@ -101,9 +105,9 @@ def herald_complementary(window: Window, syndrome: np.ndarray,
                          graphs: dict) -> bool:
     """Re-decode with the open temporal boundary closed.
 
-    ``graphs`` are the window's graphs built without open-boundary
-    edges.  Error strings may no longer terminate at the cut; a
-    differing answer heralds a likely windowing failure.  Closing the
+    ``graphs`` are the window's graphs without open-boundary edges.
+    Error strings may no longer terminate at the cut; a differing
+    answer heralds a likely windowing failure.  Closing the
     cut keeps every spatial boundary edge, so on the builders' models
     each detector still reaches the boundary and the matching is always
     feasible; the ``MatchingError`` branch only guards a model where a
@@ -121,7 +125,9 @@ class PatiencePlan:
     base: TproxyPlan
     delay_rounds: int
     extended: tuple[Window, ...] | None  # None when delay is 0
-    closed_graphs: tuple[dict, ...]      # per gate
+    # per gate: the window's graphs less open-boundary edges, each the
+    # window's own object where it has none, so its decodes are shared
+    closed_graphs: tuple[dict, ...]
     regions: tuple[frozenset, ...]       # per gate
 
 
@@ -151,12 +157,18 @@ def plan_patience(decomposed: DecomposedDEM, config: WindowConfig,
         extended = tuple(build_window(decomposed, window.lo,
                                       gate.decision_round + delay)
                          for gate, window in zip(base.gates, base.windows))
-    closed = tuple(build_protocol_graphs(w.decomposed,
-                                         exclude_open_boundary=True)
-                   for w in base.windows)
+    closed = tuple(_closed(w.graphs) for w in base.windows)
     regions = tuple(weight_growth_region(dem, gate, radius)
                     for gate in base.gates)
     return PatiencePlan(base, delay, extended, closed, regions)
+
+
+def _closed(graphs: dict) -> dict:
+    """``graphs`` less open-boundary edges, one view per graph object, so
+    a graph shared across exposure keys stays shared."""
+    views = {id(g): g.without(lambda e: e.open_boundary)
+             for g in graphs.values()}
+    return {key: views[id(g)] for key, g in graphs.items()}
 
 
 @dataclass

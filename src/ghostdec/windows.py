@@ -148,6 +148,9 @@ def tproxy_gates(dem: DetectorErrorModel,
         p = dem.observable_patch[j]
         if p is None:
             raise WindowError(f"observable {j} has no home patch")
+        if p not in last:
+            raise WindowError(f"observable {j}'s home patch {p} "
+                              "has no detectors")
         carriers.append((last[p], j, p))
     carriers.sort()
     rest = sorted(set(last) - {p for _, _, p in carriers})

@@ -151,6 +151,29 @@ def test_sampling_is_chunk_partition_invariant():
     assert np.array_equal(np.vstack(parts_o), whole[1])
 
 
+def test_block_draws_equal_one_whole_chunk_draw():
+    # the reference draws each chunk as one SAMPLE_CHUNK-row matrix and
+    # XORs the fired mechanisms' symptoms by a dense product
+    from ghostdec.dem import SAMPLE_BLOCK, SAMPLE_CHUNK
+    dem = extract_dem(noisy(build_memory_circuit(3, 2), p=0.01))
+    probs = np.array([m.probability for m in dem.mechanisms])
+    det_of = np.zeros((len(probs), dem.detector_count), dtype=int)
+    obs_of = np.zeros((len(probs), dem.observable_count), dtype=int)
+    for e, m in enumerate(dem.mechanisms):
+        det_of[e, list(m.detectors)] = 1
+        obs_of[e, list(m.observables)] = 1
+    shots = SAMPLE_CHUNK + SAMPLE_BLOCK + 37
+    dets, obs = sample_dem(dem, seed=9, shots=shots, first_chunk=2)
+    fired = []
+    for chunk, size in ((2, SAMPLE_CHUNK), (3, shots - SAMPLE_CHUNK)):
+        rng = np.random.default_rng([9, chunk])
+        fired.append(rng.random((SAMPLE_CHUNK, len(probs)))[:size] < probs)
+    fired = np.vstack(fired).astype(int)
+    assert np.array_equal(dets, (fired @ det_of) % 2 == 1)
+    assert np.array_equal(obs, (fired @ obs_of) % 2 == 1)
+    assert dets.any(axis=1).mean() > 0.5
+
+
 @pytest.mark.parametrize("args", [
     {"seed": -1, "shots": 4},
     {"seed": 0, "shots": -1},

@@ -1,9 +1,12 @@
 """Iterative ghost-edge protocol: graph sets, commits, and the logical frame."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import ghostdec.ghost
+import ghostdec.matching
 from ghostdec.builders import (NoiseParams, apply_noise_model,
                                build_memory_circuit, build_tproxy_circuit)
 from ghostdec.decompose import ghost_decompose
@@ -11,9 +14,10 @@ from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
                           sample_dem)
 from ghostdec.ghost import (ProtocolError, build_protocol_graphs,
                             run_ghost_protocol)
-from ghostdec.matching import decode_mwpm
+from ghostdec.matching import decode_correlated_two_pass, decode_mwpm
+from ghostdec.patience import plan_patience
 from ghostdec.verify import brute_force_ml_decode
-from ghostdec.windows import _slice_components
+from ghostdec.windows import WindowConfig
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +47,9 @@ def memory_setup():
 
 @pytest.mark.parametrize("closed", [False, True])
 def test_each_patch_class_graph_is_built_once(setup, monkeypatch, closed):
-    # a window cut gives the model open-boundary edges to close
+    # the one gate's window cut gives the model open-boundary edges, and
+    # the patience plan's closed graphs are views that drop them
     dem, dec, _ = setup
-    sliced = _slice_components(dec, min(dem.detector_time), 2)
     built = []
     build = ghostdec.ghost.build_matching_graph
 
@@ -54,7 +58,10 @@ def test_each_patch_class_graph_is_built_once(setup, monkeypatch, closed):
         return built[-1]
 
     monkeypatch.setattr(ghostdec.ghost, "build_matching_graph", counted)
-    graphs = build_protocol_graphs(sliced, exclude_open_boundary=closed)
+    plan = plan_patience(dec, WindowConfig(), 3)
+    (window,) = plan.base.windows
+    assert (window.lo, window.hi) == (min(dem.detector_time), 2)
+    graphs = plan.closed_graphs[0] if closed else window.graphs
     assert [(g.patch, g.cls) for g in built] == [
         (p, cls) for p, cls, exposed in graphs if exposed]
     singletons = opened = 0
@@ -79,22 +86,41 @@ def test_memory_graphs_are_shared_across_exposure(memory_setup):
         assert graphs[0, cls, True] is graphs[0, cls, False]
 
 
+def cold_copies(graphs):
+    """Copies of a graph set, shared as the originals are, that have
+    derived and remembered nothing yet."""
+    copies = {id(g): dataclasses.replace(g) for g in graphs.values()}
+    return {key: copies[id(g)] for key, g in graphs.items()}
+
+
 def test_shared_graphs_are_decoded_once_per_barrier_state(memory_setup,
                                                           monkeypatch):
     dem, dec, graphs = memory_setup
     calls = []
-    decode = ghostdec.ghost.decode_correlated_two_pass
+    decode = ghostdec.matching.decode_mwpm
 
     def counted(*args):
         calls.append(1)
         return decode(*args)
 
-    monkeypatch.setattr(ghostdec.ghost, "decode_correlated_two_pass", counted)
+    monkeypatch.setattr(ghostdec.matching, "decode_mwpm", counted)
     dets, _ = sample_dem(dem, seed=5, shots=20)
     s = next(s for s in range(20) if dets[s].sum() >= 2)
-    res = run_ghost_protocol(dec, dets[s], graphs=graphs)
-    assert len(calls) == 1
+    once = cold_copies(graphs)
+    decode_correlated_two_pass(once[0, "X", False], once[0, "Z", False],
+                               dets[s])
+    per_decode = len(calls)
+    calls.clear()
+    cold = cold_copies(graphs)
+    res = run_ghost_protocol(dec, dets[s], graphs=cold)
+    # four passes in two exposure states cost one two-pass decode
+    assert len(calls) == per_decode >= 2
     assert any(c.edges for _, c in res.corrections.values())
+    # and the same syndrome again costs none
+    calls.clear()
+    again = run_ghost_protocol(dec, dets[s], graphs=cold)
+    assert not calls
+    assert again.corrections == res.corrections
 
 
 # -- basic runs --------------------------------------------------------------------
@@ -265,3 +291,57 @@ def test_tracing_changes_nothing():
         assert plain.trace == [] and len(traced.trace) == 4
         commits += plain.passes_with_commits
     assert commits
+
+
+# -- the decode memo -------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def two_gate_setup():
+    dem = extract_dem(apply_noise_model(build_tproxy_circuit(3, 2),
+                                        NoiseParams(5e-3)))
+    dec = ghost_decompose(dem)
+    return dem, dec, build_protocol_graphs(dec)
+
+
+def test_warm_graphs_decode_as_cold_copies(two_gate_setup, monkeypatch):
+    dem, dec, graphs = two_gate_setup
+    calls = {"warm": 0, "cold": 0}
+    decode = ghostdec.matching.decode_mwpm
+    side = "warm"
+
+    def counted(*args):
+        calls[side] += 1
+        return decode(*args)
+
+    monkeypatch.setattr(ghostdec.matching, "decode_mwpm", counted)
+    dets, _ = sample_dem(dem, seed=41, shots=200)
+    for s in range(200):
+        side = "warm"
+        warm = run_ghost_protocol(dec, dets[s], graphs=graphs)
+        side = "cold"
+        cold = run_ghost_protocol(dec, dets[s], graphs=cold_copies(graphs))
+        assert ([c for _, c in warm.corrections.values()]
+                == [c for _, c in cold.corrections.values()]), f"shot {s}"
+        for name in ("logical_flips", "frame_delta", "refinement_delta"):
+            assert np.array_equal(getattr(warm, name), getattr(cold, name))
+        assert warm.passes_with_commits == cold.passes_with_commits
+    # inputs repeat across shots, so the warm graphs decode less
+    assert calls["warm"] < 0.8 * calls["cold"]
+
+
+def test_memo_never_grows_past_its_bound(two_gate_setup, monkeypatch):
+    dem, dec, graphs = two_gate_setup
+    monkeypatch.setattr(ghostdec.matching, "MEMO_MAX", 3)
+    small = cold_copies(graphs)
+    dets, _ = sample_dem(dem, seed=43, shots=60)
+    sizes = set()
+    for s in range(60):
+        res = run_ghost_protocol(dec, dets[s], graphs=small)
+        sizes |= {len(g.routes.memo) for g in small.values()
+                  if "routes" in vars(g)}
+        assert max(sizes) <= 3
+        want = run_ghost_protocol(dec, dets[s], graphs=cold_copies(graphs))
+        assert res.corrections.keys() == want.corrections.keys()
+        assert all(res.corrections[k][1] == want.corrections[k][1]
+                   for k in want.corrections)
+    assert 3 in sizes

@@ -185,9 +185,14 @@ def test_empty_syndrome_returns_empty_correction():
     corr = decode_mwpm(g, np.zeros(dem.detector_count, dtype=bool))
     assert corr.edges == ()
     assert corr.weight == 0.0
-    # a vector too short for the graph's detectors is an error, not empty
+    # a vector too short for the graph's detectors is an error, not empty,
+    # also once the memo holds the empty answer
     with pytest.raises(MatchingError):
         decode_mwpm(g, np.zeros(3, dtype=bool))
+    gx = class_graph(dec, 0, "X")
+    decode_correlated_two_pass(gx, g, np.zeros(dem.detector_count, dtype=bool))
+    with pytest.raises(MatchingError):
+        decode_correlated_two_pass(gx, g, np.zeros(3, dtype=bool))
 
 
 def test_isolated_defect_raises():
@@ -288,6 +293,30 @@ def test_graph_data_alone_reproduces_correlated_decodes():
     assert gx.routes is gx.routes
 
 
+def test_memo_tells_z_graphs_apart():
+    # one X graph decoded beside two Z graphs of the same detectors gets
+    # each pair's own answer, the answer of fresh copies
+    dem, dec, patches = tproxy_model()
+    gx = class_graph(dec, patches[0], "X")
+    gz = class_graph(dec, patches[0], "Z")
+    heavier = dataclasses.replace(gz, edges=tuple(
+        dataclasses.replace(e, weight=e.weight * (1 + i % 3))
+        for i, e in enumerate(gz.edges)))
+    rng = np.random.default_rng(11)
+    differ = 0
+    for _ in range(60):
+        syndrome = np.zeros(dem.detector_count, dtype=bool)
+        syndrome[rng.choice(gx.detectors + gz.detectors, size=4,
+                            replace=False)] = True
+        got = {}
+        for z in (gz, heavier, gz):
+            got[id(z)] = decode_correlated_two_pass(gx, z, syndrome)
+            assert got[id(z)] == decode_correlated_two_pass(
+                dataclasses.replace(gx), dataclasses.replace(z), syndrome)
+        differ += got[id(gz)] != got[id(heavier)]
+    assert differ > 30
+
+
 def test_overrides_pick_parallel_edges_like_a_full_rebuild():
     dem, dec = tproxy_model(d=5, n=2)[:2]
     plan = plan_tproxy_windows(dec, WindowConfig())
@@ -322,7 +351,7 @@ def test_overrides_pick_parallel_edges_like_a_full_rebuild():
 def full_graph_objective(graph, syndrome, overrides=None):
     """Optimum of one blossom over every defect, each with a boundary copy,
     the copies joined at zero weight; None when no matching exists."""
-    nodes = [graph.routes.node[d] for d in graph.detectors if syndrome[d]]
+    nodes = [i for i, d in enumerate(graph.detectors) if syndrome[d]]
     dist = _shortest_paths(graph, nodes, overrides)[0]
     k = len(nodes)
     g = nx.Graph()

@@ -14,10 +14,12 @@ from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
 from ghostdec.ghost import PassRecord, build_protocol_graphs, run_ghost_protocol
 from ghostdec.matching import Correction, GraphEdge, MatchingGraph
 import ghostdec.dem
+import ghostdec.matching
 import ghostdec.patience
 import ghostdec.windows
 from ghostdec.patience import (HeraldResult, PatienceError,
-                               herald_weight_growth, patience_delay,
+                               herald_complementary, herald_weight_growth,
+                               patience_delay,
                                patient_decode, plan_patience)
 from ghostdec.tableau import DeterminismReport
 from ghostdec.windows import (TproxyPlan, WindowConfig, WindowError,
@@ -174,6 +176,9 @@ def short_sliding_syndrome():
     (lambda: tproxy_gates(DetectorErrorModel((), 1, 1, (0,), (1,), ("Z",),
                                              (None,)), CONFIG),
      "observable 0 has no home patch"),
+    (lambda: tproxy_gates(DetectorErrorModel((), 1, 1, (0,), (1,), ("Z",),
+                                             (1,)), CONFIG),
+     "observable 0's home patch 1 has no detectors"),
     (lambda: plan_tproxy_windows(noiseless(build_memory_circuit(3, 2)), CONFIG),
      r"expected one surviving patch, found \[\]"),
     (lambda: plan_tproxy_windows(noiseless(build_tproxy_circuit(3, 1)),
@@ -182,7 +187,8 @@ def short_sliding_syndrome():
     (lambda: plan_memory_windows(ghost_decompose(DetectorErrorModel(
         (), 0, 0, (), (), (), ())), 1, 0), "model has no detectors"),
     (short_sliding_syndrome, "syndrome length does not match"),
-], ids=["n-buf", "homeless-observable", "no-survivor", "n-buf-past-start",
+], ids=["n-buf", "homeless-observable", "home-without-detectors",
+        "no-survivor", "n-buf-past-start",
         "no-detectors", "short-sliding-syndrome"])
 def test_bad_window_input_raises(call, match):
     with pytest.raises(WindowError, match=match):
@@ -218,6 +224,63 @@ def test_only_ghost_free_patches_share_window_graphs(patience_setup):
     assert shared == {(2, "X"), (2, "Z")}
     assert not any(c.role == "ghost_s" and c.patch == 2
                    for c in window.decomposed.components)
+
+
+def test_closed_views_are_window_graphs_where_nothing_opens(patience_setup):
+    dem, dec, pplan, _ = patience_setup
+    same = other = 0
+    for window, closed in zip(pplan.base.windows, pplan.closed_graphs):
+        graphs = window.graphs
+        assert closed.keys() == graphs.keys()
+        for key, g in graphs.items():
+            want = [e for e in g.edges if not e.open_boundary]
+            assert list(map(id, closed[key].edges)) == list(map(id, want))
+            assert closed[key].detectors == g.detectors
+            assert (closed[key] is g) == (len(want) == len(g.edges))
+            same += closed[key] is g
+            other += closed[key] is not g
+        # graphs shared across exposure keys stay shared
+        for p, c, _ in graphs:
+            assert ((closed[p, c, True] is closed[p, c, False])
+                    == (graphs[p, c, True] is graphs[p, c, False]))
+    assert same and other
+
+
+def test_quiet_base_run_leaves_only_opened_graphs_to_decode(patience_setup,
+                                                            monkeypatch):
+    # when neither run commits, the base run has decoded every graph the
+    # cut leaves alone on the very syndrome the closed decode sees
+    dem, dec, pplan, _ = patience_setup
+    gate, window = pplan.base.gates[0], pplan.base.windows[0]
+    closed = pplan.closed_graphs[0]
+    source = {id(closed[key]): g for key, g in window.graphs.items()}
+    untouched = [g for key, g in window.graphs.items() if closed[key] is g]
+    calls = []
+    decode = ghostdec.matching.decode_mwpm
+
+    def counted(graph, *args):
+        calls.append(graph)
+        return decode(graph, *args)
+
+    monkeypatch.setattr(ghostdec.matching, "decode_mwpm", counted)
+    dets, _ = sample_dem(dem, seed=47, shots=200)
+    checked = 0
+    for s in range(200):
+        base = run_ghost_protocol(window.decomposed, dets[s],
+                                  graphs=window.graphs)
+        if base.passes_with_commits:
+            continue
+        calls.clear()
+        herald_complementary(window, dets[s], gate.observable,
+                             bool(base.logical_flips[gate.observable]), closed)
+        # a closed-run commit changes what the untouched graphs see
+        if run_ghost_protocol(window.decomposed, dets[s],
+                              graphs=closed).passes_with_commits:
+            continue
+        assert all(any(e.open_boundary for e in source[id(g)].edges)
+                   for g in calls), f"shot {s}"
+        checked += any(dets[s][list(g.detectors)].any() for g in untouched)
+    assert checked > 20
 
 
 @pytest.mark.parametrize("lo, hi", [(1, 2), (1, 5), (1, 4), (3, 6), (5, 5)])
