@@ -6,6 +6,24 @@ coin per random measurement outcome, stored as Python int bitmasks
 (bit 0 is the constant term, bit 1+k is coin k).  A detector or
 observable parity is deterministic exactly when the coin part of its
 outcome form cancels, which this module checks without any sampling.
+
+A measurement costs in proportion to the measured Pauli's support, not
+to the tableau's size, wherever the algebra allows:
+
+* a row anticommutes with P by the symplectic product over the columns
+  where P acts, so only those columns are read (one, for a single-qubit
+  measurement or reset);
+* a random outcome multiplies one stabilizer row p into every other
+  anticommuting row.  Row p and its destabilizer partner are no
+  targets, so every target reads the same, unchanged row p and all of
+  them are updated in one batched rowsum;
+* a deterministic outcome is the product of the stabilizer rows whose
+  destabilizers anticommute with P; its phase comes in closed form from
+  the rows' pairwise overlaps instead of row-by-row accumulation.
+
+A row (x, z) stands for i^(x.z) X^x Z^z, so phases follow from counts of
+overlapping bits.  Only the 0/1 phase bit of a product comes from numpy;
+the coin forms stay Python ints, since they outgrow 64 bits.
 """
 
 from __future__ import annotations
@@ -20,16 +38,19 @@ _NOISE = ("DEPOL1", "DEPOL2", "MEAS_FLIP")
 
 
 class StabilizerSimulator:
-    """CHP-style simulator over ``num_qubits`` qubits, all starting in |0>."""
+    """CHP-style simulator over ``num_qubits`` qubits, all starting in |0>.
+
+    Rows 0..n-1 are destabilizers, rows n..2n-1 their stabilizers.
+    """
 
     def __init__(self, num_qubits: int):
         n = self.n = num_qubits
-        self.x = np.zeros((2 * n + 1, n), dtype=bool)
-        self.z = np.zeros((2 * n + 1, n), dtype=bool)
+        self.x = np.zeros((2 * n, n), dtype=bool)
+        self.z = np.zeros((2 * n, n), dtype=bool)
         for i in range(n):
             self.x[i, i] = True
             self.z[n + i, i] = True
-        self.signs = [0] * (2 * n + 1)
+        self.signs = [0] * (2 * n)
         self.num_coins = 0
 
     # -- gates ---------------------------------------------------------
@@ -70,14 +91,13 @@ class StabilizerSimulator:
         outcome as an affine form over coins."""
         n = self.n
         anti = self._anticommute_mask(xp, zp)
-        stab_anti = np.flatnonzero(anti[n:2 * n])
+        stab_anti = np.flatnonzero(anti[n:])
         if stab_anti.size:
-            p = n + stab_anti[0]
-            # row p - n is overwritten below, so it is skipped here (it
+            p = n + int(stab_anti[0])
+            # row p - n is overwritten below, so it is skipped (it
             # anticommutes with row p and their product is not Hermitian)
-            for i in np.flatnonzero(anti[:2 * n]):
-                if i != p and i != p - n:
-                    self._rowsum(i, p)
+            anti[p] = anti[p - n] = False
+            self._rowsum(np.flatnonzero(anti), p)
             # the old stabilizer becomes the destabilizer of the new one
             self.x[p - n] = self.x[p]
             self.z[p - n] = self.z[p]
@@ -88,17 +108,23 @@ class StabilizerSimulator:
             self.z[p] = zp
             self.signs[p] = coin ^ (sign_bit & 1)
             return coin
-        # deterministic: accumulate stabilizer rows whose destabilizer
-        # partner anticommutes with P into the scratch row
-        s = 2 * n
-        self.x[s] = False
-        self.z[s] = False
-        self.signs[s] = 0
-        for i in np.flatnonzero(anti[:n]):
-            self._rowsum(s, n + i)
-        if not (np.array_equal(self.x[s], xp) and np.array_equal(self.z[s], zp)):
+        # deterministic: P is the product of the stabilizer rows whose
+        # destabilizer partner anticommutes with it
+        rows = n + np.flatnonzero(anti[:n])
+        xr, zr = self.x[rows], self.z[rows]
+        xs = np.logical_xor.reduce(xr, axis=0)
+        zs = np.logical_xor.reduce(zr, axis=0)
+        if not (np.array_equal(xs, xp) and np.array_equal(zs, zp)):
             raise AssertionError("deterministic measurement did not reproduce operator")
-        return self.signs[s] ^ (sign_bit & 1)
+        # rows[-1] ... rows[0]: moving every X^x_b left past the Z^z_a
+        # with a > b costs (-1)^(z_a . x_b)
+        zx = zr.astype(np.int64) @ xr.T.astype(np.int64)
+        tot = (np.count_nonzero(xr & zr) + 2 * int(np.tril(zx, -1).sum())
+               - np.count_nonzero(xs & zs)) % 4
+        form = (sign_bit & 1) ^ _half_phase(tot)
+        for r in rows.tolist():
+            form ^= self.signs[r]
+        return form
 
     def measure_z(self, q: int) -> int:
         xp = np.zeros(self.n, dtype=bool)
@@ -110,7 +136,7 @@ class StabilizerSimulator:
         f = self.measure_z(q)
         if f:
             # classically controlled X^f folds into the sign forms
-            for i in np.flatnonzero(self.z[:2 * self.n, q]):
+            for i in np.flatnonzero(self.z[:, q]):
                 self.signs[i] ^= f
 
     def reset_x(self, q: int) -> None:
@@ -119,30 +145,37 @@ class StabilizerSimulator:
         xp[q] = True
         f = self.measure_pauli(xp, zp)
         if f:
-            for i in np.flatnonzero(self.x[:2 * self.n, q]):
+            for i in np.flatnonzero(self.x[:, q]):
                 self.signs[i] ^= f
 
     def _anticommute_mask(self, xp: np.ndarray, zp: np.ndarray) -> np.ndarray:
-        a = self.x[:2 * self.n] & zp
-        b = self.z[:2 * self.n] & xp
-        return (a.sum(axis=1) + b.sum(axis=1)) % 2 == 1
+        """Rows anticommuting with P, reading only the columns P acts on."""
+        cols = np.flatnonzero(xp | zp)
+        odd = self.x[:, cols] & zp[cols]
+        odd ^= self.z[:, cols] & xp[cols]
+        return np.logical_xor.reduce(odd, axis=1)
 
-    def _rowsum(self, h: int, i: int) -> None:
-        """Row h := (row i) * (row h), with exact phase bookkeeping."""
-        x1 = self.x[i].astype(np.int8)
-        z1 = self.z[i].astype(np.int8)
-        x2 = self.x[h].astype(np.int8)
-        z2 = self.z[h].astype(np.int8)
-        g = np.where(
-            (x1 == 1) & (z1 == 1), z2 - x2,
-            np.where((x1 == 1) & (z1 == 0), z2 * (2 * x2 - 1),
-                     np.where((x1 == 0) & (z1 == 1), x2 * (1 - 2 * z2), 0)))
-        tot = int(g.sum()) % 4
-        if tot not in (0, 2):
-            raise AssertionError("non-Hermitian phase in rowsum")
-        self.signs[h] ^= self.signs[i] ^ (tot // 2)
-        self.x[h] ^= self.x[i]
-        self.z[h] ^= self.z[i]
+    def _rowsum(self, hs: np.ndarray, i: int) -> None:
+        """Every row h in ``hs`` := (row i) * (row h), with exact phase
+        bookkeeping; row i must not be in ``hs``."""
+        x1, z1 = self.x[i], self.z[i]
+        x2, z2 = self.x[hs], self.z[hs]
+        tot = (np.count_nonzero(x1 & z1) + np.count_nonzero(x2 & z2, axis=1)
+               + 2 * np.count_nonzero(z1 & x2, axis=1)
+               - np.count_nonzero((x1 ^ x2) & (z1 ^ z2), axis=1)) % 4
+        si = self.signs[i]
+        for h, t in zip(hs.tolist(), tot.tolist()):
+            self.signs[h] ^= si ^ _half_phase(t)
+        self.x[hs] = x1 ^ x2
+        self.z[hs] = z1 ^ z2
+
+
+def _half_phase(tot: int) -> int:
+    """Sign bit of a product whose phase is i^tot; a Hermitian product of
+    commuting rows has tot in {0, 2}."""
+    if tot & 1:
+        raise AssertionError("non-Hermitian phase in rowsum")
+    return int(tot) >> 1
 
 
 @dataclass

@@ -22,7 +22,7 @@ refinement toggles stay valid across windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def _slice_components(decomposed: DecomposedDEM, lo: int,
     comps = decomposed.components
     new: dict[int, int] = {}   # old component index -> sliced index
     for c in comps:
-        if (all(time[d] >= lo for d in c.detectors)
-                and any(time[d] <= hi for d in c.detectors)):
+        if lo <= min(map(time.__getitem__, c.detectors)) <= hi:
             new[c.index] = len(new)
     pairs: list[GhostPair] = []
     pair_ids: dict[int, int] = {}   # old pair id -> sliced pair id
@@ -84,18 +83,19 @@ def _slice_components(decomposed: DecomposedDEM, lo: int,
     out: list[Component] = []
     for old, index in new.items():
         c = comps[old]
-        hidden = tuple(d for d in c.detectors if time[d] > hi)
+        dets, cut, open_b = c.detectors, c.cut_partners, c.open_boundary
+        if max(map(time.__getitem__, dets)) > hi:
+            hidden = {d for d in dets if time[d] > hi}
+            dets = tuple(d for d in dets if d not in hidden)
+            cut, open_b = tuple(sorted(hidden.union(cut))), True
         pid = pair_ids.get(c.pair_id)
-        open_b = c.open_boundary or bool(hidden)
         if c.role == "ghost_s" and pid is None:
             witness = comps[decomposed.pairs[c.pair_id].g_e]
             open_b = open_b or all(time[d] > hi for d in witness.detectors)
-        out.append(replace(
-            c, index=index,
-            detectors=tuple(d for d in c.detectors if time[d] <= hi),
-            role=c.role if pid is not None else "normal", pair_id=pid,
-            partner=new.get(c.partner), open_boundary=open_b,
-            cut_partners=tuple(sorted(set(c.cut_partners) | set(hidden)))))
+        out.append(Component(
+            index, c.mech_id, c.patch, c.cls, dets, c.observables,
+            c.probability, c.role if pid is not None else "normal", pid,
+            new.get(c.partner), open_b, cut))
     return DecomposedDEM(decomposed.dem, tuple(out), tuple(pairs),
                          decomposed.invisible)
 

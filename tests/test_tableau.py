@@ -5,10 +5,12 @@ random measurement), so determinism of any parity of outcomes is checked
 algebraically rather than statistically.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from ghostdec.builders import CircuitBuilder, build_memory_circuit
+from ghostdec.builders import build_memory_circuit, build_tproxy_circuit
 from ghostdec.circuits import Circuit, Instruction, QubitDecl
 from ghostdec.tableau import StabilizerSimulator, check_detector_determinism
 
@@ -179,3 +181,120 @@ def test_checker_ignores_noise_instructions():
 
     noisy = apply_noise_model(build_memory_circuit(3, 2, "Z"), NoiseParams(0.01))
     assert check_detector_determinism(noisy).ok
+
+
+# -- the batched kernels against one-row-at-a-time references ------------------
+
+
+def reference_rowsum(x, z, signs, h, i):
+    """Row h := (row i) * (row h) with CHP's per-column g, one row at a time."""
+    x1, z1 = x[i].astype(np.int8), z[i].astype(np.int8)
+    x2, z2 = x[h].astype(np.int8), z[h].astype(np.int8)
+    g = np.where((x1 == 1) & (z1 == 1), z2 - x2,
+                 np.where((x1 == 1) & (z1 == 0), z2 * (2 * x2 - 1),
+                          np.where((x1 == 0) & (z1 == 1), x2 * (1 - 2 * z2), 0)))
+    tot = int(g.sum()) % 4
+    assert tot in (0, 2)
+    signs[h] ^= signs[i] ^ (tot // 2)
+    x[h] ^= x[i]
+    z[h] ^= z[i]
+
+
+def random_pauli(rng, n):
+    """A random Pauli product on at least one qubit, Y factors included."""
+    while True:
+        xp, zp = rng.random(n) < 0.3, rng.random(n) < 0.3
+        if (xp | zp).any():
+            return xp, zp
+
+
+def random_tableau(rng, n=6, steps=40):
+    """A simulator driven by random Clifford gates and Pauli-product
+    measurements; its signs carry coins from the random outcomes."""
+    sim = StabilizerSimulator(n)
+    for _ in range(steps):
+        k = int(rng.integers(6))
+        q = int(rng.integers(n))
+        if k == 0:
+            sim.h(q)
+        elif k == 1:
+            sim.s(q)
+        elif k == 2:
+            a, b = rng.choice(n, size=2, replace=False)
+            sim.cx(int(a), int(b))
+        elif k == 3:
+            (sim.x_gate, sim.y_gate, sim.z_gate)[int(rng.integers(3))](q)
+        else:
+            sim.measure_pauli(*random_pauli(rng, n), int(rng.integers(2)))
+    return sim
+
+
+def test_tableaux_hold_y_factors_and_coins():
+    rng = np.random.default_rng(11)
+    sims = [random_tableau(rng) for _ in range(10)]
+    assert all(s.num_coins for s in sims)
+    assert any((s.x & s.z).any() for s in sims)
+
+
+def test_batched_rowsum_equals_one_row_at_a_time():
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(40):
+        sim = random_tableau(rng)
+        n = sim.n
+        # a stabilizer row commutes with every row but its destabilizer
+        i = n + int(rng.integers(n))
+        others = [h for h in range(2 * n) if h not in (i, i - n)]
+        hs = np.sort(rng.choice(others, size=int(rng.integers(1, len(others))),
+                                replace=False))
+        x, z, signs = sim.x.copy(), sim.z.copy(), list(sim.signs)
+        for h in hs.tolist():
+            reference_rowsum(x, z, signs, h, i)
+        sim._rowsum(hs, i)
+        assert np.array_equal(sim.x, x) and np.array_equal(sim.z, z)
+        assert sim.signs == signs
+        checked += len(hs)
+    assert checked > 200
+
+
+def test_support_mask_equals_full_symplectic_product():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        sim = random_tableau(rng)
+        for _ in range(5):
+            xp, zp = random_pauli(rng, sim.n)
+            full = ((sim.x & zp).sum(axis=1) + (sim.z & xp).sum(axis=1)) % 2 == 1
+            assert np.array_equal(sim._anticommute_mask(xp, zp), full)
+
+
+def test_deterministic_outcome_is_the_stabilizer_product_sign():
+    # a product of stabilizer rows, accumulated one row at a time into a
+    # scratch row, is measured with exactly the accumulated sign
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        sim = random_tableau(rng)
+        n = sim.n
+        x = np.vstack([sim.x, np.zeros(n, dtype=bool)])
+        z = np.vstack([sim.z, np.zeros(n, dtype=bool)])
+        signs = sim.signs + [0]
+        for r in (n + np.flatnonzero(rng.random(n) < 0.5)).tolist():
+            reference_rowsum(x, z, signs, 2 * n, r)
+        coins = sim.num_coins
+        assert sim.measure_pauli(x[2 * n], z[2 * n]) == signs[2 * n]
+        assert sim.num_coins == coins
+
+
+def forms_digest(forms) -> str:
+    h = hashlib.sha256()
+    for f in forms:
+        h.update(f.to_bytes((f.bit_length() + 8) // 8, "little"))
+        h.update(b"|")
+    return h.hexdigest()
+
+
+def test_tproxy_measurement_forms_are_pinned():
+    # recorded with the one-row-at-a-time oracle, before batching
+    rep = check_detector_determinism(build_tproxy_circuit(5, 2))
+    assert rep.ok and len(rep.measurement_forms) == 411
+    assert forms_digest(rep.measurement_forms) == (
+        "fc1658b50ff87aafe6160706e3416888e5121e4ddd3dec76a47619e9aec16a0b")

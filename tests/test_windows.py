@@ -1,5 +1,6 @@
 """Windowed real-time decoding, patience and sliding memory windows."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -8,20 +9,19 @@ import pytest
 from ghostdec.builders import (NoiseParams, apply_noise_model,
                                build_memory_circuit, build_tproxy_circuit)
 from ghostdec.circuits import CircuitError
-from ghostdec.decompose import ghost_decompose
+from ghostdec.decompose import GhostPair, ghost_decompose
 from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
                           sample_dem)
 from ghostdec.ghost import PassRecord, build_protocol_graphs, run_ghost_protocol
-from ghostdec.matching import Correction, GraphEdge, MatchingGraph
-import ghostdec.dem
+from ghostdec.matching import (Correction, GraphEdge, MatchingError,
+                               MatchingGraph)
 import ghostdec.matching
 import ghostdec.patience
 import ghostdec.windows
-from ghostdec.patience import (HeraldResult, PatienceError,
+from ghostdec.patience import (HeraldResult, PatienceError, _closed,
                                herald_complementary, herald_weight_growth,
                                patience_delay,
                                patient_decode, plan_patience)
-from ghostdec.tableau import DeterminismReport
 from ghostdec.windows import (TproxyPlan, WindowConfig, WindowError,
                               _slice_components, build_window,
                               compute_tw_error, decode_memory_sliding,
@@ -145,10 +145,7 @@ def test_patience_delay_table():
 
 def test_patience_needs_delay_rounds_in_the_circuit(monkeypatch):
     # a noiseless model has every detector's time and patch, and no
-    # mechanisms to extract; its determinism is checked elsewhere and
-    # costs seconds at d=9
-    monkeypatch.setattr(ghostdec.dem, "check_detector_determinism",
-                        lambda circuit: DeterminismReport())
+    # mechanisms to extract
     dec = ghost_decompose(extract_dem(build_tproxy_circuit(9, 2)))
 
     def refuse(*args, **kwargs):
@@ -246,6 +243,47 @@ def test_closed_views_are_window_graphs_where_nothing_opens(patience_setup):
     assert same and other
 
 
+def cut_chain(spatial_boundary):
+    """Detectors 0, 1, 2 of patch 0 at rounds 0, 1, 2, cut after round 1:
+    a cheap mechanism (1, 2) becomes detector 1's edge to the open
+    temporal boundary.  With ``spatial_boundary``, detector 0 also
+    reaches the spatial boundary, flipping observable 0.  Returns the
+    window and its closed graphs."""
+    mechs = [ErrorMechanism(0.01, (0, 1), ()), ErrorMechanism(0.1, (1, 2), ())]
+    if spatial_boundary:
+        mechs.append(ErrorMechanism(0.01, (0,), (0,)))
+    dem = DetectorErrorModel(tuple(mechs), 3, 1, (0, 0, 0), (0, 1, 2),
+                             ("Z",) * 3, (0,))
+    window = build_window(ghost_decompose(dem), 0, 1)
+    return window, _closed(window.graphs)
+
+
+def test_complementary_herald_fires_when_closing_the_cut_flips_the_answer():
+    window, closed = cut_chain(spatial_boundary=True)
+    syndrome = np.array([False, True, False])
+    # open: detector 1 leaves through the cut; closed: through detector 0
+    # and the spatial boundary, which flips observable 0
+    base = run_ghost_protocol(window.decomposed, syndrome, graphs=window.graphs)
+    assert not base.logical_flips[0]
+    assert run_ghost_protocol(window.decomposed, syndrome,
+                              graphs=closed).logical_flips[0]
+    assert herald_complementary(window, syndrome, 0, False, closed)
+    assert not herald_complementary(window, syndrome, 0, True, closed)
+    # a pair inside the window decodes alike either way
+    pair = np.array([True, True, False])
+    assert not herald_complementary(window, pair, 0, False, closed)
+
+
+def test_complementary_herald_fires_on_a_stranded_defect():
+    window, closed = cut_chain(spatial_boundary=False)
+    syndrome = np.array([False, True, False])
+    # without the cut, detector 1 has no way to any boundary
+    with pytest.raises(MatchingError, match="no boundary path"):
+        run_ghost_protocol(window.decomposed, syndrome, graphs=closed)
+    assert herald_complementary(window, syndrome, 0, False, closed)
+    assert herald_complementary(window, syndrome, 0, True, closed)
+
+
 def test_quiet_base_run_leaves_only_opened_graphs_to_decode(patience_setup,
                                                             monkeypatch):
     # when neither run commits, the base run has decoded every graph the
@@ -340,6 +378,54 @@ def test_broken_singleton_opens_when_its_witness_lies_above_the_cut(
     assert (gs.index, gs.detectors, gs.role, gs.pair_id) == (0, (2,), "normal",
                                                             None)
     assert gs.open_boundary is is_open
+
+
+def replace_slice(decomposed, lo, hi):
+    """The cut as a rewrite of each kept component with
+    ``dataclasses.replace``: (components, pairs, invisible)."""
+    time = decomposed.dem.detector_time
+    comps = decomposed.components
+    new = {}
+    for c in comps:
+        if (all(time[d] >= lo for d in c.detectors)
+                and any(time[d] <= hi for d in c.detectors)):
+            new[c.index] = len(new)
+    pairs, pair_ids = [], {}
+    for pid, pr in enumerate(decomposed.pairs):
+        if pr.g_e in new and pr.g_s in new:
+            pair_ids[pid] = len(pairs)
+            pairs.append(GhostPair(new[pr.g_e], new[pr.g_s]))
+    out = []
+    for old, index in new.items():
+        c = comps[old]
+        hidden = tuple(d for d in c.detectors if time[d] > hi)
+        pid = pair_ids.get(c.pair_id)
+        open_b = c.open_boundary or bool(hidden)
+        if c.role == "ghost_s" and pid is None:
+            witness = comps[decomposed.pairs[c.pair_id].g_e]
+            open_b = open_b or all(time[d] > hi for d in witness.detectors)
+        out.append(dataclasses.replace(
+            c, index=index,
+            detectors=tuple(d for d in c.detectors if time[d] <= hi),
+            role=c.role if pid is not None else "normal", pair_id=pid,
+            partner=new.get(c.partner), open_boundary=open_b,
+            cut_partners=tuple(sorted(set(c.cut_partners) | set(hidden)))))
+    return tuple(out), tuple(pairs), decomposed.invisible
+
+
+def test_slices_equal_the_component_rewrite(patience_setup):
+    _, dec, pplan, _ = patience_setup
+    _, mem = decomposed(build_memory_circuit(3, 6), 5e-3)
+    cuts = [(dec, w) for w in pplan.base.windows + pplan.extended]
+    for commit_rounds, buffer_rounds in ((1, 1), (2, 1), (2, 0)):
+        plan = plan_memory_windows(mem, commit_rounds, buffer_rounds)
+        cuts += [(mem, w) for w in plan.windows]
+    assert len(cuts) == 4 + 5 + 3 + 3
+    for model, w in cuts:
+        sliced = w.decomposed
+        assert sliced.dem is model.dem
+        assert (sliced.components, sliced.pairs, sliced.invisible) == \
+            replace_slice(model, w.lo, w.hi), (w.lo, w.hi)
 
 
 def test_sliding_windows_reject_ghost_pairs(patience_setup):
