@@ -167,6 +167,8 @@ class CircuitSampler:
         Returns (dets, obs, fired): boolean arrays of shape (shots, num)
         and, per shot, the sorted tuple of fired site ids.
         """
+        if shots < 0:
+            raise CircuitError(f"shots must be non-negative, got {shots}")
         c = self.circuit
         col = self._col
         x = np.zeros((shots, self.n), dtype=bool)

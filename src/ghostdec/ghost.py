@@ -26,7 +26,7 @@ from .matching import build_matching_graph, decode_correlated_two_pass
 
 
 class ProtocolError(CircuitError):
-    """Syndrome or final-correction validation failure."""
+    """The syndrome's length is not the model's detector count."""
 
 
 PASSES = 4
@@ -52,26 +52,20 @@ class GhostResult:
 
 
 def build_protocol_graphs(decomposed: DecomposedDEM):
-    """Both exposure variants of every patch-class graph.
+    """Every patch-class graph, built once and keyed ``(patch, cls)``.
 
-    Keys are ``(patch, cls, exposed)`` for both classes of every patch
-    with detectors, so a class without components still has a graph.
-    Each patch-class graph is built once; that graph is the exposed
-    variant, and the unexposed one is it without ghost singletons.  So a
-    patch-class with no ghost singleton has one graph, stored under both
-    exposure keys.
+    Both classes of every patch with detectors get a graph, so a class
+    without components still has one.  Passes that hide ghost
+    singletons decode its :attr:`~ghostdec.matching.MatchingGraph.hidden`
+    view, which is the graph itself where it has none.
     """
     groups: dict[tuple[int, str], list] = {
         (p, cls): [] for p in sorted(set(decomposed.dem.detector_patch))
         for cls in CLASSES}
     for c in decomposed.components:
         groups[c.patch, c.cls].append(c)
-    graphs = {}
-    for (patch, cls), comps in groups.items():
-        shown = build_matching_graph(patch, cls, comps)
-        graphs[patch, cls, False] = shown.without(lambda e: e.role == "ghost_s")
-        graphs[patch, cls, True] = shown
-    return graphs
+    return {key: build_matching_graph(*key, comps)
+            for key, comps in groups.items()}
 
 
 def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
@@ -87,7 +81,7 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
     dem = decomposed.dem
     if len(syndrome) != dem.detector_count:
         raise ProtocolError("syndrome length does not match detector count")
-    patches = sorted({p for p, _, _ in graphs})
+    patches = sorted({p for p, _ in graphs})
     working = np.array(syndrome, dtype=bool)
     frame_delta = np.zeros(dem.observable_count, dtype=bool)
     trace: list[PassRecord] = []
@@ -96,23 +90,20 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
 
     # passes repeat the same matching problem until a barrier actually
     # changes the working syndrome, so a quiet pass finds its decode in
-    # the graphs' memo; a patch whose graphs have no ghost singleton
-    # shares them across exposure states and is decoded once per barrier
-    # state
+    # the graphs' memo; a patch whose graphs have no ghost singleton is
+    # its own hidden view and is decoded once per barrier state
     for k in range(1, PASSES + 1):
-        final = k == PASSES
         decoded = {}                   # (patch, cls) -> (graph, correction)
         for patch in patches:
-            gx = graphs[patch, "X", k == EXPOSED_PASS]
-            gz = graphs[patch, "Z", k == EXPOSED_PASS]
+            gx, gz = graphs[patch, "X"], graphs[patch, "Z"]
+            if k != EXPOSED_PASS:
+                gx, gz = gx.hidden, gz.hidden
             corr_x, corr_z = decode_correlated_two_pass(gx, gz, working)
-            for cls, g, c in (("X", gx, corr_x), ("Z", gz, corr_z)):
-                if final and any(g.edges[i].role == "ghost_s" for i in c.edges):
-                    raise ProtocolError("ghost singleton in final correction")
-                decoded[patch, cls] = (g, c)
+            decoded[patch, "X"] = (gx, corr_x)
+            decoded[patch, "Z"] = (gz, corr_z)
         # each selected witness edge commits its pair; the final pass is
         # read-out only
-        committed = [] if final else [
+        committed = [] if k == PASSES else [
             g.edges[i].pair_id for g, c in decoded.values() for i in c.edges
             if g.edges[i].role == "ghost_e"]
         for pid in committed:

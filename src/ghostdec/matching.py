@@ -94,6 +94,16 @@ class MatchingGraph:
         """Routing lookups, built on the first decode and kept."""
         return Routes(self)
 
+    @cached_property
+    def hidden(self) -> MatchingGraph:
+        """This graph without its ghost singletons, built on first use."""
+        return self.without(lambda e: e.role == "ghost_s")
+
+    @cached_property
+    def closed(self) -> MatchingGraph:
+        """This graph without its open-boundary edges, built on first use."""
+        return self.without(lambda e: e.open_boundary)
+
     def without(self, drop) -> MatchingGraph:
         """This graph less the edges ``drop`` selects, in their order, or
         ``self`` when it selects none.  The nodes stay: a defect whose
@@ -102,6 +112,11 @@ class MatchingGraph:
         if len(kept) == len(self.edges):
             return self
         return replace(self, edges=kept)
+
+    def edge_detectors(self, i: int) -> tuple[int, ...]:
+        """Global detectors at edge ``i``'s ends; the boundary end has none."""
+        e = self.edges[i]
+        return tuple(self.detectors[v] for v in (e.u, e.v) if v < self.boundary)
 
 
 def _lightest(edges, edge_ids, overrides) -> int:
@@ -181,7 +196,8 @@ def build_matching_graph(patch: int, cls: str,
     Normal parallel edges with identical endpoints, observable flips and
     open-boundary flag merge by odd-occurrence combination; ghost edges
     keep their pair identity.  A decode that hides ghost singletons or
-    closes the open boundary uses a :meth:`MatchingGraph.without` view.
+    closes the open boundary decodes the graph's cached
+    :attr:`~MatchingGraph.hidden` or :attr:`~MatchingGraph.closed` view.
     """
     dets = sorted({d for c in components for d in c.detectors})
     node = {d: i for i, d in enumerate(dets)}
@@ -292,18 +308,16 @@ def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,
     # report true log-likelihood weight even when the optimizer ran on
     # correlation-discounted weights
     total = math.fsum(graph.edges[i].weight for i in chosen)
-    flips = np.zeros(graph.boundary, dtype=bool)
+    flips = np.zeros(graph.boundary + 1, dtype=bool)   # last: the boundary
     obs: set[int] = set()
     for i in chosen:
         e = graph.edges[i]
-        if e.u < graph.boundary:
-            flips[e.u] ^= True
-        if e.v < graph.boundary:
-            flips[e.v] ^= True
+        flips[e.u] ^= True
+        flips[e.v] ^= True
         obs ^= set(e.observables)
     want = np.zeros(graph.boundary, dtype=bool)
     want[nodes] = True
-    if not np.array_equal(flips, want):
+    if not np.array_equal(flips[:-1], want):
         raise MatchingError("correction symptom does not reproduce defects")
     return Correction(tuple(sorted(chosen)), total, tuple(sorted(obs)))
 
@@ -438,9 +452,8 @@ def decode_correlated_two_pass(
     key = (id(z_graph), _defects(x_graph, syndrome).tobytes(),
            _defects(z_graph, syndrome).tobytes())
     hit = memo.get(key)
-    # a dead graph's id can be reused, so the remembered Z graph must be
-    # this one
-    if hit is not None and hit[0] is z_graph:
+    # an entry holds its Z graph alive, so no other graph can take its id
+    if hit is not None:
         return hit[1]
     first_x = decode_mwpm(x_graph, syndrome)
     first_z = decode_mwpm(z_graph, syndrome)

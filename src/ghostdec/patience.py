@@ -90,31 +90,31 @@ def herald_weight_growth(trace: list[PassRecord], region: frozenset[int],
         raise PatienceError(f"trace holds no passes for patch {patch}")
 
     def weight(record: PassRecord) -> float:
-        return sum(e.weight
+        return sum(g.edges[i].weight
                    for g, corr in (record.corrections[patch, "X"],
                                    record.corrections[patch, "Z"])
-                   for e in (g.edges[i] for i in corr.edges)
-                   if g.detectors[e.u] in region
-                   or (e.v < g.boundary and g.detectors[e.v] in region))
+                   for i in corr.edges
+                   if not region.isdisjoint(g.edge_detectors(i)))
 
     return weight(trace[-1]) > weight(trace[0]) + 1e-9
 
 
 def herald_complementary(window: Window, syndrome: np.ndarray,
-                         observable: int, base_flip: bool,
-                         graphs: dict) -> bool:
+                         observable: int, base_flip: bool) -> bool:
     """Re-decode with the open temporal boundary closed.
 
-    ``graphs`` are the window's graphs without open-boundary edges.
-    Error strings may no longer terminate at the cut; a differing
-    answer heralds a likely windowing failure.  Closing the
-    cut keeps every spatial boundary edge, so on the builders' models
-    each detector still reaches the boundary and the matching is always
-    feasible; the ``MatchingError`` branch only guards a model where a
-    defect is stranded, and heralds it too.
+    Each window graph is decoded as its ``closed`` view, itself where
+    the cut opens nothing, so the base run's memo answers there.  Error
+    strings may no longer end at the cut; a differing answer heralds a
+    likely windowing failure.  Closing the cut keeps every spatial
+    boundary edge, so on the builders' models each detector still
+    reaches the boundary and the matching is always feasible; the
+    ``MatchingError`` branch only guards a model where a defect is
+    stranded, and heralds it too.
     """
+    closed = {key: g.closed for key, g in window.graphs.items()}
     try:
-        res = run_ghost_protocol(window.decomposed, syndrome, graphs=graphs)
+        res = run_ghost_protocol(window.decomposed, syndrome, graphs=closed)
     except MatchingError:
         return True
     return bool(res.logical_flips[observable]) != bool(base_flip)
@@ -125,21 +125,18 @@ class PatiencePlan:
     base: TproxyPlan
     delay_rounds: int
     extended: tuple[Window, ...] | None  # None when delay is 0
-    # per gate: the window's graphs less open-boundary edges, each the
-    # window's own object where it has none, so its decodes are shared
-    closed_graphs: tuple[dict, ...]
     regions: tuple[frozenset, ...]       # per gate
 
 
 def plan_patience(decomposed: DecomposedDEM, config: WindowConfig,
                   d: int) -> PatiencePlan:
-    """Precompute every window variant patience can need.
+    """Precompute the windows and regions patience can need.
 
     Fails, before building anything, when the circuit lacks the
     syndrome rounds a delayed decision would consume (the extended
     horizon must stay within the surviving patch's recorded rounds).
     The weight-growth regions reach ``config.n_buf + 2`` rounds either
-    side of each decision round.
+    side of each decision round; closed graphs are built on first use.
     """
     dem = decomposed.dem
     delay = patience_delay(d, config.n_buf)
@@ -157,18 +154,9 @@ def plan_patience(decomposed: DecomposedDEM, config: WindowConfig,
         extended = tuple(build_window(decomposed, window.lo,
                                       gate.decision_round + delay)
                          for gate, window in zip(base.gates, base.windows))
-    closed = tuple(_closed(w.graphs) for w in base.windows)
     regions = tuple(weight_growth_region(dem, gate, radius)
                     for gate in base.gates)
-    return PatiencePlan(base, delay, extended, closed, regions)
-
-
-def _closed(graphs: dict) -> dict:
-    """``graphs`` less open-boundary edges, one view per graph object, so
-    a graph shared across exposure keys stays shared."""
-    views = {id(g): g.without(lambda e: e.open_boundary)
-             for g in graphs.values()}
-    return {key: views[id(g)] for key, g in graphs.items()}
+    return PatiencePlan(base, delay, extended, regions)
 
 
 @dataclass
@@ -205,8 +193,7 @@ def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
         j = gate.observable
         base_flip = bool(res.logical_flips[j])
         growth = herald_weight_growth(res.trace, plan.regions[g], gate.patch)
-        comp = herald_complementary(window, refined, j, base_flip,
-                                    plan.closed_graphs[g])
+        comp = herald_complementary(window, refined, j, base_flip)
         heralded = growth or comp
         changed = False
         if heralded and plan.delay_rounds:

@@ -129,6 +129,9 @@ def frame_sim_crosscheck(circuit: Circuit, dem: DetectorErrorModel,
     by frame; the other XORs the symptoms of the mechanisms those same
     faults belong to.  Any disagreement indicates an extraction bug.
     """
+    if seed < 0 or shots < 0:
+        raise VerifyError(f"seed and shots must be non-negative, "
+                          f"got {seed} and {shots}")
     sampler = CircuitSampler(circuit)
     rng = np.random.default_rng(seed)
     dets, obs, fired = sampler.sample(shots, rng)
@@ -167,6 +170,10 @@ def min_failure_weight_search(dem: DetectorErrorModel, decode, region,
     weight.  Returns None when nothing fails up to max_weight.
     """
     region = sorted(region)
+    if max_weight < 0:
+        raise VerifyError(f"max_weight must be non-negative, got {max_weight}")
+    if region and not 0 <= region[0] <= region[-1] < len(dem.mechanisms):
+        raise VerifyError(f"region ids must lie in [0, {len(dem.mechanisms)})")
     for w in range(1, max_weight + 1):
         for combo in itertools.combinations(region, w):
             syndrome = np.zeros(dem.detector_count, dtype=bool)

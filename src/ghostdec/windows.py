@@ -330,14 +330,12 @@ def decode_memory_sliding(decomposed: DecomposedDEM, syndrome: np.ndarray,
         for g, corr in res.corrections.values():
             for ei in corr.edges:
                 e = g.edges[ei]
-                dets = [g.detectors[e.u]]
-                if e.v < g.boundary:
-                    dets.append(g.detectors[e.v])
+                dets = g.edge_detectors(ei)
                 if all(time[d] >= commit_end for d in dets):
                     continue           # buffer only: re-decoded later
                 for j in e.observables:
                     flips[j] ^= True
-                for d in dets + list(e.cut_partners):
+                for d in dets + e.cut_partners:
                     carried[d] ^= True
     return flips
 

@@ -218,10 +218,9 @@ def test_protocol_graphs_cover_detectors_disjointly():
     dem, dec = tproxy_decomposed()
     graphs = build_protocol_graphs(dec)
     patches = sorted(set(dem.detector_patch))
-    assert list(graphs) == [(p, cls, exposed) for p in patches
-                            for cls in ("Z", "X") for exposed in (False, True)]
+    assert list(graphs) == [(p, cls) for p in patches for cls in ("Z", "X")]
     seen = set()
-    for (patch, cls, exposed), g in graphs.items():
+    for (patch, cls), g in graphs.items():
         # each graph holds only its own patch and class
         assert (g.patch, g.cls) == (patch, cls)
         assert {dem.detector_patch[t] for t in g.detectors} <= {patch}
@@ -230,7 +229,7 @@ def test_protocol_graphs_cover_detectors_disjointly():
             for ci in e.components:
                 assert (dec.components[ci].patch, dec.components[ci].cls) == (
                     patch, cls)
-        if not exposed:
-            assert not (seen & set(g.detectors))
-            seen |= set(g.detectors)
+        assert g.hidden.detectors == g.detectors
+        assert not (seen & set(g.detectors))
+        seen |= set(g.detectors)
     assert seen == {t for c in dec.components for t in c.detectors}

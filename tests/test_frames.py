@@ -105,6 +105,11 @@ def test_sampler_seed_reproducible():
     assert np.array_equal(a[1], b[1])
 
 
+def test_sampler_rejects_negative_shots():
+    with pytest.raises(CircuitError, match="shots"):
+        CircuitSampler(noisy_memory()).sample(-1, np.random.default_rng(0))
+
+
 def test_sampler_collect_sites_consistent():
     c = noisy_memory(p=0.01)
     prop = FaultPropagator(c)

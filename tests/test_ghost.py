@@ -48,7 +48,7 @@ def memory_setup():
 @pytest.mark.parametrize("closed", [False, True])
 def test_each_patch_class_graph_is_built_once(setup, monkeypatch, closed):
     # the one gate's window cut gives the model open-boundary edges, and
-    # the patience plan's closed graphs are views that drop them
+    # the complementary herald's closed graphs are views that drop them
     dem, dec, _ = setup
     built = []
     build = ghostdec.ghost.build_matching_graph
@@ -61,13 +61,13 @@ def test_each_patch_class_graph_is_built_once(setup, monkeypatch, closed):
     plan = plan_patience(dec, WindowConfig(), 3)
     (window,) = plan.base.windows
     assert (window.lo, window.hi) == (min(dem.detector_time), 2)
-    graphs = plan.closed_graphs[0] if closed else window.graphs
-    assert [(g.patch, g.cls) for g in built] == [
-        (p, cls) for p, cls, exposed in graphs if exposed]
+    graphs = window.graphs
+    assert [(g.patch, g.cls) for g in built] == list(graphs)
     singletons = opened = 0
     for full in built:
-        shown = graphs[full.patch, full.cls, True]
-        hidden = graphs[full.patch, full.cls, False]
+        assert graphs[full.patch, full.cls] is full
+        shown = full.closed if closed else full
+        hidden = shown.hidden
         assert shown.detectors == hidden.detectors == full.detectors
         want = [e for e in full.edges if not (closed and e.open_boundary)]
         assert list(map(id, shown.edges)) == list(map(id, want))
@@ -83,14 +83,13 @@ def test_memory_graphs_are_shared_across_exposure(memory_setup):
     dem, dec, graphs = memory_setup
     assert not dec.pairs
     for cls in ("X", "Z"):
-        assert graphs[0, cls, True] is graphs[0, cls, False]
+        assert graphs[0, cls].hidden is graphs[0, cls]
 
 
 def cold_copies(graphs):
-    """Copies of a graph set, shared as the originals are, that have
-    derived and remembered nothing yet."""
-    copies = {id(g): dataclasses.replace(g) for g in graphs.values()}
-    return {key: copies[id(g)] for key, g in graphs.items()}
+    """Copies of a graph set that have derived and remembered nothing
+    yet, views included."""
+    return {key: dataclasses.replace(g) for key, g in graphs.items()}
 
 
 def test_shared_graphs_are_decoded_once_per_barrier_state(memory_setup,
@@ -107,7 +106,7 @@ def test_shared_graphs_are_decoded_once_per_barrier_state(memory_setup,
     dets, _ = sample_dem(dem, seed=5, shots=20)
     s = next(s for s in range(20) if dets[s].sum() >= 2)
     once = cold_copies(graphs)
-    decode_correlated_two_pass(once[0, "X", False], once[0, "Z", False],
+    decode_correlated_two_pass(once[0, "X"].hidden, once[0, "Z"].hidden,
                                dets[s])
     per_decode = len(calls)
     calls.clear()
@@ -227,7 +226,7 @@ def test_frame_consistency_with_refined_syndrome(setup):
         refined = dets[s] ^ res.refinement_delta
         plain = np.zeros(dem.observable_count, dtype=bool)
         for (patch, cls), corr in res.corrections.items():
-            check = decode_mwpm(graphs[patch, cls, False], refined)
+            check = decode_mwpm(graphs[patch, cls].hidden, refined)
             for j in check.observables:
                 plain[j] ^= True
         expect = plain ^ res.frame_delta
@@ -264,11 +263,10 @@ def test_trace_shape(setup):
     res = run_ghost_protocol(dec, vec(dem, dem.mechanisms[2].detectors),
                              graphs=graphs, collect_trace=True)
     assert len(res.trace) == 4
-    keys = {(patch, cls) for patch, cls, _ in graphs}
     for k, record in enumerate(res.trace, 1):
-        assert set(record.corrections) == keys
-        for (patch, cls), (g, _) in record.corrections.items():
-            assert g is graphs[patch, cls, k == 1]
+        assert set(record.corrections) == set(graphs)
+        for key, (g, _) in record.corrections.items():
+            assert g is (graphs[key] if k == 1 else graphs[key].hidden)
     assert res.trace[-1].corrections == res.corrections
     assert res.trace[-1].committed == []
 
@@ -337,8 +335,8 @@ def test_memo_never_grows_past_its_bound(two_gate_setup, monkeypatch):
     sizes = set()
     for s in range(60):
         res = run_ghost_protocol(dec, dets[s], graphs=small)
-        sizes |= {len(g.routes.memo) for g in small.values()
-                  if "routes" in vars(g)}
+        sizes |= {len(v.routes.memo) for g in small.values()
+                  for v in (g, g.hidden) if "routes" in vars(v)}
         assert max(sizes) <= 3
         want = run_ghost_protocol(dec, dets[s], graphs=cold_copies(graphs))
         assert res.corrections.keys() == want.corrections.keys()

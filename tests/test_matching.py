@@ -13,6 +13,7 @@ from ghostdec.builders import (NoiseParams, apply_noise_model, build_memory_circ
                                build_tproxy_circuit)
 from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import extract_dem
+from ghostdec.ghost import build_protocol_graphs
 from ghostdec.matching import (DP_MAX, MatchingError, MatchingGraph, GraphEdge,
                                _blossom, _exact_dp, _match, _partner_overrides,
                                _shortest_paths, build_matching_graph,
@@ -30,8 +31,8 @@ def class_components(dec, patch, cls):
 def class_graph(dec, patch, cls):
     """The class graph with its ghost singletons hidden, as most passes
     of the ghost protocol decode it."""
-    full = build_matching_graph(patch, cls, class_components(dec, patch, cls))
-    return full.without(lambda e: e.role == "ghost_s")
+    return build_matching_graph(patch, cls,
+                                class_components(dec, patch, cls)).hidden
 
 
 def memory_model(d=3, rounds=2, p=0.002):
@@ -320,7 +321,8 @@ def test_memo_tells_z_graphs_apart():
 def test_overrides_pick_parallel_edges_like_a_full_rebuild():
     dem, dec = tproxy_model(d=5, n=2)[:2]
     plan = plan_tproxy_windows(dec, WindowConfig())
-    graphs = {id(g): g for w in plan.windows for g in w.graphs.values()}
+    graphs = {id(v): v for w in plan.windows for g in w.graphs.values()
+              for v in (g, g.hidden)}
     rng = np.random.default_rng(7)
     parallel = 0
     for g in graphs.values():
@@ -430,10 +432,46 @@ def test_split_matching_has_the_full_graph_optimum(monkeypatch):
     assert 0 < split_nodes < full_nodes
 
 
+def test_views_are_cached_and_drop_only_their_edges():
+    # the global graphs and every window graph of a patience plan, each
+    # with the model its components index
+    dem, dec, _ = tproxy_model(d=5, n=2,
+                               extra_rounds=patience_delay(5, 1))
+    plan = plan_patience(dec, WindowConfig(), 5)
+    windows = plan.base.windows + plan.extended
+    sets = [(dec, build_protocol_graphs(dec))]
+    sets += [(w.decomposed, w.graphs) for w in windows]
+    drops = {"hidden": lambda e: e.role == "ghost_s",
+             "closed": lambda e: e.open_boundary}
+    dropped = Counter()
+    for model, graphs in sets:
+        for g in graphs.values():
+            for name, drop in drops.items():
+                view = getattr(g, name)
+                assert getattr(g, name) is view
+                kept = [e for e in g.edges if not drop(e)]
+                assert list(map(id, view.edges)) == list(map(id, kept))
+                assert (view is g) == (len(kept) == len(g.edges))
+                assert (view.patch, view.cls, view.detectors) == (
+                    g.patch, g.cls, g.detectors)
+                dropped[name, model is dec] += view is not g
+            assert g.closed.hidden.edges == g.hidden.closed.edges
+            if g.closed is g:
+                assert g.closed.hidden is g.hidden
+            for i, e in enumerate(g.edges):
+                for c in e.components:
+                    assert (g.edge_detectors(i)
+                            == model.components[c].detectors)
+    # the uncut model opens nothing; every cut opens something
+    assert dropped["hidden", True] and dropped["hidden", False]
+    assert not dropped["closed", True] and dropped["closed", False]
+
+
 def closed_graphs(plan):
-    """The distinct patience closed-boundary graphs that have detectors."""
-    return {id(g): g for gs in plan.closed_graphs for g in gs.values()
-            if g.detectors}.values()
+    """The distinct closed-boundary graphs, ghost singletons shown or
+    hidden, that the complementary herald decodes and have detectors."""
+    return {id(v): v for w in plan.base.windows for g in w.graphs.values()
+            for v in (g.closed, g.closed.hidden) if g.detectors}.values()
 
 
 @pytest.mark.parametrize("d", [3, 5])

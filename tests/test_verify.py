@@ -113,6 +113,13 @@ def test_crosscheck_paths_agree(circuit):
     assert report.mismatched_shots == 0
 
 
+@pytest.mark.parametrize("seed, shots", [(-1, 10), (3, -1)])
+def test_crosscheck_rejects_negative_seed_or_shots(seed, shots):
+    circuit = apply_noise_model(build_memory_circuit(3, 1), NoiseParams(0.01))
+    with pytest.raises(VerifyError, match="non-negative"):
+        frame_sim_crosscheck(circuit, extract_dem(circuit), seed, shots)
+
+
 def test_crosscheck_reports_a_corrupted_mechanism():
     circuit = apply_noise_model(build_memory_circuit(3, 3), NoiseParams(0.01))
     dem = extract_dem(circuit)
@@ -162,3 +169,21 @@ def test_weight_search_respects_region():
         return np.zeros(n_obs, dtype=bool)
 
     assert min_failure_weight_search(dem, blind, harmless[:5], max_weight=1) is None
+
+
+def test_weight_search_rejects_bad_input():
+    dem = extract_dem(apply_noise_model(build_memory_circuit(3, 2),
+                                        NoiseParams(0.002)))
+    n = len(dem.mechanisms)
+
+    def blind(_syndrome):
+        return np.zeros(dem.observable_count, dtype=bool)
+
+    # a negative weight cap once read as "nothing fails", id -1 as the
+    # last mechanism, and an id past the end as an IndexError
+    with pytest.raises(VerifyError, match="max_weight"):
+        min_failure_weight_search(dem, blind, range(n), max_weight=-1)
+    for region in ([0, -1], [n], [n - 1, n + 5]):
+        with pytest.raises(VerifyError, match="region"):
+            min_failure_weight_search(dem, blind, region, max_weight=1)
+    assert min_failure_weight_search(dem, blind, [], max_weight=1) is None

@@ -18,10 +18,9 @@ from ghostdec.matching import (Correction, GraphEdge, MatchingError,
 import ghostdec.matching
 import ghostdec.patience
 import ghostdec.windows
-from ghostdec.patience import (HeraldResult, PatienceError, _closed,
+from ghostdec.patience import (HeraldResult, PatienceError,
                                herald_complementary, herald_weight_growth,
-                               patience_delay,
-                               patient_decode, plan_patience)
+                               patience_delay, patient_decode, plan_patience)
 from ghostdec.windows import (TproxyPlan, WindowConfig, WindowError,
                               _slice_components, build_window,
                               compute_tw_error, decode_memory_sliding,
@@ -216,8 +215,7 @@ def test_only_ghost_free_patches_share_window_graphs(patience_setup):
     dem, dec, pplan, wplan = patience_setup
     window = wplan.windows[0]
     assert (window.lo, window.hi) == (min(dem.detector_time), 2)
-    shared = {(p, c) for p, c, _ in window.graphs
-              if window.graphs[p, c, True] is window.graphs[p, c, False]}
+    shared = {key for key, g in window.graphs.items() if g.hidden is g}
     assert shared == {(2, "X"), (2, "Z")}
     assert not any(c.role == "ghost_s" and c.patch == 2
                    for c in window.decomposed.components)
@@ -226,8 +224,9 @@ def test_only_ghost_free_patches_share_window_graphs(patience_setup):
 def test_closed_views_are_window_graphs_where_nothing_opens(patience_setup):
     dem, dec, pplan, _ = patience_setup
     same = other = 0
-    for window, closed in zip(pplan.base.windows, pplan.closed_graphs):
+    for window in pplan.base.windows:
         graphs = window.graphs
+        closed = closed_views(window)
         assert closed.keys() == graphs.keys()
         for key, g in graphs.items():
             want = [e for e in g.edges if not e.open_boundary]
@@ -236,11 +235,15 @@ def test_closed_views_are_window_graphs_where_nothing_opens(patience_setup):
             assert (closed[key] is g) == (len(want) == len(g.edges))
             same += closed[key] is g
             other += closed[key] is not g
-        # graphs shared across exposure keys stay shared
-        for p, c, _ in graphs:
-            assert ((closed[p, c, True] is closed[p, c, False])
-                    == (graphs[p, c, True] is graphs[p, c, False]))
+        # a closed view hides ghost singletons exactly where its graph does
+        for key, g in graphs.items():
+            assert (closed[key].hidden is closed[key]) == (g.hidden is g)
     assert same and other
+
+
+def closed_views(window):
+    """The window's graphs as the complementary herald decodes them."""
+    return {key: g.closed for key, g in window.graphs.items()}
 
 
 def cut_chain(spatial_boundary):
@@ -255,7 +258,7 @@ def cut_chain(spatial_boundary):
     dem = DetectorErrorModel(tuple(mechs), 3, 1, (0, 0, 0), (0, 1, 2),
                              ("Z",) * 3, (0,))
     window = build_window(ghost_decompose(dem), 0, 1)
-    return window, _closed(window.graphs)
+    return window, closed_views(window)
 
 
 def test_complementary_herald_fires_when_closing_the_cut_flips_the_answer():
@@ -267,11 +270,11 @@ def test_complementary_herald_fires_when_closing_the_cut_flips_the_answer():
     assert not base.logical_flips[0]
     assert run_ghost_protocol(window.decomposed, syndrome,
                               graphs=closed).logical_flips[0]
-    assert herald_complementary(window, syndrome, 0, False, closed)
-    assert not herald_complementary(window, syndrome, 0, True, closed)
+    assert herald_complementary(window, syndrome, 0, False)
+    assert not herald_complementary(window, syndrome, 0, True)
     # a pair inside the window decodes alike either way
     pair = np.array([True, True, False])
-    assert not herald_complementary(window, pair, 0, False, closed)
+    assert not herald_complementary(window, pair, 0, False)
 
 
 def test_complementary_herald_fires_on_a_stranded_defect():
@@ -280,8 +283,8 @@ def test_complementary_herald_fires_on_a_stranded_defect():
     # without the cut, detector 1 has no way to any boundary
     with pytest.raises(MatchingError, match="no boundary path"):
         run_ghost_protocol(window.decomposed, syndrome, graphs=closed)
-    assert herald_complementary(window, syndrome, 0, False, closed)
-    assert herald_complementary(window, syndrome, 0, True, closed)
+    assert herald_complementary(window, syndrome, 0, False)
+    assert herald_complementary(window, syndrome, 0, True)
 
 
 def test_quiet_base_run_leaves_only_opened_graphs_to_decode(patience_setup,
@@ -290,9 +293,12 @@ def test_quiet_base_run_leaves_only_opened_graphs_to_decode(patience_setup,
     # cut leaves alone on the very syndrome the closed decode sees
     dem, dec, pplan, _ = patience_setup
     gate, window = pplan.base.gates[0], pplan.base.windows[0]
-    closed = pplan.closed_graphs[0]
-    source = {id(closed[key]): g for key, g in window.graphs.items()}
-    untouched = [g for key, g in window.graphs.items() if closed[key] is g]
+    closed = closed_views(window)
+    # every graph the closed decode can see, and the base graph it views
+    source = {id(view): v for g in window.graphs.values()
+              for v, view in ((g, g.closed), (g.hidden, g.closed.hidden))}
+    untouched = [v for g in window.graphs.values() for v in (g, g.hidden)
+                 if v.closed is v]
     calls = []
     decode = ghostdec.matching.decode_mwpm
 
@@ -310,7 +316,7 @@ def test_quiet_base_run_leaves_only_opened_graphs_to_decode(patience_setup,
             continue
         calls.clear()
         herald_complementary(window, dets[s], gate.observable,
-                             bool(base.logical_flips[gate.observable]), closed)
+                             bool(base.logical_flips[gate.observable]))
         # a closed-run commit changes what the untouched graphs see
         if run_ghost_protocol(window.decomposed, dets[s],
                               graphs=closed).passes_with_commits:
