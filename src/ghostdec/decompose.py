@@ -16,7 +16,8 @@ to coincide with an edge that already exists naturally when possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .circuits import CircuitError
 from .dem import DetectorErrorModel
@@ -56,8 +57,9 @@ class Component:
 class GhostPair:
     """Component indices of an interpatch mechanism's witness and singleton.
 
-    A pair's id is its position in ``DecomposedDEM.pairs``; its mechanism
-    and probability are those of ``components[g_s]``.
+    A pair's id is its position in the model's ``DecomposedDEM.pairs``,
+    which a window slice keeps; its mechanism and probability are those
+    of its singleton.
     """
 
     g_e: int
@@ -66,10 +68,35 @@ class GhostPair:
 
 @dataclass(frozen=True)
 class DecomposedDEM:
+    """A model's components and ghost pairs, or a window's slice of them.
+
+    A slice keeps its model's component indices and pair ids, so in a
+    slice they are not positions: look them up in :attr:`by_index` and
+    :attr:`pair_by_id`.  ``source`` is the model a slice was cut from
+    and ``changed`` the patch-classes the cut changes; every other
+    patch-class of the slice is its source's, component for component.
+    ``graphs`` holds the patch-class graphs built for this model or
+    slice, so its slices can share them.
+    """
+
     dem: DetectorErrorModel
     components: tuple[Component, ...]
     pairs: tuple[GhostPair, ...]
     invisible: tuple[int, ...]    # mechanism ids with observables but no detectors
+    source: DecomposedDEM | None = field(default=None, compare=False,
+                                         repr=False)
+    changed: frozenset = frozenset()      # (patch, cls) keys
+    graphs: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def by_index(self) -> dict[int, Component]:
+        """Components by index."""
+        return {c.index: c for c in self.components}
+
+    @cached_property
+    def pair_by_id(self) -> dict[int, GhostPair]:
+        """Ghost pairs by id, in ``pairs`` order."""
+        return {self.by_index[pr.g_s].pair_id: pr for pr in self.pairs}
 
 
 def _collect_split(dem, mech):

@@ -52,20 +52,37 @@ class GhostResult:
 
 
 def build_protocol_graphs(decomposed: DecomposedDEM):
-    """Every patch-class graph, built once and keyed ``(patch, cls)``.
+    """Every patch-class graph, keyed ``(patch, cls)``.
 
     Both classes of every patch with detectors get a graph, so a class
     without components still has one.  Passes that hide ghost
     singletons decode its :attr:`~ghostdec.matching.MatchingGraph.hidden`
-    view, which is the graph itself where it has none.
+    view, which is the graph itself where it has none.  Each graph is
+    built once and kept in ``decomposed.graphs``; a slice takes its
+    source's own graph for every patch-class its cut leaves alone, so
+    that graph's routes and decode memo serve every window sharing it.
     """
+    return _graphs(decomposed, [(p, cls) for p in
+                                sorted(set(decomposed.dem.detector_patch))
+                                for cls in CLASSES])
+
+
+def _graphs(decomposed: DecomposedDEM, keys: list) -> dict:
+    """The graphs of ``keys``, each built on its first request and kept."""
+    graphs = decomposed.graphs
+    missing = [key for key in keys if key not in graphs]
+    if decomposed.source is not None:
+        graphs.update(_graphs(decomposed.source, [
+            key for key in missing if key not in decomposed.changed]))
     groups: dict[tuple[int, str], list] = {
-        (p, cls): [] for p in sorted(set(decomposed.dem.detector_patch))
-        for cls in CLASSES}
-    for c in decomposed.components:
-        groups[c.patch, c.cls].append(c)
-    return {key: build_matching_graph(*key, comps)
-            for key, comps in groups.items()}
+        key: [] for key in missing if key not in graphs}
+    if groups:
+        for c in decomposed.components:
+            if (c.patch, c.cls) in groups:
+                groups[c.patch, c.cls].append(c)
+        graphs.update((key, build_matching_graph(*key, comps))
+                      for key, comps in groups.items())
+    return {key: graphs[key] for key in keys}
 
 
 def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
@@ -85,7 +102,7 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
     working = np.array(syndrome, dtype=bool)
     frame_delta = np.zeros(dem.observable_count, dtype=bool)
     trace: list[PassRecord] = []
-    comps = decomposed.components
+    comps, pairs = decomposed.by_index, decomposed.pair_by_id
     passes_with_commits = 0
 
     # passes repeat the same matching problem until a barrier actually
@@ -107,7 +124,7 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
             g.edges[i].pair_id for g, c in decoded.values() for i in c.edges
             if g.edges[i].role == "ghost_e"]
         for pid in committed:
-            pr = decomposed.pairs[pid]
+            pr = pairs[pid]
             ge, gs = comps[pr.g_e], comps[pr.g_s]
             for d in list(ge.detectors) + list(gs.detectors):
                 working[d] ^= True

@@ -335,6 +335,13 @@ def _match(pair_dist: np.ndarray, boundary_dist: np.ndarray):
     above.
     """
     k = len(boundary_dist)
+    if k <= 2:                     # one component of two, or singletons
+        legs = boundary_dist.tolist()
+        if k == 2 and pair_dist[0, 1] < sum(legs) * (1.0 - PRUNE_TOL):
+            return [(0, 1)]
+        if not all(map(math.isfinite, legs)):
+            raise MatchingError("defects cannot be matched (no boundary path)")
+        return [(a, None) for a in range(k)]
     legs = boundary_dist[:, None] + boundary_dist[None, :]
     # infinite legs (no boundary path) never drop a pair, and a pair with
     # no path between its defects is never kept
@@ -479,6 +486,8 @@ def _partner_overrides(corr: Correction, src_graph: MatchingGraph,
     if not trigger:
         return {}
     # parallel partner edges stay ordered by how probable their
-    # triggering mechanisms are, all within the epsilon budget
+    # triggering mechanisms are, all within the epsilon budget; a
+    # discount never raises a weight, not even a zero one (p = 0.5)
     eps = CORRELATION_SCALE * dst_graph.routes.min_weight
-    return {target: eps * (1.0 - p) for target, p in trigger.items()}
+    return {target: min(dst_graph.edges[target].weight, eps * (1.0 - p))
+            for target, p in trigger.items()}

@@ -17,7 +17,10 @@ protocol, and only its commit region is kept.
 Every such cut is one :class:`Window`: the model sliced to detector
 times [lo, hi] plus its protocol graphs, built by :func:`build_window`
 alone.  Windows keep the global detector indexing, so syndromes and
-refinement toggles stay valid across windows.
+refinement toggles stay valid across windows, and the model's component
+indices and pair ids.  A patch-class the cut leaves alone is decoded on
+the model's own graph, with its routes and decode memo, so a problem
+solved in one window is a memo hit in the next and in the global decode.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CircuitError
-from .decompose import Component, DecomposedDEM, GhostPair
+from .decompose import Component, DecomposedDEM
 from .dem import DetectorErrorModel
 from .ghost import build_protocol_graphs, run_ghost_protocol
 from .stats import likelihood_interval
@@ -65,39 +68,45 @@ def _slice_components(decomposed: DecomposedDEM, lo: int,
     pair survives only while its singleton is visible and its witness
     at least partially so; a broken pair's remnants turn into normal
     edges, and a broken singleton is open-boundary when its witness lies
-    wholly above the cut.  Kept components are renumbered in order, and
-    pairs, pair ids and partner links follow that one index map.
+    wholly above the cut.  Kept components keep their indices, and
+    surviving pairs their ids; a component the cut leaves as it is stays
+    the model's own object.  A patch-class that loses or rewrites none
+    of its components is left out of the slice's ``changed`` keys, so
+    its graph is the model's own (see
+    :func:`~ghostdec.ghost.build_protocol_graphs`).
     """
     time = decomposed.dem.detector_time
-    comps = decomposed.components
-    new: dict[int, int] = {}   # old component index -> sliced index
-    for c in comps:
-        if lo <= min(map(time.__getitem__, c.detectors)) <= hi:
-            new[c.index] = len(new)
-    pairs: list[GhostPair] = []
-    pair_ids: dict[int, int] = {}   # old pair id -> sliced pair id
-    for pid, pr in enumerate(decomposed.pairs):
-        if pr.g_e in new and pr.g_s in new:
-            pair_ids[pid] = len(pairs)
-            pairs.append(GhostPair(new[pr.g_e], new[pr.g_s]))
+    comps = decomposed.by_index
+    kept = {c.index for c in decomposed.components
+            if lo <= min(map(time.__getitem__, c.detectors)) <= hi}
+    pairs = {pid: pr for pid, pr in decomposed.pair_by_id.items()
+             if pr.g_e in kept and pr.g_s in kept}
     out: list[Component] = []
-    for old, index in new.items():
-        c = comps[old]
+    changed: set[tuple[int, str]] = set()
+    for c in decomposed.components:
+        if c.index not in kept:
+            changed.add((c.patch, c.cls))
+            continue
         dets, cut, open_b = c.detectors, c.cut_partners, c.open_boundary
         if max(map(time.__getitem__, dets)) > hi:
             hidden = {d for d in dets if time[d] > hi}
             dets = tuple(d for d in dets if d not in hidden)
             cut, open_b = tuple(sorted(hidden.union(cut))), True
-        pid = pair_ids.get(c.pair_id)
+        pid = c.pair_id if c.pair_id in pairs else None
         if c.role == "ghost_s" and pid is None:
-            witness = comps[decomposed.pairs[c.pair_id].g_e]
+            witness = comps[decomposed.pair_by_id[c.pair_id].g_e]
             open_b = open_b or all(time[d] > hi for d in witness.detectors)
-        out.append(Component(
-            index, c.mech_id, c.patch, c.cls, dets, c.observables,
-            c.probability, c.role if pid is not None else "normal", pid,
-            new.get(c.partner), open_b, cut))
-    return DecomposedDEM(decomposed.dem, tuple(out), tuple(pairs),
-                         decomposed.invisible)
+        partner = c.partner if c.partner in kept else None
+        if (dets, pid, partner, open_b) != (c.detectors, c.pair_id,
+                                            c.partner, c.open_boundary):
+            changed.add((c.patch, c.cls))
+            c = Component(c.index, c.mech_id, c.patch, c.cls, dets,
+                          c.observables, c.probability,
+                          c.role if pid is not None else "normal", pid,
+                          partner, open_b, cut)
+        out.append(c)
+    return DecomposedDEM(decomposed.dem, tuple(out), tuple(pairs.values()),
+                         decomposed.invisible, decomposed, frozenset(changed))
 
 
 @dataclass(frozen=True)
@@ -111,7 +120,8 @@ class Window:
 
 
 def build_window(decomposed: DecomposedDEM, lo: int, hi: int) -> Window:
-    """Slice the model to the (lo, hi) cut and build its graphs."""
+    """Slice the model to the (lo, hi) cut and build the graphs it changes;
+    the others are the model's own."""
     sliced = _slice_components(decomposed, lo, hi)
     return Window(lo, hi, sliced, build_protocol_graphs(sliced))
 

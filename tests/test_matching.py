@@ -14,7 +14,8 @@ from ghostdec.builders import (NoiseParams, apply_noise_model, build_memory_circ
 from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import extract_dem
 from ghostdec.ghost import build_protocol_graphs
-from ghostdec.matching import (DP_MAX, MatchingError, MatchingGraph, GraphEdge,
+from ghostdec.matching import (CORRELATION_SCALE, DP_MAX, MatchingError,
+                               MatchingGraph, GraphEdge,
                                _blossom, _exact_dp, _match, _partner_overrides,
                                _shortest_paths, build_matching_graph,
                                decode_correlated_two_pass, decode_mwpm,
@@ -461,7 +462,7 @@ def test_views_are_cached_and_drop_only_their_edges():
             for i, e in enumerate(g.edges):
                 for c in e.components:
                     assert (g.edge_detectors(i)
-                            == model.components[c].detectors)
+                            == model.by_index[c].detectors)
     # the uncut model opens nothing; every cut opens something
     assert dropped["hidden", True] and dropped["hidden", False]
     assert not dropped["closed", True] and dropped["closed", False]
@@ -592,6 +593,63 @@ def test_closed_boundary_odd_component_raises(monkeypatch):
     with pytest.raises(MatchingError, match="no boundary path"):
         decode_mwpm(chain, np.ones(n, dtype=bool))
     assert blossoms == [2 * n]
+
+
+def padded_match(pair_dist, legs):
+    """``_match`` of the same defects beside a third one that joins no
+    pair, so the general component split solves them."""
+    k = len(legs)
+    full = np.full((k + 1, k + 1), np.inf)
+    full[:k, :k] = pair_dist
+    mate = _match(full, np.append(legs, 0.0))
+    assert (k, None) in mate
+    return [m for m in mate if m != (k, None)]
+
+
+def test_one_or_two_defects_match_in_closed_form():
+    rng = np.random.default_rng(17)
+    cases = [(np.zeros((1, 1)), np.array([2.0])),
+             (np.zeros((1, 1)), np.array([np.inf])),
+             # a pair costing exactly its legs is dropped; just below, kept
+             (np.array([[0, 3.0], [3.0, 0]]), np.array([1.0, 2.0])),
+             (np.array([[0, 3.0 * (1 - 2e-9)], [3.0, 0]]), np.array([1.0, 2.0])),
+             (np.array([[0, 5.0], [5.0, 0]]), np.array([np.inf, 1.0])),
+             (np.array([[0, np.inf], [np.inf, 0]]), np.array([np.inf, 1.0])),
+             (np.array([[0, np.inf], [np.inf, 0]]), np.array([2.0, 1.0]))]
+    for _ in range(200):
+        d = rng.uniform(0, 4, size=(2, 2))
+        cases.append((d, rng.uniform(0, 3, size=2)))
+    kept = raised = 0
+    for pair_dist, legs in cases:
+        try:
+            want = padded_match(pair_dist, legs)
+        except MatchingError:
+            raised += 1
+            with pytest.raises(MatchingError, match="no boundary path"):
+                _match(pair_dist, legs)
+            continue
+        got = _match(pair_dist, legs)
+        assert got == want, (pair_dist, legs)
+        kept += (0, 1) in got
+    assert raised == 2 and 50 < kept < len(cases) - 50
+
+
+def test_a_partner_discount_never_raises_a_weight():
+    # the X edge's mechanism has Z partners of p = 0.5 (weight 0) and
+    # p = 0.25; only the second is discounted below its weight
+    gx = MatchingGraph(0, "X", (0,), (GraphEdge(
+        0, 1, 1.0, (0,), (), "normal", None,
+        partners=((1, 0.5), (2, 0.25))),))
+    gz = MatchingGraph(0, "Z", (1, 2), (
+        GraphEdge(0, 2, edge_weight(0.5), (1,), (), "normal", None),
+        GraphEdge(1, 2, edge_weight(0.25), (2,), (), "normal", None),
+        GraphEdge(0, 1, 4.0, (3,), (), "normal", None)))
+    assert gz.edges[0].weight == 0.0
+    over = _partner_overrides(decode_mwpm(gx, np.array([True, False, False])),
+                              gx, gz)
+    eps = CORRELATION_SCALE * edge_weight(0.25)
+    assert over == {0: 0.0, 1: pytest.approx(eps * 0.75)}
+    assert all(w <= gz.edges[i].weight for i, w in over.items())
 
 
 # -- the exact DP against blossom on random components -------------------------------

@@ -9,12 +9,13 @@ import pytest
 from ghostdec.builders import (NoiseParams, apply_noise_model,
                                build_memory_circuit, build_tproxy_circuit)
 from ghostdec.circuits import CircuitError
-from ghostdec.decompose import GhostPair, ghost_decompose
+from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
                           sample_dem)
 from ghostdec.ghost import PassRecord, build_protocol_graphs, run_ghost_protocol
 from ghostdec.matching import (Correction, GraphEdge, MatchingError,
-                               MatchingGraph)
+                               MatchingGraph, build_matching_graph)
+import ghostdec.ghost
 import ghostdec.matching
 import ghostdec.patience
 import ghostdec.windows
@@ -332,22 +333,25 @@ def test_slice_keeps_detectors_and_whole_pairs(patience_setup, lo, hi):
     dem, dec, _, _ = patience_setup
     time = dem.detector_time
     sliced = _slice_components(dec, lo, hi)
+    assert list(dec.pair_by_id) == list(range(len(dec.pairs)))
     for model in (dec, sliced):
-        # ghost commits look pairs up by id, which is their position
-        for i, pr in enumerate(model.pairs):
-            ge, gs = model.components[pr.g_e], model.components[pr.g_s]
-            assert ge.pair_id == gs.pair_id == i
+        # ghost commits look pairs up by id, which the slice keeps from
+        # the model's pair positions
+        for pid, pr in model.pair_by_id.items():
+            ge, gs = model.by_index[pr.g_e], model.by_index[pr.g_s]
+            assert ge.pair_id == gs.pair_id == pid
+            assert dec.pairs[pid] == pr
     kept = [c for c in dec.components
             if all(time[d] >= lo for d in c.detectors)
             and any(time[d] <= hi for d in c.detectors)]
     assert 0 < len(kept) < len(dec.components)
     assert len(sliced.components) == len(kept)
-    index = {orig.index: i for i, orig in enumerate(kept)}
-    alive = [pr for pr in dec.pairs if pr.g_e in index and pr.g_s in index]
-    assert len(sliced.pairs) == len(alive)
-    for orig, pr in zip(alive, sliced.pairs):
-        assert (pr.g_e, pr.g_s) == (index[orig.g_e], index[orig.g_s])
-        ge, gs = sliced.components[pr.g_e], sliced.components[pr.g_s]
+    ids = {orig.index for orig in kept}
+    assert [c.index for c in sliced.components] == [c.index for c in kept]
+    alive = [pr for pr in dec.pairs if pr.g_e in ids and pr.g_s in ids]
+    assert sliced.pairs == tuple(alive)
+    for pr in sliced.pairs:
+        ge, gs = sliced.by_index[pr.g_e], sliced.by_index[pr.g_s]
         assert (ge.role, gs.role) == ("ghost_e", "ghost_s")
         assert ge.mech_id == gs.mech_id
     ghosts = [c for c in sliced.components if c.role != "normal"]
@@ -357,13 +361,20 @@ def test_slice_keeps_detectors_and_whole_pairs(patience_setup, lo, hi):
         assert c.mech_id == orig.mech_id
         assert (set(c.detectors) | set(c.cut_partners)
                 == set(orig.detectors) | set(orig.cut_partners))
-        assert c.partner == index.get(orig.partner)
+        assert c.partner == (orig.partner if orig.partner in ids else None)
         lost = any(time[d] > hi for d in orig.detectors)
         broken = orig.role == "ghost_s" and c.role == "normal"
         witness = dec.components[dec.pairs[orig.pair_id].g_e] if broken else None
         assert c.open_boundary == (lost or broken and all(
             time[d] > hi for d in witness.detectors))
         opened += c.open_boundary
+        # a component the cut leaves as it is stays the model's object
+        assert (c is orig) == (c == orig)
+    # a patch-class is changed exactly where a component is dropped or
+    # rewritten
+    assert sliced.source is dec
+    assert sliced.changed == {(c.patch, c.cls) for c in dec.components
+                              if sliced.by_index.get(c.index) is not c}
     assert (opened > 0) == (hi < max(time))
 
 
@@ -381,42 +392,56 @@ def test_broken_singleton_opens_when_its_witness_lies_above_the_cut(
     sliced = _slice_components(dec, lo, 1)
     assert sliced.pairs == ()
     (gs,) = sliced.components
-    assert (gs.index, gs.detectors, gs.role, gs.pair_id) == (0, (2,), "normal",
+    assert (gs.index, gs.detectors, gs.role, gs.pair_id) == (1, (2,), "normal",
                                                             None)
     assert gs.open_boundary is is_open
+    # the singleton's patch-class is rewritten, though it loses nothing
+    assert sliced.changed == {(0, "Z"), (1, "Z")}
+
+
+def test_a_lost_partner_changes_its_patch_class():
+    # a Y-type fault's X half lies below the cut and is dropped, so its Z
+    # half, whole above the cut, loses its partner: the Z graph is the
+    # window's own
+    dem = DetectorErrorModel((ErrorMechanism(0.01, (0, 1), ()),), 2, 0,
+                             (0, 0), (1, 0), ("Z", "X"), ())
+    dec = ghost_decompose(dem)
+    window = build_window(dec, 1, 1)
+    (z,) = window.decomposed.components
+    assert z.partner is None and dec.components[z.index].partner is not None
+    assert window.decomposed.changed == {(0, "X"), (0, "Z")}
+    assert not dec.graphs
 
 
 def replace_slice(decomposed, lo, hi):
     """The cut as a rewrite of each kept component with
-    ``dataclasses.replace``: (components, pairs, invisible)."""
+    ``dataclasses.replace``, keeping indices and pair ids:
+    (components, pairs, invisible)."""
     time = decomposed.dem.detector_time
     comps = decomposed.components
-    new = {}
-    for c in comps:
-        if (all(time[d] >= lo for d in c.detectors)
-                and any(time[d] <= hi for d in c.detectors)):
-            new[c.index] = len(new)
-    pairs, pair_ids = [], {}
-    for pid, pr in enumerate(decomposed.pairs):
-        if pr.g_e in new and pr.g_s in new:
-            pair_ids[pid] = len(pairs)
-            pairs.append(GhostPair(new[pr.g_e], new[pr.g_s]))
+    kept = {c.index for c in comps
+            if all(time[d] >= lo for d in c.detectors)
+            and any(time[d] <= hi for d in c.detectors)}
+    alive = {pid for pid, pr in enumerate(decomposed.pairs)
+             if pr.g_e in kept and pr.g_s in kept}
     out = []
-    for old, index in new.items():
-        c = comps[old]
+    for c in comps:
+        if c.index not in kept:
+            continue
         hidden = tuple(d for d in c.detectors if time[d] > hi)
-        pid = pair_ids.get(c.pair_id)
+        pid = c.pair_id if c.pair_id in alive else None
         open_b = c.open_boundary or bool(hidden)
         if c.role == "ghost_s" and pid is None:
             witness = comps[decomposed.pairs[c.pair_id].g_e]
             open_b = open_b or all(time[d] > hi for d in witness.detectors)
         out.append(dataclasses.replace(
-            c, index=index,
-            detectors=tuple(d for d in c.detectors if time[d] <= hi),
+            c, detectors=tuple(d for d in c.detectors if time[d] <= hi),
             role=c.role if pid is not None else "normal", pair_id=pid,
-            partner=new.get(c.partner), open_boundary=open_b,
+            partner=c.partner if c.partner in kept else None,
+            open_boundary=open_b,
             cut_partners=tuple(sorted(set(c.cut_partners) | set(hidden)))))
-    return tuple(out), tuple(pairs), decomposed.invisible
+    pairs = tuple(decomposed.pairs[pid] for pid in sorted(alive))
+    return tuple(out), pairs, decomposed.invisible
 
 
 def test_slices_equal_the_component_rewrite(patience_setup):
@@ -432,6 +457,118 @@ def test_slices_equal_the_component_rewrite(patience_setup):
         assert sliced.dem is model.dem
         assert (sliced.components, sliced.pairs, sliced.invisible) == \
             replace_slice(model, w.lo, w.hi), (w.lo, w.hi)
+
+
+# -- windows share the graphs their cut leaves alone ---------------------------
+
+
+def counted_builds(monkeypatch):
+    """Graphs built by ``ghost.build_matching_graph`` from now on."""
+    built = []
+    build = ghostdec.ghost.build_matching_graph
+
+    def counted(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ghostdec.ghost, "build_matching_graph", counted)
+    return built
+
+
+def realtime_setup():
+    """A fresh two-gate model's global graphs and real-time plan, set up
+    in the benchmark's order."""
+    dem, dec = decomposed(build_tproxy_circuit(3, 2), 5e-3)
+    return dem, dec, build_protocol_graphs(dec), plan_tproxy_windows(dec,
+                                                                     CONFIG)
+
+
+def assert_shares_exactly_the_untouched(dec, windows):
+    """Each window graph is the model's own where the cut leaves its
+    patch-class as the model has it, component for component, and a
+    graph of its own elsewhere; returns how many are shared."""
+    shared = 0
+    for w in windows:
+        for key, g in w.graphs.items():
+            mine = [c for c in w.decomposed.components
+                    if (c.patch, c.cls) == key]
+            model = [c for c in dec.components if (c.patch, c.cls) == key]
+            untouched = (len(mine) == len(model)
+                         and all(a is b for a, b in zip(mine, model)))
+            assert (key not in w.decomposed.changed) == untouched
+            assert (g is dec.graphs.get(key)) == untouched, (w.lo, w.hi, key)
+            assert g == build_matching_graph(*key, mine)
+            shared += untouched
+    return shared
+
+
+def test_windows_share_the_models_graphs_where_the_cut_leaves_them(
+        patience_setup, monkeypatch):
+    built = counted_builds(monkeypatch)
+    dem, dec, graphs, plan = realtime_setup()
+    # patch 0 in both windows, patch 1 in the second
+    assert len(built) == 12
+    assert assert_shares_exactly_the_untouched(dec, plan.windows) == 6
+    assert all(dec.graphs[key] is g for key, g in graphs.items())
+    built.clear()
+    dem, _, _, _ = patience_setup
+    fresh = ghost_decompose(dem)
+    pplan = plan_patience(fresh, CONFIG, 5)
+    # patch 0 in all four windows, patch 1 in both windows of gate 1;
+    # the model builds those four graphs once, on first request
+    assert len(built) == 16
+    assert assert_shares_exactly_the_untouched(
+        fresh, pplan.base.windows + pplan.extended) == 12
+    assert sorted(fresh.graphs) == [(0, "X"), (0, "Z"), (1, "X"), (1, "Z")]
+
+
+def test_decompositions_of_one_circuit_share_no_graph():
+    dem, dec = decomposed(build_tproxy_circuit(3, 2), 5e-3)
+    other = ghost_decompose(dem)
+    ids = []
+    for model in (dec, other):
+        graphs = build_protocol_graphs(model)
+        windows = plan_patience(model, CONFIG, 3).base.windows
+        ids.append({id(g) for gs in [graphs] + [w.graphs for w in windows]
+                    for g in gs.values()})
+    assert ids[0] and not ids[0] & ids[1]
+
+
+def unshared(window):
+    """The window with graphs of its own, freshly built."""
+    alone = dataclasses.replace(window.decomposed, source=None, graphs={})
+    return dataclasses.replace(window, graphs=build_protocol_graphs(alone))
+
+
+def test_shared_graphs_decide_as_unshared_ones(patience_setup):
+    dem, dec, graphs, plan = realtime_setup()
+    alone = build_protocol_graphs(dataclasses.replace(dec, graphs={}))
+    assert not set(map(id, alone.values())) & set(map(id, graphs.values()))
+    plan_alone = dataclasses.replace(
+        plan, windows=tuple(map(unshared, plan.windows)))
+    dets, _ = sample_dem(dem, seed=53, shots=200)
+    for s in range(200):
+        assert np.array_equal(
+            decode_tproxy_windowed(dec, dets[s], CONFIG, plan=plan).decisions,
+            decode_tproxy_windowed(dec, dets[s], CONFIG,
+                                   plan=plan_alone).decisions), f"shot {s}"
+        assert np.array_equal(decode_tproxy_global(dec, dets[s], graphs=graphs),
+                              decode_tproxy_global(dec, dets[s], graphs=alone))
+    dem, dec, pplan, _ = patience_setup
+    alone = dataclasses.replace(
+        pplan, base=dataclasses.replace(
+            pplan.base, windows=tuple(map(unshared, pplan.base.windows))),
+        extended=tuple(map(unshared, pplan.extended)))
+    dets, _ = sample_dem(dem, seed=59, shots=200)
+    retried = 0
+    for s in range(200):
+        shot = patient_decode(dec, dets[s], CONFIG, 5, plan=pplan)
+        want = patient_decode(dec, dets[s], CONFIG, 5, plan=alone)
+        assert np.array_equal(shot.decisions, want.decisions), f"shot {s}"
+        assert np.array_equal(shot.base_decisions, want.base_decisions)
+        assert shot.heralds == want.heralds
+        retried += any(h.delay_rounds for h in shot.heralds)
+    assert retried
 
 
 def test_sliding_windows_reject_ghost_pairs(patience_setup):
