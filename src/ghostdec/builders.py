@@ -445,6 +445,8 @@ def build_deep_clifford_circuit(d: int, n_r: int, layers: int,
         raise CircuitError("need at least one layer")
     if n_r < 1:
         raise CircuitError("need at least one syndrome round per layer")
+    if seed < 0:
+        raise CircuitError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     b = CircuitBuilder(d, n_qubits)
     b.prep(list(range(n_qubits)), "X")
@@ -508,7 +510,7 @@ def apply_noise_model(circuit: Circuit, noise: NoiseParams) -> Circuit:
     last_tick: dict[int, int] = {}
     for t, (a, z) in enumerate(spans):
         for ins in circuit.instructions[a:z]:
-            for q in _touched(ins):
+            for q in ins.qubits:
                 first_tick.setdefault(q, t)
                 last_tick[q] = t
 
@@ -520,7 +522,7 @@ def apply_noise_model(circuit: Circuit, noise: NoiseParams) -> Circuit:
         gate_tick = False
         for ins in circuit.instructions[a:z]:
             out.append(ins)
-            touched = _touched(ins)
+            touched = ins.qubits
             active.update(touched)
             if touched:
                 gate_tick = True
@@ -541,11 +543,3 @@ def apply_noise_model(circuit: Circuit, noise: NoiseParams) -> Circuit:
         if idle:
             out.append(Instruction("DEPOL1", tuple(idle), arg=p1))
     return Circuit(circuit.qubits, tuple(out))
-
-
-def _touched(ins: Instruction) -> tuple[int, ...]:
-    if ins.op in GATES_1Q + GATES_2Q + RESETS + ("MEAS_Z",):
-        return ins.targets
-    if ins.op == "MPP":
-        return tuple(q for q, _ in ins.paulis)
-    return ()

@@ -11,6 +11,16 @@ when it is built.  Supported operations:
 * ``TICK`` time-step markers (idle noise is counted per tick)
 * ``DETECTOR(t,x,y)`` / ``OBSERVABLE(n)`` parity annotations over
   measurement-record offsets ``rec[-k]``
+
+An instruction names each qubit at most once, so its targets act on
+disjoint qubits in any order.  The interpreters (tableau, frames, dem)
+share these conventions and keep only their own propagation: qubit
+columns (:attr:`Circuit.columns`), record numbering
+(:attr:`Circuit.meas_before`), the parities each record enters
+(:attr:`Circuit.record_parities`), fault-site numbering
+(:attr:`Circuit.fault_site_base`, :data:`DEPOL1_OUTCOMES`,
+:data:`DEPOL2_OUTCOMES`), Pauli (x, z) bits (:data:`PAULI_BITS`) and the
+op groups :data:`NOISE_OPS` and :data:`ANNOTATION_OPS`.
 """
 
 from __future__ import annotations
@@ -23,9 +33,13 @@ GATES_1Q = ("H", "X", "Y", "Z")
 GATES_2Q = ("CX",)
 RESETS = ("RESET_Z", "RESET_X")
 NOISE_OPS = ("DEPOL1", "DEPOL2", "MEAS_FLIP")
+ANNOTATION_OPS = ("TICK", "DETECTOR", "OBSERVABLE")
 PAIRWISE_OPS = ("CX", "DEPOL2")
-ALL_OPS = GATES_1Q + GATES_2Q + RESETS + NOISE_OPS + (
-    "MEAS_Z", "MPP", "TICK", "DETECTOR", "OBSERVABLE")
+# ops whose targets are qubit ids
+QUBIT_OPS = GATES_1Q + GATES_2Q + RESETS + NOISE_OPS + ("MEAS_Z",)
+ALL_OPS = QUBIT_OPS + ("MPP",) + ANNOTATION_OPS
+
+PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 # Pauli outcomes of the depolarizing channels in fault-site order, one
 # (x, z) bit pair per target qubit: DEPOL1 is X, Y, Z, and DEPOL2's
@@ -79,6 +93,13 @@ class Instruction:
     paulis: tuple[tuple[int, str], ...] | None = None
     sign: int = 0
 
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        """The qubit ids this instruction acts on, each at most once."""
+        if self.op == "MPP":
+            return tuple(q for q, _ in self.paulis)
+        return self.targets if self.op in QUBIT_OPS else ()
+
     def target_pairs(self) -> list[tuple[int, int]]:
         assert self.op in PAIRWISE_OPS
         t = self.targets
@@ -125,6 +146,11 @@ class Circuit:
         self.qubits = tuple(self.qubits)
         self.instructions = tuple(self.instructions)
         _validate(self)
+
+    @cached_property
+    def columns(self) -> dict[int, int]:
+        """Each qubit id's position in :attr:`qubits`."""
+        return {q.id: i for i, q in enumerate(self.qubits)}
 
     @cached_property
     def meas_before(self) -> tuple[int, ...]:
@@ -179,6 +205,20 @@ class Circuit:
             raise CircuitError("observable indices must be contiguous from 0")
         return tuple(Observable(i, tuple(sorted(acc[i]))) for i in sorted(acc))
 
+    @cached_property
+    def record_parities(self) -> tuple[tuple[int, ...], ...]:
+        """Per measurement record, the parities it enters: detector k as k,
+        observable j as ``num_detectors + j``.
+
+        A parity that names a record twice lists it twice, so XOR-ing
+        along the list cancels it.
+        """
+        out: list[list[int]] = [[] for _ in range(self.num_measurements)]
+        for k, par in enumerate(self.detectors + self.observables):
+            for r in par.meas:
+                out[r].append(k)
+        return tuple(map(tuple, out))
+
     @property
     def num_detectors(self) -> int:
         return len(self.detectors)
@@ -231,20 +271,16 @@ def _validate(circuit: Circuit) -> None:
     for i, ins in enumerate(circuit.instructions):
         if ins.op not in ALL_OPS:
             raise CircuitError(f"unknown op {ins.op!r}")
-        if ins.op in GATES_1Q + GATES_2Q + RESETS + ("MEAS_Z", "DEPOL1", "DEPOL2", "MEAS_FLIP"):
+        if ins.op in QUBIT_OPS:
             missing = [t for t in ins.targets if t not in known]
             if missing:
                 raise CircuitError(f"{ins.op} targets undeclared qubits {missing}")
             if not ins.targets:
                 raise CircuitError(f"{ins.op} with no targets")
-            if mpp_seen and ins.op != "TICK":
+            if mpp_seen:
                 raise CircuitError("only MPP/DETECTOR/OBSERVABLE may follow the first MPP")
-        if ins.op in PAIRWISE_OPS:
-            if len(ins.targets) % 2:
+            if ins.op in PAIRWISE_OPS and len(ins.targets) % 2:
                 raise CircuitError(f"{ins.op} needs an even number of targets")
-            for a, b in ins.target_pairs():
-                if a == b:
-                    raise CircuitError(f"{ins.op} pair targets the same qubit {a}")
         if ins.op in NOISE_OPS:
             if ins.arg is None or not (0.0 < ins.arg < 0.5):
                 raise CircuitError(f"{ins.op} probability must lie in (0, 0.5)")
@@ -255,14 +291,16 @@ def _validate(circuit: Circuit) -> None:
             mpp_seen = True
             if not ins.paulis:
                 raise CircuitError("MPP with empty Pauli product")
-            qs = [q for q, _ in ins.paulis]
-            if len(set(qs)) != len(qs):
-                raise CircuitError("MPP repeats a qubit")
             for q, p in ins.paulis:
                 if q not in known:
                     raise CircuitError(f"MPP targets undeclared qubit {q}")
                 if p not in ("X", "Y", "Z"):
                     raise CircuitError(f"MPP with invalid Pauli {p!r}")
+        qs = ins.qubits
+        if len(set(qs)) < len(qs):
+            q = next(q for k, q in enumerate(qs) if q in qs[:k])
+            raise CircuitError(
+                f"{ins.op} repeats a qubit: it targets the same qubit {q} twice")
         if ins.op in ("DETECTOR", "OBSERVABLE"):
             count = circuit.meas_before[i]
             for off in ins.targets:
@@ -277,4 +315,3 @@ def _validate(circuit: Circuit) -> None:
         prev = ins
     circuit.detectors  # noqa: B018  - force observable/detector resolution
     circuit.observables
-

@@ -5,16 +5,22 @@ every qubit two sensitivity registers (big-int bitmasks over detector
 and observable indices): bit k of the X register says an X error at
 this point flips parity k.  Each noise-channel outcome then reads its
 symptom directly off the registers, independently of the forward
-fault-propagation oracle in :mod:`ghostdec.frames`.
+fault-propagation oracle in :mod:`ghostdec.frames`.  Record parities,
+record numbering, fault-site numbering and Pauli bits are the shared
+conventions of :mod:`ghostdec.circuits`; only the backward update rules
+live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError, DEPOL1_OUTCOMES, DEPOL2_OUTCOMES
+from .circuits import (ANNOTATION_OPS, DEPOL1_OUTCOMES, DEPOL2_OUTCOMES,
+                       NOISE_OPS, PAULI_BITS, RESETS, Circuit, CircuitError)
 from .tableau import check_detector_determinism
 
 
@@ -81,19 +87,14 @@ def extract_dem(circuit: Circuit) -> DetectorErrorModel:
             f"{report.nondeterministic_detectors + report.nonzero_detectors}")
     n_det = circuit.num_detectors
     n_obs = circuit.num_observables
-    # parity mask per measurement record
-    mask_rec: dict[int, int] = {}
-    for det in circuit.detectors:
-        for r in det.meas:
-            mask_rec[r] = mask_rec.get(r, 0) ^ (1 << det.index)
-    for obs in circuit.observables:
-        for r in obs.meas:
-            mask_rec[r] = mask_rec.get(r, 0) ^ (1 << (n_det + obs.index))
+    # parity bitmask per measurement record
+    mask_rec = [reduce(xor, (1 << k for k in ks), 0)
+                for ks in circuit.record_parities]
     meas_before = circuit.meas_before
     site_base = circuit.fault_site_base
 
-    sx: dict[int, int] = {q.id: 0 for q in circuit.qubits}
-    sz: dict[int, int] = {q.id: 0 for q in circuit.qubits}
+    sx: dict[int, int] = dict.fromkeys(circuit.columns, 0)
+    sz: dict[int, int] = dict.fromkeys(circuit.columns, 0)
     symptoms: dict[int, tuple[float, list[int]]] = {}
 
     def fold(sym: int, p: float, site: int) -> None:
@@ -112,15 +113,16 @@ def extract_dem(circuit: Circuit) -> DetectorErrorModel:
         if op == "MEAS_Z":
             m0 = meas_before[idx]
             for j, q in enumerate(ins.targets):
-                sx[q] ^= mask_rec.get(m0 + j, 0)
+                sx[q] ^= mask_rec[m0 + j]
         elif op == "MPP":
-            mask = mask_rec.get(meas_before[idx], 0)
+            mask = mask_rec[meas_before[idx]]
             for q, letter in ins.paulis:
-                if letter in ("Z", "Y"):
+                xb, zb = PAULI_BITS[letter]
+                if zb:
                     sx[q] ^= mask
-                if letter in ("X", "Y"):
+                if xb:
                     sz[q] ^= mask
-        elif op in ("RESET_Z", "RESET_X"):
+        elif op in RESETS:
             for q in ins.targets:
                 sx[q] = 0
                 sz[q] = 0
@@ -146,11 +148,9 @@ def extract_dem(circuit: Circuit) -> DetectorErrorModel:
                     fold(pa[xa][za] ^ pb[xb][zb], ins.arg / 15,
                          site_base[idx] + 15 * j + k)
         elif op == "MEAS_FLIP":
-            prev = circuit.instructions[idx - 1]
-            m0 = meas_before[idx - 1]
-            for j, q in enumerate(ins.targets):
-                rec = m0 + prev.targets.index(q)
-                fold(mask_rec.get(rec, 0), ins.arg, site_base[idx] + j)
+            for j in range(len(ins.targets)):
+                fold(mask_rec[meas_before[idx - 1] + j], ins.arg,
+                     site_base[idx] + j)
 
     det_bits = (1 << n_det) - 1
     mechanisms = []
@@ -194,8 +194,7 @@ def _readout_basis(circuit: Circuit, rec) -> str:
     """Basis of a single-qubit readout: X when rotated by a preceding H."""
     for idx in range(rec.instr - 1, -1, -1):
         ins = circuit.instructions[idx]
-        if ins.op in ("TICK", "DETECTOR", "OBSERVABLE") or ins.op.endswith("FLIP") \
-                or ins.op.startswith("DEPOL"):
+        if ins.op in ANNOTATION_OPS + NOISE_OPS:
             continue
         if rec.qubit in ins.targets:
             return "X" if ins.op == "H" else "Z"

@@ -6,6 +6,10 @@ observables follows from conjugating the frame through the circuit.
 This module provides the canonical enumeration of single-fault sites,
 a scalar propagator used as an independent oracle for detector-error-
 model extraction, and a vectorized many-shot sampler.
+
+Fault sites, qubit columns, record numbering and record parities are the
+shared conventions of :mod:`ghostdec.circuits`; each class here keeps
+only its own frame-update rules.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError, DEPOL1_OUTCOMES, DEPOL2_OUTCOMES
+from .circuits import (DEPOL1_OUTCOMES, DEPOL2_OUTCOMES, PAULI_BITS, RESETS,
+                       Circuit, CircuitError)
 
-PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTER = {bits: letter for letter, bits in PAULI_BITS.items()}
 # the outcome tables as boolean rows (x, z) and (xa, za, xb, zb)
 _DEPOL1_BITS = np.array(DEPOL1_OUTCOMES, dtype=bool)
@@ -67,33 +71,25 @@ class FaultPropagator:
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.n = len(circuit.qubits)
-        self._col = {q.id: i for i, q in enumerate(circuit.qubits)}
-        self._rec_to_dets: dict[int, list[int]] = {}
-        self._rec_to_obs: dict[int, list[int]] = {}
-        for det in circuit.detectors:
-            for rec in det.meas:
-                self._rec_to_dets.setdefault(rec, []).append(det.index)
-        for obs in circuit.observables:
-            for rec in obs.meas:
-                self._rec_to_obs.setdefault(rec, []).append(obs.index)
-        self._x = np.zeros(self.n, dtype=bool)
-        self._z = np.zeros(self.n, dtype=bool)
+        self._x = np.zeros(len(circuit.qubits), dtype=bool)
+        self._z = np.zeros(len(circuit.qubits), dtype=bool)
 
     def propagate(self, site: FaultSite) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Return (flipped detector ids, flipped observable ids) for one fault."""
         x, z = self._x, self._z
         x[:] = False
         z[:] = False
-        col = self._col
+        circuit = self.circuit
+        col = circuit.columns
         flipped_recs: list[int] = []
-        instructions = self.circuit.instructions
+        instructions = circuit.instructions
+        meas_before = circuit.meas_before
         ins = instructions[site.instr_index]
         if site.pauli == "FLIP":
             if ins.op != "MEAS_FLIP":
                 raise CircuitError("FLIP fault must sit on a MEAS_FLIP channel")
             prev = instructions[site.instr_index - 1]
-            base = self.circuit.meas_before[site.instr_index - 1]
+            base = meas_before[site.instr_index - 1]
             flipped_recs.append(base + prev.targets.index(site.qubits[0]))
         else:
             for q, letter in zip(site.qubits, site.pauli):
@@ -102,8 +98,8 @@ class FaultPropagator:
                     x[col[q]] ^= True
                 if zb:
                     z[col[q]] ^= True
-        m = self.circuit.meas_before[site.instr_index]
-        for ins in instructions[site.instr_index + 1:]:
+        start = site.instr_index + 1
+        for idx, ins in enumerate(instructions[start:], start):
             op = ins.op
             if op == "CX":
                 t = ins.targets
@@ -118,9 +114,8 @@ class FaultPropagator:
             elif op == "MEAS_Z":
                 for j, q in enumerate(ins.targets):
                     if x[col[q]]:
-                        flipped_recs.append(m + j)
-                m += len(ins.targets)
-            elif op in ("RESET_Z", "RESET_X"):
+                        flipped_recs.append(meas_before[idx] + j)
+            elif op in RESETS:
                 for q in ins.targets:
                     i = col[q]
                     x[i] = False
@@ -132,18 +127,16 @@ class FaultPropagator:
                     i = col[q]
                     flip ^= (x[i] and zb == 1) ^ (z[i] and xb == 1)
                 if flip:
-                    flipped_recs.append(m)
-                m += 1
+                    flipped_recs.append(meas_before[idx])
             # X/Y/Z gates and noise channels commute with the frame up to
             # phase; TICK/DETECTOR/OBSERVABLE carry no action here
-        dets: set[int] = set()
-        obs: set[int] = set()
+        flipped: set[int] = set()
         for rec in flipped_recs:
-            for k in self._rec_to_dets.get(rec, ()):
-                dets.symmetric_difference_update((k,))
-            for k in self._rec_to_obs.get(rec, ()):
-                obs.symmetric_difference_update((k,))
-        return tuple(sorted(dets)), tuple(sorted(obs))
+            for k in circuit.record_parities[rec]:
+                flipped ^= {k}
+        n_det = circuit.num_detectors
+        return (tuple(sorted(k for k in flipped if k < n_det)),
+                tuple(sorted(k - n_det for k in flipped if k >= n_det)))
 
 
 class CircuitSampler:
@@ -157,9 +150,6 @@ class CircuitSampler:
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.n = len(circuit.qubits)
-        self._col = {q.id: i for i, q in enumerate(circuit.qubits)}
-        self.num_measurements = circuit.num_measurements
 
     def sample(self, shots: int, rng: np.random.Generator):
         """Run ``shots`` noisy shots.
@@ -170,12 +160,11 @@ class CircuitSampler:
         if shots < 0:
             raise CircuitError(f"shots must be non-negative, got {shots}")
         c = self.circuit
-        col = self._col
-        x = np.zeros((shots, self.n), dtype=bool)
-        z = np.zeros((shots, self.n), dtype=bool)
-        rec = np.zeros((shots, self.num_measurements), dtype=bool)
+        col = c.columns
+        x = np.zeros((shots, len(col)), dtype=bool)
+        z = np.zeros((shots, len(col)), dtype=bool)
+        rec = np.zeros((shots, c.num_measurements), dtype=bool)
         fired: list[list[int]] = [[] for _ in range(shots)]
-        m = 0
         for idx, ins in enumerate(c.instructions):
             op = ins.op
             if op == "CX":
@@ -190,10 +179,9 @@ class CircuitSampler:
                 x[:, idxs] = z[:, idxs]
                 z[:, idxs] = tmp
             elif op == "MEAS_Z":
-                for q in ins.targets:
-                    rec[:, m] = x[:, col[q]]
-                    m += 1
-            elif op in ("RESET_Z", "RESET_X"):
+                for j, q in enumerate(ins.targets):
+                    rec[:, c.meas_before[idx] + j] = x[:, col[q]]
+            elif op in RESETS:
                 idxs = [col[q] for q in ins.targets]
                 x[:, idxs] = False
                 z[:, idxs] = False
@@ -206,8 +194,7 @@ class CircuitSampler:
                         flip ^= x[:, i]
                     if xb:
                         flip ^= z[:, i]
-                rec[:, m] = flip
-                m += 1
+                rec[:, c.meas_before[idx]] = flip
             elif op == "DEPOL1":
                 base = c.fault_site_base[idx]
                 for j, q in enumerate(ins.targets):
@@ -234,17 +221,15 @@ class CircuitSampler:
                         fired[s].append(base + 15 * j + int(v[s]) - 1)
             elif op == "MEAS_FLIP":
                 base = c.fault_site_base[idx]
-                for j, q in enumerate(ins.targets):
+                for j in range(len(ins.targets)):
                     hit = rng.random(shots) < ins.arg
-                    rec[:, m - len(ins.targets) + j] ^= hit
+                    rec[:, c.meas_before[idx - 1] + j] ^= hit
                     for s in np.flatnonzero(hit):
                         fired[s].append(base + j)
-        dets = np.zeros((shots, c.num_detectors), dtype=bool)
-        for det in c.detectors:
-            for r in det.meas:
-                dets[:, det.index] ^= rec[:, r]
-        obs = np.zeros((shots, c.num_observables), dtype=bool)
-        for o in c.observables:
-            for r in o.meas:
-                obs[:, o.index] ^= rec[:, r]
+        parities = np.zeros((shots, c.num_detectors + c.num_observables),
+                            dtype=bool)
+        for r, ks in enumerate(c.record_parities):
+            for k in ks:
+                parities[:, k] ^= rec[:, r]
+        dets, obs = np.hsplit(parities, [c.num_detectors])
         return dets, obs, [tuple(sorted(f)) for f in fired]

@@ -24,6 +24,9 @@ to the tableau's size, wherever the algebra allows:
 A row (x, z) stands for i^(x.z) X^x Z^z, so phases follow from counts of
 overlapping bits.  Only the 0/1 phase bit of a product comes from numpy;
 the coin forms stay Python ints, since they outgrow 64 bits.
+
+Qubit columns, record numbering and the op groups are the shared ones of
+:mod:`ghostdec.circuits`; only the tableau update rules live here.
 """
 
 from __future__ import annotations
@@ -32,9 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit
-
-_NOISE = ("DEPOL1", "DEPOL2", "MEAS_FLIP")
+from .circuits import ANNOTATION_OPS, NOISE_OPS, PAULI_BITS, Circuit
 
 
 class StabilizerSimulator:
@@ -200,64 +201,46 @@ def check_detector_determinism(circuit: Circuit) -> DeterminismReport:
 
     Noise channels are skipped; everything else is simulated exactly.
     """
-    cols = {q.id: i for i, q in enumerate(circuit.qubits)}
+    cols = circuit.columns
     sim = StabilizerSimulator(len(cols))
+    one_qubit = {"H": sim.h, "X": sim.x_gate, "Y": sim.y_gate, "Z": sim.z_gate,
+                 "RESET_Z": sim.reset_z, "RESET_X": sim.reset_x}
     forms: list[int] = []
     for ins in circuit.instructions:
         op = ins.op
-        if op in _NOISE or op in ("TICK", "DETECTOR", "OBSERVABLE"):
-            continue
-        if op == "MEAS_Z":
+        if op in one_qubit:
+            gate = one_qubit[op]
             for q in ins.targets:
-                forms.append(sim.measure_z(cols[q]))
+                gate(cols[q])
+        elif op == "MEAS_Z":
+            forms.extend(sim.measure_z(cols[q]) for q in ins.targets)
         elif op == "MPP":
             xp = np.zeros(sim.n, dtype=bool)
             zp = np.zeros(sim.n, dtype=bool)
             for q, p in ins.paulis:
-                if p in ("X", "Y"):
-                    xp[cols[q]] = True
-                if p in ("Z", "Y"):
-                    zp[cols[q]] = True
+                xp[cols[q]], zp[cols[q]] = PAULI_BITS[p]
             forms.append(sim.measure_pauli(xp, zp, ins.sign))
-        elif op == "H":
-            for q in ins.targets:
-                sim.h(cols[q])
-        elif op == "X":
-            for q in ins.targets:
-                sim.x_gate(cols[q])
-        elif op == "Y":
-            for q in ins.targets:
-                sim.y_gate(cols[q])
-        elif op == "Z":
-            for q in ins.targets:
-                sim.z_gate(cols[q])
         elif op == "CX":
             for c, t in ins.target_pairs():
                 sim.cx(cols[c], cols[t])
-        elif op == "RESET_Z":
-            for q in ins.targets:
-                sim.reset_z(cols[q])
-        elif op == "RESET_X":
-            for q in ins.targets:
-                sim.reset_x(cols[q])
-        else:
+        elif op not in NOISE_OPS + ANNOTATION_OPS:
             raise AssertionError(f"unhandled op {op}")
 
-    report = DeterminismReport(measurement_forms=forms)
-    for det in circuit.detectors:
+    return DeterminismReport(forms, *_classify(forms, circuit.detectors),
+                             *_classify(forms, circuit.observables))
+
+
+def _classify(forms: list[int], parities) -> tuple[list[int], list[int]]:
+    """Indices of the parities whose outcome form keeps a coin, and of the
+    others whose constant is 1."""
+    nondeterministic: list[int] = []
+    nonzero: list[int] = []
+    for par in parities:
         form = 0
-        for m in det.meas:
+        for m in par.meas:
             form ^= forms[m]
         if form >> 1:
-            report.nondeterministic_detectors.append(det.index)
+            nondeterministic.append(par.index)
         elif form & 1:
-            report.nonzero_detectors.append(det.index)
-    for obs in circuit.observables:
-        form = 0
-        for m in obs.meas:
-            form ^= forms[m]
-        if form >> 1:
-            report.nondeterministic_observables.append(obs.index)
-        elif form & 1:
-            report.nonzero_observables.append(obs.index)
-    return report
+            nonzero.append(par.index)
+    return nondeterministic, nonzero

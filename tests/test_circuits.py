@@ -84,9 +84,12 @@ def one_patch(prepped=True, rounds=0):
      "cannot track gate 'S'"),
     (lambda: build_tproxy_circuit(3, 0), "at least one gate"),
     (lambda: build_deep_clifford_circuit(3, 1, 0), "at least one layer"),
+    (lambda: build_deep_clifford_circuit(3, 1, 1, seed=-1),
+     "seed must be non-negative"),
 ], ids=["prep-basis", "second-prep", "round-before-prep", "gate-s",
         "gate-unprepared", "cnot-self", "readout-before-round",
-        "readout-basis", "track-s", "tproxy-no-gates", "deep-no-layers"])
+        "readout-basis", "track-s", "tproxy-no-gates", "deep-no-layers",
+        "deep-negative-seed"])
 def test_builder_misuse_raises(build, match):
     with pytest.raises(CircuitError, match=match):
         build()
@@ -221,6 +224,7 @@ def test_circuit_rejects_out_of_range_record():
 
 TWO_QUBITS = (QubitDecl(0, 0.5, 0.5, 0, "data"),
               QubitDecl(1, 1.5, 0.5, 0, "data"))
+THREE_QUBITS = TWO_QUBITS + (QubitDecl(2, 2.5, 0.5, 0, "data"),)
 MEAS = Instruction("MEAS_Z", (0,))
 
 
@@ -241,6 +245,14 @@ def on_two_qubits(*instructions):
                    Instruction("H", (0,))), "may follow the first MPP"),
     (on_two_qubits(Instruction("CX", (0, 1, 0))), "even number of targets"),
     (on_two_qubits(Instruction("CX", (1, 1))), "targets the same qubit 1"),
+    # each qubit at most once per instruction: the extractor's backward
+    # pass would apply these CXs out of order, and both MEAS_FLIP flips
+    # would be read as the first record's
+    (lambda: Circuit(THREE_QUBITS, (Instruction("CX", (0, 1, 1, 2)),)),
+     "targets the same qubit 1 twice"),
+    (on_two_qubits(Instruction("MEAS_Z", (0, 0)),
+                   Instruction("MEAS_FLIP", (0, 0), arg=0.01)),
+     "MEAS_Z repeats a qubit: it targets the same qubit 0 twice"),
     (on_two_qubits(Instruction("DEPOL1", (0,))), "must lie in"),
     (on_two_qubits(Instruction("DEPOL2", (0, 1), arg=0.5)), "must lie in"),
     (on_two_qubits(Instruction("MEAS_FLIP", (0,), arg=0.1)),
@@ -261,7 +273,8 @@ def on_two_qubits(*instructions):
      "contiguous from 0"),
 ], ids=["qubit-kind", "duplicate-id", "duplicate-coords", "s-gate",
         "undeclared-target", "empty-targets", "op-after-mpp", "odd-pairs",
-        "self-pair", "noise-without-probability", "noise-probability-high",
+        "self-pair", "cx-shared-qubit", "repeated-measurement",
+        "noise-without-probability", "noise-probability-high",
         "lone-meas-flip", "meas-flip-other-targets", "mpp-empty",
         "mpp-repeat", "mpp-undeclared", "mpp-pauli", "record-offset",
         "detector-coords", "observable-index", "observable-gap"])

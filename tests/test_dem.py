@@ -9,7 +9,9 @@ from ghostdec.builders import (NoiseParams, apply_noise_model,
 from ghostdec.circuits import Circuit, CircuitError, Instruction, QubitDecl
 from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
                           sample_dem)
-from ghostdec.frames import FaultPropagator, iter_fault_sites
+from ghostdec.frames import CircuitSampler, FaultPropagator, iter_fault_sites
+from ghostdec.tableau import check_detector_determinism
+from ghostdec.verify import frame_sim_crosscheck
 
 
 def oracle_dem(circuit):
@@ -31,7 +33,8 @@ def noisy(circuit, p=0.001):
     noisy(build_memory_circuit(3, 3)),
     noisy(build_tproxy_circuit(3, 1)),
     noisy(build_deep_clifford_circuit(3, 1, 1, n_qubits=2)),
-], ids=["memory-d3", "tproxy-d3", "deep-d3"])
+    noisy(build_memory_circuit(3, 3, "X")),
+], ids=["memory-d3", "tproxy-d3", "deep-d3", "memory-x-d3"])
 def test_extraction_matches_forward_oracle(circuit):
     dem = extract_dem(circuit)
     expect = oracle_dem(circuit)
@@ -39,6 +42,29 @@ def test_extraction_matches_forward_oracle(circuit):
     assert set(got) == set(expect)
     for key, p in expect.items():
         assert got[key] == pytest.approx(p, rel=1e-12)
+
+
+def test_a_record_named_twice_flips_nothing():
+    # D0 and the observable name the one record twice, D1 names it once:
+    # every interpreter XORs the record into D0 and the observable twice
+    ancilla = (QubitDecl(0, 0.5, 0.5, 0, "ancilla-Z"),)
+    c = Circuit(ancilla, (
+        Instruction("RESET_Z", (0,)),
+        Instruction("DEPOL1", (0,), arg=0.1),
+        Instruction("MEAS_Z", (0,)),
+        Instruction("MEAS_FLIP", (0,), arg=0.1),
+        Instruction("DETECTOR", (-1, -1), coords=(0.0, 0.5, 0.5)),
+        Instruction("DETECTOR", (-1,), coords=(1.0, 0.5, 0.5)),
+        Instruction("OBSERVABLE", (-1, -1), index=0)))
+    assert c.record_parities == ((0, 0, 1, 2, 2),)
+    assert check_detector_determinism(c).ok
+    dem = extract_dem(c)
+    assert {(m.detectors, m.observables) for m in dem.mechanisms} == {((1,), ())}
+    prop = FaultPropagator(c)
+    assert {prop.propagate(s) for s in iter_fault_sites(c)} == {((1,), ()), ((), ())}
+    dets, obs, _ = CircuitSampler(c).sample(200, np.random.default_rng(1))
+    assert not dets[:, 0].any() and not obs.any() and dets[:, 1].any()
+    assert frame_sim_crosscheck(c, dem, seed=1, shots=200).ok
 
 
 def test_interpatch_hyperedges_exist():

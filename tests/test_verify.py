@@ -105,7 +105,8 @@ def test_unexplainable_syndrome_raises():
     apply_noise_model(build_tproxy_circuit(3, 1), NoiseParams(0.01)),
     apply_noise_model(build_deep_clifford_circuit(3, 1, 1, n_qubits=2),
                       NoiseParams(0.01)),
-], ids=["memory", "tproxy", "deep"])
+    apply_noise_model(build_memory_circuit(3, 3, "X"), NoiseParams(0.01)),
+], ids=["memory", "tproxy", "deep", "memory-x"])
 def test_crosscheck_paths_agree(circuit):
     dem = extract_dem(circuit)
     report = frame_sim_crosscheck(circuit, dem, seed=3, shots=2000)
