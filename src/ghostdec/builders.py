@@ -394,7 +394,7 @@ def build_memory_circuit(d: int, rounds: int, basis: str = "Z") -> Circuit:
     return b.finish()
 
 
-def build_tproxy_circuit(d: int, n_tgates: int, n_buf: int = 1, n_sep: int = 3,
+def build_tproxy_circuit(d: int, n_tgates: int, n_buf: int = 1,
                          extra_rounds: int = 0) -> Circuit:
     """Teleportation proxy for a chain of T gates.
 
@@ -402,15 +402,15 @@ def build_tproxy_circuit(d: int, n_tgates: int, n_buf: int = 1, n_sep: int = 3,
     g+1; each gate entangles the carrier (control) with a fresh patch
     (target) by transversal CNOT, waits ``n_buf`` rounds, then measures
     the carrier transversally in Z (one observable per gate).
-    Consecutive CNOTs are ``n_sep`` rounds apart: the buffer round plus
-    two rounds covering the would-be conditional-Clifford slots.
+    Consecutive CNOTs are ``n_buf + 2`` rounds apart: the buffer rounds
+    plus two rounds covering the would-be conditional-Clifford slots.
     ``extra_rounds`` extends the tail before the survivor's final
     readout so delayed decisions still have syndrome to consume.
     """
     if n_tgates < 1:
         raise CircuitError("need at least one gate")
-    if n_buf < 1 or n_sep < n_buf + 1:
-        raise CircuitError("need n_buf >= 1 and n_sep > n_buf")
+    if n_buf < 1:
+        raise CircuitError("need n_buf >= 1")
     if extra_rounds < 0:
         raise CircuitError("extra_rounds must be non-negative")
     b = CircuitBuilder(d, n_tgates + 1)
@@ -421,8 +421,8 @@ def build_tproxy_circuit(d: int, n_tgates: int, n_buf: int = 1, n_sep: int = 3,
         b.run_rounds(n_buf)
         b.readout(g, "Z", observable=g)
         if g + 1 < n_tgates:
-            b.run_rounds(n_sep - n_buf)
-    b.run_rounds(n_sep - n_buf + extra_rounds)
+            b.run_rounds(2)
+    b.run_rounds(2 + extra_rounds)
     b.readout(n_tgates, "Z", observable=None)
     return b.finish()
 

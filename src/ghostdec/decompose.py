@@ -6,7 +6,8 @@ by correlation links.  Components of an interpatch mechanism become a
 ghost pair when one side is a single detector: the multi-detector side
 (g_e) stays in its patch's graph, while the singleton (g_s) would look
 exactly like a boundary edge on the partner patch and is therefore
-only exposed to the matcher on selected decoding passes.
+only exposed to the matcher on selected decoding passes.  A mechanism
+splits into at most one pair, so a pair is keyed by its mechanism's id.
 
 Components with three detectors in one class (hook-type faults pushed
 across a transversal Hadamard) are split into a two-detector edge plus
@@ -41,7 +42,6 @@ class Component:
     observables: tuple[int, ...]
     probability: float
     role: str = "normal"          # normal | ghost_e | ghost_s
-    pair_id: int | None = None
     partner: int | None = None    # same-patch other-class component index
     open_boundary: bool = False   # created by a temporal window cut
     cut_partners: tuple[int, ...] = ()   # own detectors hidden by the cut
@@ -54,26 +54,12 @@ class Component:
 
 
 @dataclass(frozen=True)
-class GhostPair:
-    """Component indices of an interpatch mechanism's witness and singleton.
-
-    A pair's id is its position in the model's ``DecomposedDEM.pairs``,
-    which a window slice keeps; its mechanism and probability are those
-    of its singleton.
-    """
-
-    g_e: int
-    g_s: int
-
-
-@dataclass(frozen=True)
 class DecomposedDEM:
-    """A model's components and ghost pairs, or a window's slice of them.
+    """A model's components, or a window's slice of them.
 
-    A slice keeps its model's component indices and pair ids, so in a
-    slice they are not positions: look them up in :attr:`by_index` and
-    :attr:`pair_by_id`.  ``source`` is the model a slice was cut from
-    and ``changed`` the patch-classes the cut changes; every other
+    A slice keeps its model's component indices, so in a slice they are
+    not positions.  ``source`` is the model a slice was cut from and
+    ``changed`` the patch-classes the cut changes; every other
     patch-class of the slice is its source's, component for component.
     ``graphs`` holds the patch-class graphs built for this model or
     slice, so its slices can share them.
@@ -81,7 +67,6 @@ class DecomposedDEM:
 
     dem: DetectorErrorModel
     components: tuple[Component, ...]
-    pairs: tuple[GhostPair, ...]
     invisible: tuple[int, ...]    # mechanism ids with observables but no detectors
     source: DecomposedDEM | None = field(default=None, compare=False,
                                          repr=False)
@@ -89,14 +74,14 @@ class DecomposedDEM:
     graphs: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
-    def by_index(self) -> dict[int, Component]:
-        """Components by index."""
-        return {c.index: c for c in self.components}
-
-    @cached_property
-    def pair_by_id(self) -> dict[int, GhostPair]:
-        """Ghost pairs by id, in ``pairs`` order."""
-        return {self.by_index[pr.g_s].pair_id: pr for pr in self.pairs}
+    def pairs(self) -> dict[int, tuple[Component, Component]]:
+        """Ghost pairs as ``{mechanism id: (g_e, g_s)}``, in mechanism
+        order, read off the components' roles on first use.  A pair's id
+        is the id of the mechanism its two fragments split."""
+        witness = {c.mech_id: c for c in self.components
+                   if c.role == "ghost_e"}
+        return {c.mech_id: (witness[c.mech_id], c) for c in self.components
+                if c.role == "ghost_s"}
 
 
 def _collect_split(dem, mech):
@@ -151,7 +136,6 @@ def ghost_decompose(dem: DetectorErrorModel) -> DecomposedDEM:
     natural = {dets for split in splits for dets in split.values()
                if len(dets) == 2}
     components: list[Component] = []
-    pairs: list[GhostPair] = []
     invisible: list[int] = []
     for e, (mech, split) in enumerate(zip(dem.mechanisms, splits)):
         if not split:
@@ -183,15 +167,13 @@ def ghost_decompose(dem: DetectorErrorModel) -> DecomposedDEM:
             if singles:
                 gs = singles[0]
                 roles = {1 - gs: "ghost_e", gs: "ghost_s"}
-                pairs.append(GhostPair(first + 1 - gs, first + gs))
         obs_assign = _assign_observables(dem, mech.observables, fragments)
         for i, ((patch, cls), dets) in enumerate(fragments):
             components.append(Component(
                 first + i, e, patch, cls, dets, tuple(sorted(obs_assign[i])),
                 mech.probability, role=roles.get(i, "normal"),
-                pair_id=len(pairs) - 1 if i in roles else None,
                 partner=first + partner[i] if i in partner else None))
-    return DecomposedDEM(dem, tuple(components), tuple(pairs), tuple(invisible))
+    return DecomposedDEM(dem, tuple(components), tuple(invisible))
 
 
 def _partner_links(fragments) -> dict[int, int]:

@@ -82,9 +82,12 @@ def extract_dem(circuit: Circuit) -> DetectorErrorModel:
     """Single-fault symbolic extraction of the detector error model."""
     report = check_detector_determinism(circuit)
     if not report.ok:
-        raise CircuitError(
-            "nondeterministic detectors "
-            f"{report.nondeterministic_detectors + report.nonzero_detectors}")
+        bad = {"detectors": report.nondeterministic_detectors
+               + report.nonzero_detectors,
+               "observables": report.nondeterministic_observables
+               + report.nonzero_observables}
+        raise CircuitError("nondeterministic " + ", ".join(
+            f"{kind} {ids}" for kind, ids in bad.items() if ids))
     n_det = circuit.num_detectors
     n_obs = circuit.num_observables
     # parity bitmask per measurement record

@@ -6,10 +6,11 @@ only.  Whenever a pass selects a ghost witness edge (g_e), the whole
 interpatch mechanism is committed: the issuing patch's defects at the
 edge's endpoints are cleared, the partner patch's lone ghost-singleton
 defect is flipped, and the mechanism's observable flips enter the
-logical frame.  Commits are buffered as ghost-pair ids and applied at a
-barrier between passes, so the outcome does not depend on patch
-evaluation order.  Commits follow XOR semantics: re-selecting a
-committed mechanism's witness cancels the earlier commit.  The final
+logical frame.  Commits are buffered as ghost-pair ids, which are the
+ids of the mechanisms the pairs split, and applied at a barrier between
+passes, so the outcome does not depend on patch evaluation order.
+Commits follow XOR semantics: re-selecting a committed mechanism's
+witness cancels the earlier commit.  The final
 pass is read-out only; its corrections are combined with the committed
 frame to form the logical answer.
 """
@@ -38,7 +39,7 @@ class PassRecord:
     """One protocol pass, kept when ``collect_trace`` is set."""
 
     corrections: dict  # (patch, cls) -> (MatchingGraph, Correction)
-    committed: list    # ghost-pair ids its barrier applied, in order
+    committed: list    # pair (mechanism) ids its barrier applied, in order
 
 
 @dataclass
@@ -102,7 +103,6 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
     working = np.array(syndrome, dtype=bool)
     frame_delta = np.zeros(dem.observable_count, dtype=bool)
     trace: list[PassRecord] = []
-    comps, pairs = decomposed.by_index, decomposed.pair_by_id
     passes_with_commits = 0
 
     # passes repeat the same matching problem until a barrier actually
@@ -124,8 +124,7 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
             g.edges[i].pair_id for g, c in decoded.values() for i in c.edges
             if g.edges[i].role == "ghost_e"]
         for pid in committed:
-            pr = pairs[pid]
-            ge, gs = comps[pr.g_e], comps[pr.g_s]
+            ge, gs = decomposed.pairs[pid]
             for d in list(ge.detectors) + list(gs.detectors):
                 working[d] ^= True
             for j in set(ge.observables) ^ set(gs.observables):

@@ -70,7 +70,7 @@ class GraphEdge:
     components: tuple[int, ...]   # component indices merged into this edge
     observables: tuple[int, ...]
     role: str
-    pair_id: int | None
+    pair_id: int | None           # a ghost edge's mechanism id
     cut_partners: tuple[int, ...] = ()  # detectors beyond the window cut
     # (partner component, probability) per component with a cross-class
     # partner; a partner shares its mechanism, hence its probability
@@ -226,7 +226,7 @@ def build_matching_graph(patch: int, cls: str,
                                "normal", None, cut, _partners(comps), open_b))
     for u, v, c in sorted(ghosts, key=lambda t: (t[0], t[1], t[2].index)):
         edges.append(GraphEdge(u, v, edge_weight(c.probability), (c.index,),
-                               c.observables, c.role, c.pair_id,
+                               c.observables, c.role, c.mech_id,
                                c.cut_partners, _partners([c]), c.open_boundary))
     return MatchingGraph(patch, cls, tuple(dets), tuple(edges))
 

@@ -31,8 +31,8 @@ from .ghost import (PassRecord, build_protocol_graphs,  # noqa: F401
                     run_ghost_protocol)
 from .matching import MatchingError
 from .windows import (TproxyGate, TproxyPlan, Window, WindowConfig,
-                      WindowError, build_window, carry_gates, patch_last_round,
-                      plan_tproxy_windows, tproxy_gates)
+                      WindowError, build_window, carry_gates, check_cut_from,
+                      patch_last_round, plan_tproxy_windows, tproxy_gates)
 
 
 class PatienceError(CircuitError):
@@ -178,12 +178,13 @@ def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
     delay, the gate re-windows at the delayed horizon and decodes once
     more from the same carried state.  The retry's commits then carry
     forward instead of the original's.  The ``plan`` fixes the windows,
-    delay and regions, so a ``config`` or ``d`` the plan was not made
-    for is an error.
+    delay and regions, so a ``config``, ``d`` or model the plan was not
+    made for is an error.
     """
     if (config != plan.base.config
             or patience_delay(d, config.n_buf) != plan.delay_rounds):
         raise PatienceError("config and d are fixed by the given plan")
+    check_cut_from(plan.base.windows, decomposed.dem, PatienceError)
     heralds = []
 
     def decode_gate(g, refined):

@@ -18,9 +18,9 @@ Every such cut is one :class:`Window`: the model sliced to detector
 times [lo, hi] plus its protocol graphs, built by :func:`build_window`
 alone.  Windows keep the global detector indexing, so syndromes and
 refinement toggles stay valid across windows, and the model's component
-indices and pair ids.  A patch-class the cut leaves alone is decoded on
-the model's own graph, with its routes and decode memo, so a problem
-solved in one window is a memo hit in the next and in the global decode.
+indices.  A patch-class the cut leaves alone is decoded on the model's
+own graph, with its routes and decode memo, so a problem solved in one
+window is a memo hit in the next and in the global decode.
 """
 
 from __future__ import annotations
@@ -68,45 +68,45 @@ def _slice_components(decomposed: DecomposedDEM, lo: int,
     pair survives only while its singleton is visible and its witness
     at least partially so; a broken pair's remnants turn into normal
     edges, and a broken singleton is open-boundary when its witness lies
-    wholly above the cut.  Kept components keep their indices, and
-    surviving pairs their ids; a component the cut leaves as it is stays
-    the model's own object.  A patch-class that loses or rewrites none
-    of its components is left out of the slice's ``changed`` keys, so
-    its graph is the model's own (see
+    wholly above the cut.  Kept components keep their indices and
+    mechanism ids, so a surviving pair keeps its id; a component the cut
+    leaves as it is stays the model's own object.  A patch-class that
+    loses or rewrites none of its components is left out of the slice's
+    ``changed`` keys, so its graph is the model's own (see
     :func:`~ghostdec.ghost.build_protocol_graphs`).
     """
     time = decomposed.dem.detector_time
-    comps = decomposed.by_index
     kept = {c.index for c in decomposed.components
             if lo <= min(map(time.__getitem__, c.detectors)) <= hi}
-    pairs = {pid: pr for pid, pr in decomposed.pair_by_id.items()
-             if pr.g_e in kept and pr.g_s in kept}
     out: list[Component] = []
     changed: set[tuple[int, str]] = set()
     for c in decomposed.components:
         if c.index not in kept:
             changed.add((c.patch, c.cls))
             continue
-        dets, cut, open_b = c.detectors, c.cut_partners, c.open_boundary
+        dets, cut, open_b, role = (c.detectors, c.cut_partners,
+                                   c.open_boundary, c.role)
         if max(map(time.__getitem__, dets)) > hi:
             hidden = {d for d in dets if time[d] > hi}
             dets = tuple(d for d in dets if d not in hidden)
             cut, open_b = tuple(sorted(hidden.union(cut))), True
-        pid = c.pair_id if c.pair_id in pairs else None
-        if c.role == "ghost_s" and pid is None:
-            witness = comps[decomposed.pair_by_id[c.pair_id].g_e]
-            open_b = open_b or all(time[d] > hi for d in witness.detectors)
+        if role != "normal":
+            witness, single = decomposed.pairs[c.mech_id]
+            if not {witness.index, single.index} <= kept:
+                role = "normal"
+                if c.role == "ghost_s":
+                    open_b = open_b or all(time[d] > hi
+                                           for d in witness.detectors)
         partner = c.partner if c.partner in kept else None
-        if (dets, pid, partner, open_b) != (c.detectors, c.pair_id,
-                                            c.partner, c.open_boundary):
+        if (dets, role, partner, open_b) != (c.detectors, c.role,
+                                             c.partner, c.open_boundary):
             changed.add((c.patch, c.cls))
             c = Component(c.index, c.mech_id, c.patch, c.cls, dets,
-                          c.observables, c.probability,
-                          c.role if pid is not None else "normal", pid,
-                          partner, open_b, cut)
+                          c.observables, c.probability, role, partner,
+                          open_b, cut)
         out.append(c)
-    return DecomposedDEM(decomposed.dem, tuple(out), tuple(pairs.values()),
-                         decomposed.invisible, decomposed, frozenset(changed))
+    return DecomposedDEM(decomposed.dem, tuple(out), decomposed.invisible,
+                         decomposed, frozenset(changed))
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,15 @@ def build_window(decomposed: DecomposedDEM, lo: int, hi: int) -> Window:
     the others are the model's own."""
     sliced = _slice_components(decomposed, lo, hi)
     return Window(lo, hi, sliced, build_protocol_graphs(sliced))
+
+
+def check_cut_from(windows: tuple[Window, ...], dem: DetectorErrorModel,
+                   error: type[CircuitError]) -> None:
+    """Raise ``error`` unless ``windows`` were cut from ``dem``, judged by
+    the first one's model: the same object, or failing that an equal one."""
+    first = windows[0].decomposed.dem if windows else dem
+    if first is not dem and first != dem:
+        raise error("the plan was made for another model")
 
 
 def patch_last_round(dem: DetectorErrorModel) -> dict[int, int]:
@@ -236,10 +245,12 @@ def decode_tproxy_windowed(decomposed: DecomposedDEM, syndrome: np.ndarray,
 
     Each gate runs the ghost protocol once on its window inside
     :func:`carry_gates`.  The ``plan`` fixes the windows, so a
-    ``config`` other than the plan's is an error.
+    ``config`` other than the plan's, or a plan cut from another model,
+    is an error.
     """
     if config != plan.config:
         raise WindowError("config is fixed by the given plan")
+    check_cut_from(plan.windows, decomposed.dem, WindowError)
 
     def decode_gate(g, refined):
         window = plan.windows[g]
@@ -325,9 +336,11 @@ def decode_memory_sliding(decomposed: DecomposedDEM, syndrome: np.ndarray,
     correction edges reaching into the commit region are kept.  An edge
     crossing past the commit boundary is committed together with
     artificial defects at its far detectors, so the next window sees a
-    consistent residual.  The last window commits everything.
+    consistent residual.  The last window commits everything.  A plan
+    cut from another model is an error.
     """
     dem = decomposed.dem
+    check_cut_from(plan.windows, dem, WindowError)
     carried = np.array(syndrome, dtype=bool, copy=True)
     if carried.shape != (dem.detector_count,):
         raise WindowError("syndrome length does not match detector count")

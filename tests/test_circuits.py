@@ -105,7 +105,7 @@ def test_tproxy_determinism(d, n):
 
 
 def test_tproxy_round_structure():
-    c = build_tproxy_circuit(3, 2, n_buf=1, n_sep=3)
+    c = build_tproxy_circuit(3, 2, n_buf=1)
     # rounds: 1 init + per gate (1 buf [+2 sep gap]) + tail 2
     times = sorted({det.coords[0] for det in c.detectors})
     assert times == [1, 2, 3, 4, 5, 6, 7]

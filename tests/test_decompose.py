@@ -78,19 +78,21 @@ def test_every_logical_fault_sets_a_detector(family, d):
 def test_ghost_pairs_span_two_patches():
     dem, dec = tproxy_decomposed()
     assert dec.pairs
-    for i, pair in enumerate(dec.pairs):
-        ge = dec.components[pair.g_e]
-        gs = dec.components[pair.g_s]
+    assert list(dec.pairs) == sorted(dec.pairs)
+    for e, (ge, gs) in dec.pairs.items():
+        assert dec.components[ge.index] is ge
+        assert dec.components[gs.index] is gs
         assert ge.role == "ghost_e"
         assert gs.role == "ghost_s"
         assert len(gs.detectors) == 1
         assert ge.patch != gs.patch
-        # a pair's id is its position
-        assert ge.pair_id == gs.pair_id == i
-        # both members come from one mechanism at its full probability
-        assert ge.mech_id == gs.mech_id
-        assert ge.probability == dem.mechanisms[gs.mech_id].probability
+        # a pair's id is the mechanism both members come from, at its
+        # full probability
+        assert ge.mech_id == gs.mech_id == e
+        assert ge.probability == dem.mechanisms[e].probability
         assert gs.probability == ge.probability
+    # every ghost component belongs to exactly one pair
+    assert sum(c.role != "normal" for c in dec.components) == 2 * len(dec.pairs)
 
 
 def test_canonical_hyperedge_pairs():
@@ -98,7 +100,7 @@ def test_canonical_hyperedge_pairs():
     order3 = [i for i, m in enumerate(dem.mechanisms)
               if len(m.detectors) == 3
               and len({dem.detector_patch[t] for t in m.detectors}) == 2]
-    paired = {dec.components[p.g_s].mech_id: p for p in dec.pairs}
+    paired = dec.pairs
     timelike = 0
     for i in order3:
         m = dem.mechanisms[i]
@@ -108,7 +110,7 @@ def test_canonical_hyperedge_pairs():
         if len({dem.detector_class[t] for t in majority}) == 1:
             # same-class pair on one patch: paired, with the pair as g_e
             assert i in paired
-            assert sorted(dec.components[paired[i].g_e].detectors) == sorted(majority)
+            assert sorted(paired[i][0].detectors) == sorted(majority)
             timelike += 1
         else:
             # three fragments cannot XOR back to the source as one pair
@@ -118,11 +120,9 @@ def test_canonical_hyperedge_pairs():
 
 def test_pair_xor_reconstructs_source_mechanism():
     dem, dec = tproxy_decomposed()
-    for pair in dec.pairs:
-        ge = dec.components[pair.g_e]
-        gs = dec.components[pair.g_s]
+    for e, (ge, gs) in dec.pairs.items():
         got = set(ge.detectors) ^ set(gs.detectors)
-        assert got == set(dem.mechanisms[gs.mech_id].detectors)
+        assert got == set(dem.mechanisms[e].detectors)
 
 
 def test_partner_links_are_cross_class():

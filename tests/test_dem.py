@@ -133,9 +133,13 @@ def two_detector_model(mechanism, times=(0, 0)):
     (lambda: two_detector_model(ErrorMechanism(0.1, (0,), ()), times=(0,)),
      "detector time map is not total"),
     (lambda: extract_dem(one_qubit_circuit("H")), r"nondeterministic detectors \[0\]"),
+    (lambda: extract_dem(Circuit(ONE_DATA_QUBIT, (
+        Instruction("RESET_Z", (0,)), Instruction("H", (0,)),
+        Instruction("MEAS_Z", (0,)), Instruction("OBSERVABLE", (-1,), index=0)))),
+     r"nondeterministic observables \[0\]"),
     (lambda: extract_dem(one_qubit_circuit()), "detector 0 at .* matches no cell"),
 ], ids=["detector-range", "observable-range", "partial-map",
-        "random-detector", "detector-off-cell"])
+        "random-detector", "random-observable", "detector-off-cell"])
 def test_malformed_models_raise(build, match):
     with pytest.raises(CircuitError, match=match):
         build()

@@ -17,7 +17,7 @@ from ghostdec.ghost import (ProtocolError, build_protocol_graphs,
 from ghostdec.matching import decode_correlated_two_pass, decode_mwpm
 from ghostdec.patience import plan_patience
 from ghostdec.verify import brute_force_ml_decode
-from ghostdec.windows import WindowConfig
+from ghostdec.windows import WindowConfig, plan_tproxy_windows
 
 
 @pytest.fixture(scope="module")
@@ -147,10 +147,9 @@ def test_syndrome_length_checked(setup):
 
 def test_interpatch_hyperedge_commits_and_refines(setup):
     dem, dec, graphs = setup
-    pid, pair = next((i, p) for i, p in enumerate(dec.pairs)
-                     if len(dec.components[p.g_e].detectors) == 2)
-    gs = dec.components[pair.g_s]
-    mech = dem.mechanisms[gs.mech_id]
+    pid, (ge, gs) = next((e, p) for e, p in dec.pairs.items()
+                         if len(p[0].detectors) == 2)
+    mech = dem.mechanisms[pid]
     res = run_ghost_protocol(dec, vec(dem, mech.detectors), graphs=graphs,
                              collect_trace=True)
     # the pair is applied at the barriers an odd number of times
@@ -158,11 +157,10 @@ def test_interpatch_hyperedge_commits_and_refines(setup):
     assert committed.count(pid) % 2 == 1
     # the commit's refinement covers the whole mechanism across patches
     flipped = set(np.flatnonzero(res.refinement_delta))
-    assert set(dec.components[pair.g_e].detectors) <= flipped
+    assert set(ge.detectors) <= flipped
     assert set(gs.detectors) <= flipped
     # messages crossed patches: the witness is selected in the patch
     # that does not hold the singleton
-    ge = dec.components[pair.g_e]
     assert ge.patch != gs.patch
     assert any(g.edges[i].pair_id == pid
                for record in res.trace
@@ -173,17 +171,20 @@ def test_interpatch_hyperedge_commits_and_refines(setup):
     assert tuple(int(x) for x in np.flatnonzero(res.logical_flips)) == ml.observables
 
 
-def test_ghost_commit_flips_an_observable():
-    # patch 0 holds the witness (0, 1), patch 1 the singleton (2,) and the
-    # observable; each detector also has a less likely boundary edge
-    dem = DetectorErrorModel(
+def observable_pair_dem():
+    """Patch 0 holds the witness (0, 1), patch 1 the singleton (2,) and the
+    observable; each detector also has a less likely boundary edge."""
+    return DetectorErrorModel(
         (ErrorMechanism(0.01, (0, 1, 2), (0,)),
          ErrorMechanism(0.001, (0,), ()), ErrorMechanism(0.001, (1,), ()),
          ErrorMechanism(0.001, (2,), ())),
         3, 1, (0, 0, 1), (1, 1, 1), ("Z",) * 3, (1,), ("Z",))
+
+
+def test_ghost_commit_flips_an_observable():
+    dem = observable_pair_dem()
     dec = ghost_decompose(dem)
-    (pair,) = dec.pairs
-    ge, gs = dec.components[pair.g_e], dec.components[pair.g_s]
+    ((ge, gs),) = dec.pairs.values()
     assert (ge.detectors, ge.observables) == ((0, 1), ())
     assert (gs.detectors, gs.observables) == ((2,), (0,))
     res = run_ghost_protocol(dec, vec(dem, (0, 1, 2)),
@@ -239,9 +240,9 @@ def test_frame_consistency_with_refined_syndrome(setup):
 
 def test_rerun_with_committed_keys_adds_nothing(setup):
     dem, dec, graphs = setup
-    pair = next(p for p in dec.pairs
-                if len(dec.components[p.g_e].detectors) == 2)
-    mech = dem.mechanisms[dec.components[pair.g_s].mech_id]
+    e = next(e for e, (ge, _) in dec.pairs.items()
+             if len(ge.detectors) == 2)
+    mech = dem.mechanisms[e]
     first = run_ghost_protocol(dec, vec(dem, mech.detectors), graphs=graphs)
     assert first.refinement_delta.any()
     refined = vec(dem, mech.detectors) ^ first.refinement_delta
@@ -273,6 +274,44 @@ def test_trace_shape(setup):
             assert g is (graphs[key] if k == 1 else graphs[key].hidden)
     assert res.trace[-1].corrections == res.corrections
     assert res.trace[-1].committed == []
+
+
+def test_committed_ids_name_the_mechanisms_their_pairs_split():
+    # global and window runs commit a pair by its mechanism's id; in the
+    # model, that mechanism is the XOR of the pair's two fragments.  The
+    # syndromes are sampled shots and each pair's whole mechanism.  The
+    # built circuit's runs commit no pair that flips an observable, so
+    # the one-pair model with an observable joins them.
+    tproxy = extract_dem(apply_noise_model(build_tproxy_circuit(3, 2),
+                                           NoiseParams(5e-3)))
+    flips_observable = 0
+    for dem in (tproxy, observable_pair_dem()):
+        dec = ghost_decompose(dem)
+        runs = [(dec, build_protocol_graphs(dec))]
+        if dem is tproxy:
+            runs += [(w.decomposed, w.graphs)
+                     for w in plan_tproxy_windows(dec, WindowConfig()).windows]
+        dets, _ = sample_dem(dem, seed=37, shots=100)
+        syndromes = list(dets) + [vec(dem, dem.mechanisms[e].detectors)
+                                  for e in dec.pairs]
+        committed = set()
+        for model, graphs in runs:
+            for syndrome in syndromes:
+                res = run_ghost_protocol(model, syndrome, graphs=graphs,
+                                         collect_trace=True)
+                ids = {pid for record in res.trace
+                       for pid in record.committed}
+                assert ids <= set(model.pairs)
+                committed |= ids
+        assert committed
+        for pid in committed:
+            ge, gs = dec.pairs[pid]
+            mech = dem.mechanisms[pid]
+            assert set(ge.detectors) ^ set(gs.detectors) == set(mech.detectors)
+            assert (set(ge.observables) ^ set(gs.observables)
+                    == set(mech.observables))
+            flips_observable += bool(mech.observables)
+    assert flips_observable
 
 
 def test_tracing_changes_nothing():

@@ -446,6 +446,7 @@ def test_views_are_cached_and_drop_only_their_edges():
              "closed": lambda e: e.open_boundary}
     dropped = Counter()
     for model, graphs in sets:
+        by_index = {c.index: c for c in model.components}
         for g in graphs.values():
             for name, drop in drops.items():
                 view = getattr(g, name)
@@ -462,7 +463,7 @@ def test_views_are_cached_and_drop_only_their_edges():
             for i, e in enumerate(g.edges):
                 for c in e.components:
                     assert (g.edge_detectors(i)
-                            == model.by_index[c].detectors)
+                            == by_index[c].detectors)
     # the uncut model opens nothing; every cut opens something
     assert dropped["hidden", True] and dropped["hidden", False]
     assert not dropped["closed", True] and dropped["closed", False]

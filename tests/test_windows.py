@@ -212,6 +212,30 @@ def test_plan_fixes_window_parameters(patience_setup):
         patient_decode(dec, syndrome, CONFIG, 7, plan=pplan)
 
 
+def test_plans_for_another_model_raise(patience_setup):
+    # the same circuit at another noise strength is another model; an
+    # equal model rebuilt from the same data is the plan's own
+    dem, dec, pplan, wplan = patience_setup
+    _, other = decomposed(build_tproxy_circuit(5, 2, extra_rounds=2), 8e-3)
+    syndrome = np.zeros(dem.detector_count, dtype=bool)
+    with pytest.raises(WindowError, match="another model"):
+        decode_tproxy_windowed(other, syndrome, CONFIG, plan=wplan)
+    with pytest.raises(PatienceError, match="another model"):
+        patient_decode(other, syndrome, CONFIG, 5, plan=pplan)
+    twin = dataclasses.replace(dec, dem=dataclasses.replace(dem))
+    assert twin.dem is not dem
+    assert not decode_tproxy_windowed(twin, syndrome, CONFIG,
+                                      plan=wplan).decisions.any()
+    assert not patient_decode(twin, syndrome, CONFIG, 5,
+                              plan=pplan).decisions.any()
+    mem_dem, mem = decomposed(build_memory_circuit(3, 3), 5e-3)
+    _, mem_other = decomposed(build_memory_circuit(3, 3), 8e-3)
+    with pytest.raises(WindowError, match="another model"):
+        decode_memory_sliding(mem_other,
+                              np.zeros(mem_dem.detector_count, dtype=bool),
+                              plan_memory_windows(mem, 1, 1))
+
+
 def test_only_ghost_free_patches_share_window_graphs(patience_setup):
     dem, dec, pplan, wplan = patience_setup
     window = wplan.windows[0]
@@ -333,14 +357,11 @@ def test_slice_keeps_detectors_and_whole_pairs(patience_setup, lo, hi):
     dem, dec, _, _ = patience_setup
     time = dem.detector_time
     sliced = _slice_components(dec, lo, hi)
-    assert list(dec.pair_by_id) == list(range(len(dec.pairs)))
     for model in (dec, sliced):
-        # ghost commits look pairs up by id, which the slice keeps from
-        # the model's pair positions
-        for pid, pr in model.pair_by_id.items():
-            ge, gs = model.by_index[pr.g_e], model.by_index[pr.g_s]
-            assert ge.pair_id == gs.pair_id == pid
-            assert dec.pairs[pid] == pr
+        # ghost commits look pairs up by id, the mechanism id both ends
+        # keep in the slice
+        for pid, (ge, gs) in model.pairs.items():
+            assert ge.mech_id == gs.mech_id == pid
     kept = [c for c in dec.components
             if all(time[d] >= lo for d in c.detectors)
             and any(time[d] <= hi for d in c.detectors)]
@@ -348,12 +369,12 @@ def test_slice_keeps_detectors_and_whole_pairs(patience_setup, lo, hi):
     assert len(sliced.components) == len(kept)
     ids = {orig.index for orig in kept}
     assert [c.index for c in sliced.components] == [c.index for c in kept]
-    alive = [pr for pr in dec.pairs if pr.g_e in ids and pr.g_s in ids]
-    assert sliced.pairs == tuple(alive)
-    for pr in sliced.pairs:
-        ge, gs = sliced.by_index[pr.g_e], sliced.by_index[pr.g_s]
+    alive = [(pid, ge.index, gs.index) for pid, (ge, gs) in dec.pairs.items()
+             if ge.index in ids and gs.index in ids]
+    assert [(pid, ge.index, gs.index)
+            for pid, (ge, gs) in sliced.pairs.items()] == alive
+    for ge, gs in sliced.pairs.values():
         assert (ge.role, gs.role) == ("ghost_e", "ghost_s")
-        assert ge.mech_id == gs.mech_id
     ghosts = [c for c in sliced.components if c.role != "normal"]
     assert len(ghosts) == 2 * len(sliced.pairs)
     opened = 0
@@ -364,7 +385,7 @@ def test_slice_keeps_detectors_and_whole_pairs(patience_setup, lo, hi):
         assert c.partner == (orig.partner if orig.partner in ids else None)
         lost = any(time[d] > hi for d in orig.detectors)
         broken = orig.role == "ghost_s" and c.role == "normal"
-        witness = dec.components[dec.pairs[orig.pair_id].g_e] if broken else None
+        witness = dec.pairs[orig.mech_id][0] if broken else None
         assert c.open_boundary == (lost or broken and all(
             time[d] > hi for d in witness.detectors))
         opened += c.open_boundary
@@ -373,8 +394,9 @@ def test_slice_keeps_detectors_and_whole_pairs(patience_setup, lo, hi):
     # a patch-class is changed exactly where a component is dropped or
     # rewritten
     assert sliced.source is dec
+    by_index = {c.index: c for c in sliced.components}
     assert sliced.changed == {(c.patch, c.cls) for c in dec.components
-                              if sliced.by_index.get(c.index) is not c}
+                              if by_index.get(c.index) is not c}
     assert (opened > 0) == (hi < max(time))
 
 
@@ -390,10 +412,9 @@ def test_broken_singleton_opens_when_its_witness_lies_above_the_cut(
     dec = ghost_decompose(dem)
     assert [c.role for c in dec.components] == ["ghost_e", "ghost_s"]
     sliced = _slice_components(dec, lo, 1)
-    assert sliced.pairs == ()
+    assert sliced.pairs == {}
     (gs,) = sliced.components
-    assert (gs.index, gs.detectors, gs.role, gs.pair_id) == (1, (2,), "normal",
-                                                            None)
+    assert (gs.index, gs.detectors, gs.role) == (1, (2,), "normal")
     assert gs.open_boundary is is_open
     # the singleton's patch-class is rewritten, though it loses nothing
     assert sliced.changed == {(0, "Z"), (1, "Z")}
@@ -415,33 +436,32 @@ def test_a_lost_partner_changes_its_patch_class():
 
 def replace_slice(decomposed, lo, hi):
     """The cut as a rewrite of each kept component with
-    ``dataclasses.replace``, keeping indices and pair ids:
-    (components, pairs, invisible)."""
+    ``dataclasses.replace``, keeping indices and mechanism ids:
+    (components, pair ids, invisible)."""
     time = decomposed.dem.detector_time
     comps = decomposed.components
     kept = {c.index for c in comps
             if all(time[d] >= lo for d in c.detectors)
             and any(time[d] <= hi for d in c.detectors)}
-    alive = {pid for pid, pr in enumerate(decomposed.pairs)
-             if pr.g_e in kept and pr.g_s in kept}
+    alive = {pid for pid, (ge, gs) in decomposed.pairs.items()
+             if ge.index in kept and gs.index in kept}
     out = []
     for c in comps:
         if c.index not in kept:
             continue
         hidden = tuple(d for d in c.detectors if time[d] > hi)
-        pid = c.pair_id if c.pair_id in alive else None
+        broken = c.role != "normal" and c.mech_id not in alive
         open_b = c.open_boundary or bool(hidden)
-        if c.role == "ghost_s" and pid is None:
-            witness = comps[decomposed.pairs[c.pair_id].g_e]
+        if c.role == "ghost_s" and broken:
+            witness = decomposed.pairs[c.mech_id][0]
             open_b = open_b or all(time[d] > hi for d in witness.detectors)
         out.append(dataclasses.replace(
             c, detectors=tuple(d for d in c.detectors if time[d] <= hi),
-            role=c.role if pid is not None else "normal", pair_id=pid,
+            role="normal" if broken else c.role,
             partner=c.partner if c.partner in kept else None,
             open_boundary=open_b,
             cut_partners=tuple(sorted(set(c.cut_partners) | set(hidden)))))
-    pairs = tuple(decomposed.pairs[pid] for pid in sorted(alive))
-    return tuple(out), pairs, decomposed.invisible
+    return tuple(out), sorted(alive), decomposed.invisible
 
 
 def test_slices_equal_the_component_rewrite(patience_setup):
@@ -455,7 +475,7 @@ def test_slices_equal_the_component_rewrite(patience_setup):
     for model, w in cuts:
         sliced = w.decomposed
         assert sliced.dem is model.dem
-        assert (sliced.components, sliced.pairs, sliced.invisible) == \
+        assert (sliced.components, list(sliced.pairs), sliced.invisible) == \
             replace_slice(model, w.lo, w.hi), (w.lo, w.hi)
 
 
@@ -626,6 +646,33 @@ def test_multi_window_sliding_decisions_are_pinned(commit_rounds, buffer_rounds,
                       for s in range(150)])
     got = hashlib.sha256(np.packbits(flips).tobytes()).hexdigest()[:16]
     assert got == digest
+
+
+def test_tproxy_decisions_are_pinned(patience_setup):
+    # recorded windowed, global and patient decisions, base decisions and
+    # both heralds per gate; the shots hold retried gates, a complementary
+    # herald and a windowed decision that differs from the global one, so
+    # the digest pins the cut, the carry, both heralds and the retry, not
+    # just the global answer
+    dem, dec, pplan, wplan = patience_setup
+    graphs = build_protocol_graphs(dec)
+    dets, _ = sample_dem(dem, seed=10, shots=200)
+    rows, retried, differ, complementary = [], 0, 0, 0
+    for s in range(200):
+        win = decode_tproxy_windowed(dec, dets[s], CONFIG,
+                                     plan=wplan).decisions
+        glob = decode_tproxy_global(dec, dets[s], graphs=graphs)
+        shot = patient_decode(dec, dets[s], CONFIG, 5, plan=pplan)
+        heralds = [b for h in shot.heralds
+                   for b in (h.weight_growth, h.complementary)]
+        rows.append(np.concatenate([win, glob, shot.decisions,
+                                    shot.base_decisions, heralds]))
+        retried += sum(h.delay_rounds > 0 for h in shot.heralds)
+        complementary += sum(h.complementary for h in shot.heralds)
+        differ += not np.array_equal(win, glob)
+    assert (retried, complementary, differ) == (3, 1, 1)
+    bits = np.packbits(np.array(rows, dtype=bool))
+    assert hashlib.sha256(bits.tobytes()).hexdigest()[:16] == "8e8812920977c488"
 
 
 def test_severance_region_keeps_mechanisms_near_the_decision():
