@@ -5,10 +5,14 @@ measure ZZZZ catch bit flips, cells that measure XXXX catch phase
 flips).  Defects are matched pairwise or to a virtual boundary node,
 exactly, over shortest-path distances: pairs whose shortest path runs
 through the boundary are dropped, and the defects split into components
-joined by the pairs that stay.  Each component has its own solver by
-size: lone defects and pairs are solved in closed form, components of
-up to DP_MAX defects by an exact DP over bitmasks of their defects, and
-larger ones by blossom matching.  A two-pass scheme reweights
+joined by the pairs that stay.  Each component has its own solver:
+lone defects and pairs are solved in closed form, components of up to
+DP_MAX defects by an exact DP over bitmasks of their defects, and
+larger ones by the same DP when it certifies, within DP_MASKS masks,
+that its optimum is the unique one.  Blossom matching solves the rest:
+components whose DP meets more masks, or whose optimum ties another
+within PRUNE_TOL.  A unique optimum is the one blossom would return, so
+which solver ran never changes a decision.  A two-pass scheme reweights
 cross-class partner edges so correlated pairs from Y-type faults are
 recovered.
 
@@ -44,14 +48,19 @@ from .dem import _merge_odd
 CORRELATION_SCALE = 0.01
 
 # relative slack, for float summation order, when a pair's distance is
-# compared with its two boundary legs
+# compared with its two boundary legs, and when a certified optimum is
+# compared with the other matchings
 PRUNE_TOL = 1e-9
 
-# components of 3 to DP_MAX defects are matched by an exact bitmask DP,
-# larger ones by blossom: up to this size the DP is no slower than
-# blossom even when every pair of the component is kept (it then meets
-# 2,584 masks at most)
+# components of 3 to DP_MAX defects are matched by an exact bitmask DP:
+# up to this size the DP is no slower than blossom even when every pair
+# of the component is kept (it then meets 2,584 masks at most)
 DP_MAX = 16
+
+# larger components go to the DP too, which certifies a unique optimum
+# or gives up for blossom; it gives up past the masks a complete
+# component of DP_MAX defects meets, the Fibonacci number F(DP_MAX + 2)
+DP_MASKS = round(((1 + 5 ** 0.5) / 2) ** (DP_MAX + 2) / 5 ** 0.5)
 
 # two-pass results remembered per X graph, keyed by both graphs'
 # defects; past this many the oldest is forgotten
@@ -331,8 +340,8 @@ def _match(pair_dist: np.ndarray, boundary_dist: np.ndarray):
     through the boundary and is dropped.  The boundary takes any number
     of legs, so defects joined by no kept pair never interact: each
     component of kept pairs is solved alone, in closed form for one or
-    two defects, by `_exact_dp` up to DP_MAX defects and by `_blossom`
-    above.
+    two defects, by `_exact_dp` up to DP_MAX defects, and above by
+    `_exact_dp` when it certifies its optimum, else by `_blossom`.
     """
     k = len(boundary_dist)
     if k <= 2:                     # one component of two, or singletons
@@ -370,21 +379,48 @@ def _match(pair_dist: np.ndarray, boundary_dist: np.ndarray):
             mate.append((comp[0], None))
         else:
             inside = set(comp)
-            solve = _exact_dp if len(comp) <= DP_MAX else _blossom
-            mate.extend(solve(comp, [p for p in pairs if p[0] in inside],
-                              pair_dist, boundary_dist))
+            args = (comp, [p for p in pairs if p[0] in inside],
+                    pair_dist, boundary_dist)
+            if len(comp) <= DP_MAX:
+                mate.extend(_exact_dp(*args))
+            else:
+                mate.extend(_exact_dp(*args, certify=True) or _blossom(*args))
     return mate
 
 
-def _exact_dp(comp, pairs, pair_dist, boundary_dist):
+def _exact_dp(comp, pairs, pair_dist, boundary_dist, certify=False):
     """Exact matching of one component over bitmasks of its free defects.
 
     The lowest free defect either takes its boundary leg or pairs with a
     free kept partner, whichever is cheaper; strict < keeps the first of
     equal moves, the boundary leg before partners in ascending order.
+
+    With ``certify`` the matching is returned only when it is the unique
+    optimum, so blossom would return it too, and None otherwise: when
+    the DP would meet more than DP_MASKS masks, or when at some mask of
+    the optimum's path a second move comes within PRUNE_TOL of the
+    total.  Any other matching leaves that path at some mask, so it
+    costs at least the optimum plus that mask's gap.
     """
     m = len(comp)
+    if certify:
+        # a unique optimum is the same in any order of the defects; the
+        # reverse of a breadth-first order keeps partners close, so the
+        # DP meets fewer masks
+        adj = {a: [] for a in comp}
+        for a, b in pairs:
+            adj[a].append(b)
+            adj[b].append(a)
+        order, seen = [comp[0]], {comp[0]}
+        for a in order:
+            for b in adj[a]:
+                if b not in seen:
+                    seen.add(b)
+                    order.append(b)
+        comp = order[::-1]
     local = {a: i for i, a in enumerate(comp)}
+    if certify:
+        pairs = [(a, b) if local[a] < local[b] else (b, a) for a, b in pairs]
     legs = [float(boundary_dist[a]) for a in comp]
     partners: list[list[tuple[int, float]]] = [[] for _ in range(m)]
     for a, b in pairs:
@@ -413,21 +449,57 @@ def _exact_dp(comp, pairs, pair_dist, boundary_dist):
         return cost
 
     mask = (1 << m) - 1
-    if solve(mask) == math.inf:
+    if certify:
+        # meet every mask first, then solve them smallest first, so the
+        # recursion never runs deeper than one call
+        met, todo = {0, mask}, [mask]
+        while todo:
+            sub = todo.pop()
+            low = sub & -sub
+            rest = sub ^ low
+            i = low.bit_length() - 1
+            if legs[i] < math.inf and rest not in met:
+                met.add(rest)
+                todo.append(rest)
+            for bit, _ in partners[i]:
+                if rest & bit and rest ^ bit not in met:
+                    met.add(rest ^ bit)
+                    todo.append(rest ^ bit)
+            if len(met) > DP_MASKS:
+                return None
+        for sub in sorted(met)[1:]:
+            solve(sub)
+    if (cost_of[mask] if certify else solve(mask)) == math.inf:
         raise MatchingError("defects cannot be matched (no boundary path)")
+    margin = PRUNE_TOL * cost_of[mask]
     mate = []
     while mask:
         low = mask & -mask
         move = move_of[mask]
+        if certify:
+            # every other move of the optimum's path costs more by margin
+            i = low.bit_length() - 1
+            rest = mask ^ low
+            other = [w + cost_of[rest ^ bit] for bit, w in partners[i]
+                     if rest & bit and bit != move]
+            if move and legs[i] < math.inf:
+                other.append(legs[i] + cost_of[rest])
+            if min(other, default=math.inf) <= cost_of[mask] + margin:
+                return None
         mate.append((comp[low.bit_length() - 1],
                      comp[move.bit_length() - 1] if move else None))
         mask ^= low | move
+    if certify:
+        # blossom's orientation: the smaller defect first
+        return [(a, b) if b is None or a < b else (b, a) for a, b in mate]
     return mate
 
 
 def _blossom(comp, pairs, pair_dist, boundary_dist):
     """Blossom matching of one component, each defect with its own
-    boundary copy and the copies joined at zero weight."""
+    boundary copy and the copies joined at zero weight; it runs only
+    where `_exact_dp` cannot certify a unique optimum.  Pairs come out
+    as (smaller, larger) defects, as the DP's do."""
     m = len(comp)
     local = {a: i for i, a in enumerate(comp)}
     g = nx.Graph()

@@ -9,12 +9,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from ghostdec import matching
 from ghostdec.builders import (NoiseParams, apply_noise_model, build_memory_circuit,
                                build_tproxy_circuit)
 from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import extract_dem
 from ghostdec.ghost import build_protocol_graphs
-from ghostdec.matching import (CORRELATION_SCALE, DP_MAX, MatchingError,
+from ghostdec.matching import (CORRELATION_SCALE, DP_MASKS, DP_MAX, MatchingError,
                                MatchingGraph, GraphEdge,
                                _blossom, _exact_dp, _match, _partner_overrides,
                                _shortest_paths, build_matching_graph,
@@ -399,12 +400,28 @@ def count_blossoms(monkeypatch):
     return calls
 
 
+def watch_certificates(monkeypatch):
+    """Each call of the certifying DP that `_match` makes, as (its
+    arguments, its matching or None)."""
+    calls = []
+    dp = matching._exact_dp
+
+    def watched(*args, certify=False):
+        mate = dp(*args, certify=certify)
+        if certify:
+            calls.append((args, mate))
+        return mate
+    monkeypatch.setattr(matching, "_exact_dp", watched)
+    return calls
+
+
 def test_split_matching_has_the_full_graph_optimum(monkeypatch):
     dem, dec = memory_model(d=7, rounds=7, p=5e-3)
     gx, gz = class_graph(dec, 0, "X"), class_graph(dec, 0, "Z")
     rng = np.random.default_rng(9)
     blossoms = count_blossoms(monkeypatch)
-    split_nodes = full_nodes = overridden = 0
+    certificates = watch_certificates(monkeypatch)
+    split_nodes = full_nodes = overridden = certified = 0
     for _ in range(100):
         syndrome = np.zeros(dem.detector_count, dtype=bool)
         for g in (gx, gz):
@@ -416,8 +433,19 @@ def test_split_matching_has_the_full_graph_optimum(monkeypatch):
         for g in (gx, gz):
             for over in (None, overrides[g.cls]):
                 blossoms.clear()
+                certificates.clear()
                 corr = decode_mwpm(g, syndrome, over)
                 split_nodes += sum(blossoms)
+                # a component above DP_MAX reaches blossom only where the
+                # DP gives up, and a certified matching is blossom's own,
+                # pair for pair and in the same orientation
+                assert blossoms == [2 * len(args[0])
+                                    for args, mate in certificates
+                                    if mate is None]
+                for args, mate in certificates:
+                    if mate is not None:
+                        assert set(mate) == set(_blossom(*args))
+                        certified += 1
                 assert_reproduces(g, corr, syndrome)
                 assert list(corr.edges) == sorted(set(corr.edges))
                 assert corr.weight == math.fsum(g.edges[i].weight
@@ -429,7 +457,9 @@ def test_split_matching_has_the_full_graph_optimum(monkeypatch):
                     want, rel=1e-9)
                 overridden += bool(over)
     assert overridden > 150
-    # components above DP_MAX still reach blossom, on fewer nodes
+    # some components above DP_MAX are certified and some still reach
+    # blossom, on fewer nodes than one blossom over every defect
+    assert certified > 0
     assert 0 < split_nodes < full_nodes
 
 
@@ -584,9 +614,16 @@ def test_closed_boundary_odd_component_raises(monkeypatch):
     # an even pair needs no boundary; it matches along the chain
     corr = decode_mwpm(g, np.array([True, False, True]))
     assert (corr.edges, corr.observables, corr.weight) == ((0, 1), (), 2.0)
-    # the smallest odd closed chain above DP_MAX raises through blossom
-    monkeypatch.undo()
+    # a sparse odd closed component above DP_MAX raises from the
+    # certifying DP, which proves no matching exists
     n = DP_MAX + 1 + DP_MAX % 2
+    ring = ring_distances(n)
+    with pytest.raises(MatchingError, match="no boundary path"):
+        _match(ring, np.full(n, np.inf))
+    # closed legs keep every pair of a connected graph, so the smallest
+    # odd closed chain above DP_MAX is a complete component: it meets more
+    # than DP_MASKS masks and raises through blossom
+    monkeypatch.undo()
     chain = MatchingGraph(0, "Z", tuple(range(n)), tuple(
         GraphEdge(v, v + 1, 1.0, (v,), (), "normal", None)
         for v in range(n - 1)))
@@ -594,6 +631,17 @@ def test_closed_boundary_odd_component_raises(monkeypatch):
     with pytest.raises(MatchingError, match="no boundary path"):
         decode_mwpm(chain, np.ones(n, dtype=bool))
     assert blossoms == [2 * n]
+
+
+def ring_distances(n, rng=None):
+    """Pair distances of n defects in a ring: neighbours at 1.0 (or at
+    random weights from ``rng``), every other pair unreachable."""
+    pair_dist = np.full((n, n), np.inf)
+    for a in range(n):
+        b = (a + 1) % n
+        pair_dist[a, b] = pair_dist[b, a] = 1.0 if rng is None else \
+            rng.uniform(0.5, 1.5)
+    return pair_dist
 
 
 def padded_match(pair_dist, legs):
@@ -655,14 +703,20 @@ def test_a_partner_discount_never_raises_a_weight():
 
 # -- the exact DP against blossom on random components -------------------------------
 
-def random_component(m, rng, complete, closed):
+def random_component(m, rng, complete, closed, band=None):
     """(pair_dist, boundary_dist, kept pairs) of m defects joined into one
     component by kept pairs: every pair, or a random path plus a few more.
-    Every boundary leg is infinite when closed, else about a fifth."""
+    With ``band`` the path runs in defect order and the others join
+    defects at most ``band`` apart, as in a component whose defects are
+    numbered along the lattice.  Every boundary leg is infinite when
+    closed, else about a fifth."""
     legs = rng.uniform(2.0, 6.0, m)
     legs[closed | (rng.random(m) < 0.2)] = np.inf
     kept = np.ones((m, m), dtype=bool) if complete else rng.random((m, m)) < 0.1
     order = rng.permutation(m)
+    if band is not None:
+        order = np.arange(m)
+        kept &= abs(order[:, None] - order[None, :]) <= band
     kept[order[:-1], order[1:]] = True
     kept = np.triu(kept | kept.T, 1)
     both = legs[:, None] + legs[None, :]
@@ -688,11 +742,23 @@ def solved_objective(solve, pairs, pair_dist, legs):
                      for a, b in mate)
 
 
+def certify(pairs, pair_dist, legs):
+    """The certifying DP's matching of one whole component, None when it
+    gives up, True when it proves no matching exists."""
+    try:
+        return _exact_dp(list(range(len(legs))), pairs, pair_dist, legs,
+                         certify=True)
+    except MatchingError as exc:
+        assert "no boundary path" in str(exc)
+        return True
+
+
 @pytest.mark.parametrize("m", range(3, DP_MAX + 3))
 def test_exact_dp_has_the_blossom_optimum(monkeypatch, m):
     rng = np.random.default_rng(m)
     blossoms = count_blossoms(monkeypatch)
     infeasible = 0
+    gave_up = {False: 0, True: 0}
     for complete in (False, True):
         for closed in (False, False, False, True):
             pair_dist, legs, pairs = random_component(m, rng, complete, closed)
@@ -704,7 +770,96 @@ def test_exact_dp_has_the_blossom_optimum(monkeypatch, m):
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert got == pytest.approx(want, rel=1e-9)
-            # through _match, the component reaches blossom only above DP_MAX
-            assert blossoms == ([2 * m] if m > DP_MAX else [])
+            # through _match, the component reaches blossom only above
+            # DP_MAX, and there only where the certifying DP gives up
+            falls_back = m > DP_MAX and certify(pairs, pair_dist, legs) is None
+            assert blossoms == ([2 * m] if falls_back else [])
+            gave_up[complete] += falls_back
     # both closed components of an odd size cannot be matched
     assert infeasible >= 2 * (m % 2)
+    # above DP_MAX every complete component meets more than DP_MASKS
+    # masks and falls back, and some sparse ones are certified
+    assert gave_up[True] == (4 if m > DP_MAX else 0)
+    assert gave_up[False] < 4
+
+
+# -- the certifying DP above DP_MAX ---------------------------------------------------
+
+def test_certified_dp_returns_blossoms_matching():
+    # sparse components above DP_MAX, with continuous weights that tie
+    # nowhere
+    rng = np.random.default_rng(23)
+    certified = 0
+    for m in range(DP_MAX + 1, 3 * DP_MAX, 2):
+        for closed in (False, False, True):
+            pair_dist, legs, pairs = random_component(m, rng, False, closed,
+                                                      band=6)
+            mate = certify(pairs, pair_dist, legs)
+            if mate not in (None, True):
+                # the same pairs, each as (smaller, larger) like blossom's
+                assert set(mate) == set(_blossom(list(range(m)), pairs,
+                                                 pair_dist, legs))
+                assert all(b is None or a < b for a, b in mate)
+                certified += 1
+    assert certified >= 24
+
+
+def test_exact_ties_fall_back_to_blossom(monkeypatch):
+    # an even closed ring with equal weights has two perfect matchings
+    n = DP_MAX + 2
+    ring = ring_distances(n)
+    legs = np.full(n, np.inf)
+    pairs = np.argwhere(np.triu(np.isfinite(ring), 1)).tolist()
+    assert certify(pairs, ring, legs) is None
+    blossoms = count_blossoms(monkeypatch)
+    mate = _match(ring, legs)
+    assert blossoms == [2 * n]
+    assert sorted(d for pair in mate for d in pair) == list(range(n))
+    assert all(ring[a, b] == 1.0 for a, b in mate)
+    # with distinct weights the same ring is certified, without blossom
+    ring = ring_distances(n, np.random.default_rng(5))
+    blossoms.clear()
+    mate = _match(ring, legs)
+    assert blossoms == []
+    assert set(mate) == set(_blossom(list(range(n)), pairs, ring, legs))
+
+
+def test_the_mask_cap_is_a_complete_dp_max_component(monkeypatch):
+    rng = np.random.default_rng(29)
+    for m in (DP_MAX, DP_MAX + 1):
+        pair_dist, legs, pairs = random_component(m, rng, True, False)
+        legs[:] = rng.uniform(2.0, 6.0, m)   # every leg open: the most masks
+        mate = certify(pairs, pair_dist, legs)
+        # DP_MAX defects meet DP_MASKS masks exactly; one more defect
+        # meets more and falls back, though its optimum is unique
+        assert (mate is None) == (m > DP_MAX)
+        monkeypatch.setattr(matching, "DP_MASKS", math.inf)
+        assert certify(pairs, pair_dist, legs) is not None
+        monkeypatch.setattr(matching, "DP_MASKS", DP_MASKS - 1)
+        assert certify(pairs, pair_dist, legs) is None
+        monkeypatch.undo()
+
+
+def test_hundreds_of_defects_need_no_deep_recursion(monkeypatch):
+    # a chain of 600 defects, each pair of neighbours kept: far deeper
+    # than Python's recursion limit, yet within the mask cap
+    rng = np.random.default_rng(31)
+    n = 600
+    legs = rng.uniform(2.0, 6.0, n)
+    pair_dist = np.full((n, n), np.inf)
+    for a in range(n - 1):
+        pair_dist[a, a + 1] = pair_dist[a + 1, a] = \
+            rng.uniform(0.3, 0.98) * (legs[a] + legs[a + 1])
+    blossoms = count_blossoms(monkeypatch)
+    mate = _match(pair_dist, legs)
+    assert blossoms == []
+    # the chain's optimum over defects a.., from its far end: defect a
+    # takes its leg or pairs with a + 1
+    best = np.zeros(n + 1)
+    best[n - 1] = legs[n - 1]
+    for a in range(n - 2, -1, -1):
+        best[a] = min(legs[a] + best[a + 1], pair_dist[a, a + 1] + best[a + 2])
+    assert sorted(d for pair in mate for d in pair if d is not None) == \
+        list(range(n))
+    assert math.fsum(legs[a] if b is None else pair_dist[a, b]
+                     for a, b in mate) == pytest.approx(best[0], rel=1e-9)

@@ -22,10 +22,11 @@ import ghostdec.windows
 from ghostdec.patience import (HeraldResult, PatienceError,
                                herald_complementary, herald_weight_growth,
                                patience_delay, patient_decode, plan_patience)
-from ghostdec.windows import (TproxyPlan, WindowConfig, WindowError,
-                              _slice_components, build_window,
-                              compute_tw_error, decode_memory_sliding,
-                              decode_tproxy_global, decode_tproxy_windowed,
+from ghostdec.windows import (TproxyGate, TproxyPlan, WindowConfig,
+                              WindowError, _slice_components, build_window,
+                              carry_gates, compute_tw_error,
+                              decode_memory_sliding, decode_tproxy_global,
+                              decode_tproxy_windowed,
                               plan_memory_windows, plan_tproxy_windows,
                               severance_region, tproxy_gates)
 
@@ -56,6 +57,31 @@ def test_full_horizon_windowed_equals_global():
         win = decode_tproxy_windowed(dec, dets[s], CONFIG, plan=plan)
         glob = decode_tproxy_global(dec, dets[s], graphs=graphs)
         assert np.array_equal(win.decisions, glob), f"shot {s}"
+
+
+def test_carried_commits_reach_later_gates():
+    # one ghost pair: the witness (0, 1) on patch 0, the singleton (2,) on
+    # patch 1 with observable 0's flip; gate 0 decides observable 1 and
+    # commits the pair, gate 1 decides observable 0 after it
+    dem = DetectorErrorModel(
+        (ErrorMechanism(0.01, (0, 1, 2), (0,)),
+         ErrorMechanism(0.001, (0,), ()), ErrorMechanism(0.001, (1,), ()),
+         ErrorMechanism(0.001, (2,), ())),
+        3, 2, (0, 0, 1), (1, 1, 1), ("Z",) * 3, (1, 1), ("Z", "Z"))
+    dec = ghost_decompose(dem)
+    graphs = build_protocol_graphs(dec)
+    seen = []
+
+    def decode_gate(g, refined):
+        seen.append(refined.tolist())
+        return run_ghost_protocol(dec, refined, graphs=graphs)
+
+    gates = (TproxyGate(1, 1, 1), TproxyGate(0, 1, 1))
+    decisions = carry_gates(dem, np.ones(3, dtype=bool), gates, decode_gate)
+    # gate 1 decodes the refined, empty syndrome and flips nothing itself:
+    # its observable flips through gate 0's carried frame alone
+    assert seen == [[True] * 3, [False] * 3]
+    assert decisions.tolist() == [True, False]
 
 
 def test_unretried_patient_shots_keep_windowed_decisions(patience_setup):
