@@ -4,14 +4,15 @@ Each patch is decoded as two independent class graphs (cells that
 measure ZZZZ catch bit flips, cells that measure XXXX catch phase
 flips).  Defects are matched pairwise or to a virtual boundary node,
 exactly, over shortest-path distances: pairs whose shortest path runs
-through the boundary are dropped, and the defects split into components
-joined by the pairs that stay.  Each component has its own solver:
-lone defects and pairs are solved in closed form, components of up to
-DP_MAX defects by an exact DP over bitmasks of their defects, and
-larger ones by the same DP when it certifies, within DP_MASKS masks,
-that its optimum is the unique one.  Blossom matching solves the rest:
-components whose DP meets more masks, or whose optimum ties another
-within PRUNE_TOL.  A unique optimum is the one blossom would return, so
+through the boundary are dropped, and one breadth-first walk over the
+pairs that stay splits the defects into components.  Each component has
+its own solver: lone defects and pairs are solved in closed form,
+components of up to DP_MAX defects by an exact DP over bitmasks of
+their defects in ascending order, and larger ones by the same DP, over
+the reverse of the walk's order, when it certifies within DP_MASKS
+masks that its optimum is the unique one.  Blossom matching solves the
+rest: components whose DP meets more masks, or whose optimum ties
+another within PRUNE_TOL.  A unique optimum is the one blossom would return, so
 which solver ran never changes a decision.  A two-pass scheme reweights
 cross-class partner edges so correlated pairs from Y-type faults are
 recovered.
@@ -340,8 +341,11 @@ def _match(pair_dist: np.ndarray, boundary_dist: np.ndarray):
     through the boundary and is dropped.  The boundary takes any number
     of legs, so defects joined by no kept pair never interact: each
     component of kept pairs is solved alone, in closed form for one or
-    two defects, by `_exact_dp` up to DP_MAX defects, and above by
-    `_exact_dp` when it certifies its optimum, else by `_blossom`.
+    two defects, else by `_exact_dp`, or by `_blossom` where the DP
+    cannot certify its optimum.  One breadth-first walk finds the
+    components, each from its lowest defect not yet reached, visiting
+    neighbours in ascending order; a component's kept pairs are (a, b)
+    with a < b, for a ascending and then b ascending.
     """
     k = len(boundary_dist)
     if k <= 2:                     # one component of two, or singletons
@@ -355,76 +359,66 @@ def _match(pair_dist: np.ndarray, boundary_dist: np.ndarray):
     # infinite legs (no boundary path) never drop a pair, and a pair with
     # no path between its defects is never kept
     kept = pair_dist < legs * (1.0 - PRUNE_TOL)
-    pairs = np.argwhere(np.triu(kept, 1)).tolist()
-    root = list(range(k))
-
-    def find(a):
-        while root[a] != a:
-            a = root[a]
-        return a
-
-    for a, b in pairs:
-        root[find(b)] = find(a)
-    members: dict[int, list[int]] = {}
-    for a in range(k):
-        members.setdefault(find(a), []).append(a)
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for a, b in np.argwhere(np.triu(kept, 1)).tolist():
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = [False] * k
     mate: list[tuple[int, int | None]] = []
-    for comp in members.values():
-        if len(comp) == 2:
-            mate.append((comp[0], comp[1]))
-        elif len(comp) == 1:
-            if not np.isfinite(boundary_dist[comp[0]]):
+    for start in range(k):
+        if seen[start]:
+            continue
+        seen[start] = True
+        order = [start]
+        for a in order:
+            for b in adj[a]:
+                if not seen[b]:
+                    seen[b] = True
+                    order.append(b)
+        if len(order) == 2:
+            mate.append((start, order[1]))
+        elif len(order) == 1:
+            if not np.isfinite(boundary_dist[start]):
                 raise MatchingError("defects cannot be matched "
                                     "(no boundary path)")
-            mate.append((comp[0], None))
+            mate.append((start, None))
         else:
-            inside = set(comp)
-            args = (comp, [p for p in pairs if p[0] in inside],
-                    pair_dist, boundary_dist)
-            if len(comp) <= DP_MAX:
-                mate.extend(_exact_dp(*args))
-            else:
-                mate.extend(_exact_dp(*args, certify=True) or _blossom(*args))
+            comp = sorted(order)
+            pairs = [(a, b) for a in comp for b in adj[a] if b > a]
+            mate.extend(_exact_dp(order, pairs, pair_dist, boundary_dist)
+                        or _blossom(comp, pairs, pair_dist, boundary_dist))
     return mate
 
 
-def _exact_dp(comp, pairs, pair_dist, boundary_dist, certify=False):
-    """Exact matching of one component over bitmasks of its free defects.
+def _exact_dp(order, pairs, pair_dist, boundary_dist):
+    """Exact matching of one component over bitmasks of its free defects,
+    each pair as (smaller, larger) defect; ``order`` is the component's
+    breadth-first order.
 
     The lowest free defect either takes its boundary leg or pairs with a
     free kept partner, whichever is cheaper; strict < keeps the first of
     equal moves, the boundary leg before partners in ascending order.
-
-    With ``certify`` the matching is returned only when it is the unique
-    optimum, so blossom would return it too, and None otherwise: when
-    the DP would meet more than DP_MASKS masks, or when at some mask of
-    the optimum's path a second move comes within PRUNE_TOL of the
-    total.  Any other matching leaves that path at some mask, so it
-    costs at least the optimum plus that mask's gap.
+    Up to DP_MAX defects the DP runs over the defects in ascending order
+    and always answers.  Above, it runs over the reverse of ``order``,
+    which keeps partners close so it meets fewer masks, and it returns
+    the matching only when it is the unique optimum, so blossom would
+    return it too, and None otherwise: when it would meet more than
+    DP_MASKS masks, or when at some mask of the optimum's path a second
+    move comes within PRUNE_TOL of the total.  Any other matching leaves
+    that path at some mask, so it costs at least the optimum plus that
+    mask's gap.
     """
+    certify = len(order) > DP_MAX
+    comp = order[::-1] if certify else sorted(order)
     m = len(comp)
-    if certify:
-        # a unique optimum is the same in any order of the defects; the
-        # reverse of a breadth-first order keeps partners close, so the
-        # DP meets fewer masks
-        adj = {a: [] for a in comp}
-        for a, b in pairs:
-            adj[a].append(b)
-            adj[b].append(a)
-        order, seen = [comp[0]], {comp[0]}
-        for a in order:
-            for b in adj[a]:
-                if b not in seen:
-                    seen.add(b)
-                    order.append(b)
-        comp = order[::-1]
     local = {a: i for i, a in enumerate(comp)}
-    if certify:
-        pairs = [(a, b) if local[a] < local[b] else (b, a) for a, b in pairs]
     legs = [float(boundary_dist[a]) for a in comp]
     partners: list[list[tuple[int, float]]] = [[] for _ in range(m)]
     for a, b in pairs:
-        partners[local[a]].append((1 << local[b], float(pair_dist[a, b])))
+        i, j = local[a], local[b]
+        if i > j:
+            i, j = j, i
+        partners[i].append((1 << j, float(pair_dist[a, b])))
     # optimal cost of each free mask met, and the partner bit its lowest
     # defect takes (0: its boundary leg)
     cost_of = {0: 0.0}
@@ -467,9 +461,9 @@ def _exact_dp(comp, pairs, pair_dist, boundary_dist, certify=False):
                     todo.append(rest ^ bit)
             if len(met) > DP_MASKS:
                 return None
-        for sub in sorted(met)[1:]:
+        for sub in sorted(met)[1:-1]:
             solve(sub)
-    if (cost_of[mask] if certify else solve(mask)) == math.inf:
+    if solve(mask) == math.inf:
         raise MatchingError("defects cannot be matched (no boundary path)")
     margin = PRUNE_TOL * cost_of[mask]
     mate = []
@@ -486,12 +480,10 @@ def _exact_dp(comp, pairs, pair_dist, boundary_dist, certify=False):
                 other.append(legs[i] + cost_of[rest])
             if min(other, default=math.inf) <= cost_of[mask] + margin:
                 return None
-        mate.append((comp[low.bit_length() - 1],
-                     comp[move.bit_length() - 1] if move else None))
+        a = comp[low.bit_length() - 1]
+        b = comp[move.bit_length() - 1] if move else None
+        mate.append((a, b) if b is None or a < b else (b, a))
         mask ^= low | move
-    if certify:
-        # blossom's orientation: the smaller defect first
-        return [(a, b) if b is None or a < b else (b, a) for a, b in mate]
     return mate
 
 

@@ -61,11 +61,6 @@ class StabilizerSimulator:
         self._flip_signs(flip)
         self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
 
-    def s(self, q: int) -> None:
-        flip = self.x[:, q] & self.z[:, q]
-        self._flip_signs(flip)
-        self.z[:, q] ^= self.x[:, q]
-
     def x_gate(self, q: int) -> None:
         self._flip_signs(self.z[:, q])
 

@@ -159,7 +159,9 @@ def tproxy_gates(dem: DetectorErrorModel,
 
     Each observable's home patch is a measured carrier whose last
     detector time is the decision round; the one patch never measured
-    mid-circuit survives the final gate.
+    mid-circuit survives the final gate.  The model's first round is
+    followed by the first CNOT, so the first decision comes
+    ``config.n_buf`` rounds after it, or the config is not the model's.
     """
     last = patch_last_round(dem)
     carriers = []
@@ -175,11 +177,14 @@ def tproxy_gates(dem: DetectorErrorModel,
     rest = sorted(set(last) - {p for _, _, p in carriers})
     if len(rest) != 1:
         raise WindowError(f"expected one surviving patch, found {rest}")
+    if carriers:
+        waited = carriers[0][0] - min(dem.detector_time)
+        if waited != config.n_buf:
+            raise WindowError(f"n_buf {config.n_buf} does not match the "
+                              f"model's {waited} buffer rounds")
     gates = []
     for g, (sev, j, p) in enumerate(carriers):
         survivor = carriers[g + 1][2] if g + 1 < len(carriers) else rest[0]
-        if sev - config.n_buf < 1:
-            raise WindowError("n_buf reaches back past the first round")
         gates.append(TproxyGate(j, survivor, sev))
     return tuple(gates)
 

@@ -209,6 +209,27 @@ def test_single_mechanism_answers_match_ml(setup):
         assert got == ml.observables, f"mechanism {i}"
 
 
+@pytest.mark.parametrize("build, judged", [
+    (lambda: build_memory_circuit(5, 5), 1611),
+    (lambda: build_tproxy_circuit(5, 1), 1877)], ids=["memory", "tproxy"])
+def test_d5_single_faults_decode_to_their_truth(build, judged):
+    # where no other mechanism has a fault's detector set with other
+    # observables, the fault's own observables are its ML answer, so
+    # single faults are judged at d=5 without an oracle
+    dem = extract_dem(apply_noise_model(build(), NoiseParams(1e-3)))
+    dec = ghost_decompose(dem)
+    graphs = build_protocol_graphs(dec)
+    answers = {}
+    for m in dem.mechanisms:
+        answers.setdefault(m.detectors, set()).add(m.observables)
+    faults = [m for m in dem.mechanisms if len(answers[m.detectors]) == 1]
+    assert len(faults) == judged
+    wrong = [m for m in faults if tuple(np.flatnonzero(run_ghost_protocol(
+        dec, vec(dem, m.detectors), graphs=graphs).logical_flips))
+        != m.observables]
+    assert wrong == []
+
+
 # -- protocol invariants -------------------------------------------------------------
 
 def test_final_corrections_never_contain_ghost_singletons(setup):

@@ -1,6 +1,7 @@
 """Minimum-weight matching on class graphs and correlated reweighting."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -13,8 +14,8 @@ from ghostdec import matching
 from ghostdec.builders import (NoiseParams, apply_noise_model, build_memory_circuit,
                                build_tproxy_circuit)
 from ghostdec.decompose import ghost_decompose
-from ghostdec.dem import extract_dem
-from ghostdec.ghost import build_protocol_graphs
+from ghostdec.dem import extract_dem, sample_dem
+from ghostdec.ghost import build_protocol_graphs, run_ghost_protocol
 from ghostdec.matching import (CORRELATION_SCALE, DP_MASKS, DP_MAX, MatchingError,
                                MatchingGraph, GraphEdge,
                                _blossom, _exact_dp, _match, _partner_overrides,
@@ -401,14 +402,14 @@ def count_blossoms(monkeypatch):
 
 
 def watch_certificates(monkeypatch):
-    """Each call of the certifying DP that `_match` makes, as (its
-    arguments, its matching or None)."""
+    """Each call of the DP that `_match` makes on a component above
+    DP_MAX, where it certifies, as (its arguments, its matching or None)."""
     calls = []
     dp = matching._exact_dp
 
-    def watched(*args, certify=False):
-        mate = dp(*args, certify=certify)
-        if certify:
+    def watched(*args):
+        mate = dp(*args)
+        if len(args[0]) > DP_MAX:
             calls.append((args, mate))
         return mate
     monkeypatch.setattr(matching, "_exact_dp", watched)
@@ -442,9 +443,10 @@ def test_split_matching_has_the_full_graph_optimum(monkeypatch):
                 assert blossoms == [2 * len(args[0])
                                     for args, mate in certificates
                                     if mate is None]
-                for args, mate in certificates:
+                for (order, *args), mate in certificates:
                     if mate is not None:
-                        assert set(mate) == set(_blossom(*args))
+                        assert set(mate) == set(_blossom(sorted(order),
+                                                         *args))
                         certified += 1
                 assert_reproduces(g, corr, syndrome)
                 assert list(corr.edges) == sorted(set(corr.edges))
@@ -461,6 +463,47 @@ def test_split_matching_has_the_full_graph_optimum(monkeypatch):
     # blossom, on fewer nodes than one blossom over every defect
     assert certified > 0
     assert 0 < split_nodes < full_nodes
+
+
+def test_memory_d7_matchings_are_pinned(monkeypatch):
+    # recorded matchings of every `_match` call over 300 memory d=7
+    # shots: each call's pairs, sorted, as (smaller, larger) or (a, None).
+    # A tie resolved the other way moves this digest even where it flips
+    # no observable, so no decision digest would see it
+    dem = extract_dem(apply_noise_model(build_memory_circuit(7, 7),
+                                        NoiseParams(5e-3)))
+    dec = ghost_decompose(dem)
+    graphs = build_protocol_graphs(dec)
+    blossoms = count_blossoms(monkeypatch)
+    dp_calls = []
+    dp, match = matching._exact_dp, matching._match
+
+    def watched_dp(order, pairs, *args):
+        dp_calls.append((order, pairs))
+        return dp(order, pairs, *args)
+
+    mates = []
+
+    def watched_match(pair_dist, boundary_dist):
+        mate = match(pair_dist, boundary_dist)
+        mates.append(sorted(mate))
+        return mate
+    monkeypatch.setattr(matching, "_exact_dp", watched_dp)
+    monkeypatch.setattr(matching, "_match", watched_match)
+    dets, _ = sample_dem(dem, seed=1, shots=300)
+    for s in range(300):
+        run_ghost_protocol(dec, dets[s], graphs=graphs)
+    # the shots reach every solver: the DP below and above DP_MAX, and
+    # blossom where the DP above DP_MAX gives up; the DP gets each
+    # component in the order of one breadth-first walk from its lowest
+    # defect, which sets the masks it meets above DP_MAX
+    assert len(mates) == 1196
+    assert sum(len(order) > DP_MAX for order, _ in dp_calls) == 35
+    assert len(blossoms) == 5
+    assert all(order == breadth_first(pairs, min(order))
+               for order, pairs in dp_calls)
+    digest = hashlib.sha256(repr(mates).encode()).hexdigest()[:16]
+    assert digest == "8d1692cee325649c"
 
 
 def test_views_are_cached_and_drop_only_their_edges():
@@ -726,6 +769,17 @@ def random_component(m, rng, complete, closed, band=None):
     return pair_dist, legs, np.argwhere(kept).tolist()
 
 
+def breadth_first(pairs, start=0):
+    """The order in which `_match` walks the component of ``start``, its
+    lowest defect, joined by ``pairs``: breadth first, neighbours
+    ascending."""
+    order = [start]
+    for a in order:
+        order += sorted({b for p in pairs if a in p for b in p} - {a}
+                        - set(order))
+    return order
+
+
 def solved_objective(solve, pairs, pair_dist, legs):
     """A solver's objective on one whole component, None when it raises
     "no boundary path"; each defect is matched once, over kept pairs or
@@ -742,12 +796,16 @@ def solved_objective(solve, pairs, pair_dist, legs):
                      for a, b in mate)
 
 
-def certify(pairs, pair_dist, legs):
-    """The certifying DP's matching of one whole component, None when it
-    gives up, True when it proves no matching exists."""
+def walked_dp(_, pairs, pair_dist, legs):
+    """`_exact_dp` of one whole component, in the order `_match` walks it."""
+    return _exact_dp(breadth_first(pairs), pairs, pair_dist, legs)
+
+
+def dp_matching(pairs, pair_dist, legs):
+    """The DP's matching of one whole component, None when it gives up
+    (above DP_MAX defects only), True when it proves no matching exists."""
     try:
-        return _exact_dp(list(range(len(legs))), pairs, pair_dist, legs,
-                         certify=True)
+        return walked_dp(None, pairs, pair_dist, legs)
     except MatchingError as exc:
         assert "no boundary path" in str(exc)
         return True
@@ -764,15 +822,17 @@ def test_exact_dp_has_the_blossom_optimum(monkeypatch, m):
             pair_dist, legs, pairs = random_component(m, rng, complete, closed)
             want = solved_objective(_blossom, pairs, pair_dist, legs)
             infeasible += want is None
-            for solve in (_exact_dp, lambda *_: _match(pair_dist, legs)):
+            # the DP gives up only above DP_MAX, where it certifies, and
+            # through _match the component reaches blossom only there
+            falls_back = dp_matching(pairs, pair_dist, legs) is None
+            assert m > DP_MAX or not falls_back
+            solvers = [] if falls_back else [walked_dp]
+            for solve in solvers + [lambda *_: _match(pair_dist, legs)]:
                 blossoms.clear()
                 got = solved_objective(solve, pairs, pair_dist, legs)
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert got == pytest.approx(want, rel=1e-9)
-            # through _match, the component reaches blossom only above
-            # DP_MAX, and there only where the certifying DP gives up
-            falls_back = m > DP_MAX and certify(pairs, pair_dist, legs) is None
             assert blossoms == ([2 * m] if falls_back else [])
             gave_up[complete] += falls_back
     # both closed components of an odd size cannot be matched
@@ -783,7 +843,7 @@ def test_exact_dp_has_the_blossom_optimum(monkeypatch, m):
     assert gave_up[False] < 4
 
 
-# -- the certifying DP above DP_MAX ---------------------------------------------------
+# -- the DP above DP_MAX, where it certifies -----------------------------------------
 
 def test_certified_dp_returns_blossoms_matching():
     # sparse components above DP_MAX, with continuous weights that tie
@@ -794,7 +854,7 @@ def test_certified_dp_returns_blossoms_matching():
         for closed in (False, False, True):
             pair_dist, legs, pairs = random_component(m, rng, False, closed,
                                                       band=6)
-            mate = certify(pairs, pair_dist, legs)
+            mate = dp_matching(pairs, pair_dist, legs)
             if mate not in (None, True):
                 # the same pairs, each as (smaller, larger) like blossom's
                 assert set(mate) == set(_blossom(list(range(m)), pairs,
@@ -810,7 +870,7 @@ def test_exact_ties_fall_back_to_blossom(monkeypatch):
     ring = ring_distances(n)
     legs = np.full(n, np.inf)
     pairs = np.argwhere(np.triu(np.isfinite(ring), 1)).tolist()
-    assert certify(pairs, ring, legs) is None
+    assert dp_matching(pairs, ring, legs) is None
     blossoms = count_blossoms(monkeypatch)
     mate = _match(ring, legs)
     assert blossoms == [2 * n]
@@ -829,14 +889,19 @@ def test_the_mask_cap_is_a_complete_dp_max_component(monkeypatch):
     for m in (DP_MAX, DP_MAX + 1):
         pair_dist, legs, pairs = random_component(m, rng, True, False)
         legs[:] = rng.uniform(2.0, 6.0, m)   # every leg open: the most masks
-        mate = certify(pairs, pair_dist, legs)
-        # DP_MAX defects meet DP_MASKS masks exactly; one more defect
-        # meets more and falls back, though its optimum is unique
-        assert (mate is None) == (m > DP_MAX)
-        monkeypatch.setattr(matching, "DP_MASKS", math.inf)
-        assert certify(pairs, pair_dist, legs) is not None
+        # the cap binds only above DP_MAX defects
         monkeypatch.setattr(matching, "DP_MASKS", DP_MASKS - 1)
-        assert certify(pairs, pair_dist, legs) is None
+        assert (dp_matching(pairs, pair_dist, legs) is None) == (m > DP_MAX)
+        # certified as if it were above DP_MAX, a complete component of
+        # DP_MAX defects meets DP_MASKS masks exactly; one more defect
+        # meets more and falls back, though its optimum is unique
+        monkeypatch.setattr(matching, "DP_MAX", m - 1)
+        monkeypatch.setattr(matching, "DP_MASKS", DP_MASKS)
+        assert (dp_matching(pairs, pair_dist, legs) is None) == (m > DP_MAX)
+        monkeypatch.setattr(matching, "DP_MASKS", math.inf)
+        assert dp_matching(pairs, pair_dist, legs) is not None
+        monkeypatch.setattr(matching, "DP_MASKS", DP_MASKS - 1)
+        assert dp_matching(pairs, pair_dist, legs) is None
         monkeypatch.undo()
 
 

@@ -61,24 +61,6 @@ def test_ghz_parity_deterministic():
     assert forms[1] ^ forms[2] == 0
 
 
-def test_s_squared_flips_x_eigenstate():
-    sim = StabilizerSimulator(1)
-    sim.h(0)
-    sim.s(0)
-    sim.s(0)
-    # Z|+> = |->, so measuring X gives -1 deterministically
-    form = measure(sim, [0], [], 0)
-    assert form == 1
-
-
-def test_s_gate_turns_plus_into_y_eigenstate():
-    sim = StabilizerSimulator(1)
-    sim.h(0)
-    sim.s(0)
-    form = measure(sim, [0], [0], 0)  # measure Y
-    assert form == 0
-
-
 def test_negative_pauli_product_sign():
     sim = StabilizerSimulator(1)
     sim.h(0)
@@ -98,7 +80,7 @@ def test_reset_discards_random_outcome():
 def test_reset_x_gives_plus_state():
     sim = StabilizerSimulator(1)
     sim.h(0)
-    sim.s(0)
+    sim.z_gate(0)   # |->: reset must fix the sign
     sim.reset_x(0)
     assert measure(sim, [0], [], 0) == 0
 
@@ -119,11 +101,8 @@ def test_random_circuits_preserve_group_structure():
         n = 4
         sim = StabilizerSimulator(n)
         for _ in range(30):
-            k = rng.integers(3)
-            if k == 0:
+            if rng.integers(2):
                 sim.h(int(rng.integers(n)))
-            elif k == 1:
-                sim.s(int(rng.integers(n)))
             else:
                 a, b = rng.choice(n, size=2, replace=False)
                 sim.cx(int(a), int(b))
@@ -213,16 +192,14 @@ def random_tableau(rng, n=6, steps=40):
     measurements; its signs carry coins from the random outcomes."""
     sim = StabilizerSimulator(n)
     for _ in range(steps):
-        k = int(rng.integers(6))
+        k = int(rng.integers(5))
         q = int(rng.integers(n))
         if k == 0:
             sim.h(q)
         elif k == 1:
-            sim.s(q)
-        elif k == 2:
             a, b = rng.choice(n, size=2, replace=False)
             sim.cx(int(a), int(b))
-        elif k == 3:
+        elif k == 2:
             (sim.x_gate, sim.y_gate, sim.z_gate)[int(rng.integers(3))](q)
         else:
             sim.measure_pauli(*random_pauli(rng, n), int(rng.integers(2)))

@@ -206,12 +206,21 @@ def short_sliding_syndrome():
      r"expected one surviving patch, found \[\]"),
     (lambda: plan_tproxy_windows(noiseless(build_tproxy_circuit(3, 1)),
                                  WindowConfig(2)),
-     "n_buf reaches back past the first round"),
+     "n_buf 2 does not match the model's 1 buffer rounds"),
+    # a config below the circuit's buffer would plan patience's delay
+    # and weight-growth radius for the wrong rounds
+    (lambda: plan_patience(noiseless(build_tproxy_circuit(
+        5, 2, n_buf=2, extra_rounds=1)), WindowConfig(1), 5),
+     "n_buf 1 does not match the model's 2 buffer rounds"),
+    (lambda: plan_tproxy_windows(noiseless(build_tproxy_circuit(
+        3, 2, n_buf=2)), WindowConfig(3)),
+     "n_buf 3 does not match the model's 2 buffer rounds"),
     (lambda: plan_memory_windows(ghost_decompose(DetectorErrorModel(
         (), 0, 0, (), (), (), ())), 1, 0), "model has no detectors"),
     (short_sliding_syndrome, "syndrome length does not match"),
 ], ids=["n-buf", "homeless-observable", "home-without-detectors",
-        "no-survivor", "n-buf-past-start",
+        "no-survivor", "n-buf-past-start", "n-buf-below-circuit",
+        "n-buf-above-circuit",
         "no-detectors", "short-sliding-syndrome"])
 def test_bad_window_input_raises(call, match):
     with pytest.raises(WindowError, match=match):
