@@ -6,7 +6,8 @@ by correlation links.  Components of an interpatch mechanism become a
 ghost pair when one side is a single detector: the multi-detector side
 (g_e) stays in its patch's graph, while the singleton (g_s) would look
 exactly like a boundary edge on the partner patch and is therefore
-only exposed to the matcher on selected decoding passes.  A mechanism
+never shown to the matcher: its detector is a node of the partner's
+graph, toggled only when the witness is committed.  A mechanism
 splits into at most one pair, so a pair is keyed by its mechanism's id.
 
 Components with three detectors in one class (hook-type faults pushed

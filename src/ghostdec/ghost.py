@@ -1,18 +1,18 @@
 """Iterative multi-patch decoding with ghost-edge discovery.
 
 Each patch is decoded independently on each of :data:`PASSES` passes,
-and ghost singletons are shown to the matcher on :data:`EXPOSED_PASS`
-only.  Whenever a pass selects a ghost witness edge (g_e), the whole
-interpatch mechanism is committed: the issuing patch's defects at the
-edge's endpoints are cleared, the partner patch's lone ghost-singleton
-defect is flipped, and the mechanism's observable flips enter the
-logical frame.  Commits are buffered as ghost-pair ids, which are the
-ids of the mechanisms the pairs split, and applied at a barrier between
-passes, so the outcome does not depend on patch evaluation order.
-Commits follow XOR semantics: re-selecting a committed mechanism's
-witness cancels the earlier commit.  The final
-pass is read-out only; its corrections are combined with the committed
-frame to form the logical answer.
+always on the same patch-class graphs, which never show the matcher a
+ghost singleton.  Whenever a pass selects a ghost witness edge (g_e),
+the whole interpatch mechanism is committed: the issuing patch's
+defects at the edge's endpoints are cleared, the partner patch's lone
+ghost-singleton defect is flipped, and the mechanism's observable flips
+enter the logical frame.  Commits are buffered as ghost-pair ids, which
+are the ids of the mechanisms the pairs split, and applied at a barrier
+between passes, so the outcome does not depend on patch evaluation
+order.  Commits follow XOR semantics: re-selecting a committed
+mechanism's witness cancels the earlier commit.  The final pass is
+read-out only; its corrections are combined with the committed frame to
+form the logical answer.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class ProtocolError(CircuitError):
 
 
 PASSES = 4
-EXPOSED_PASS = 1
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,8 @@ def build_protocol_graphs(decomposed: DecomposedDEM):
     """Every patch-class graph, keyed ``(patch, cls)``.
 
     Both classes of every patch with detectors get a graph, so a class
-    without components still has one.  Passes that hide ghost
-    singletons decode its :attr:`~ghostdec.matching.MatchingGraph.hidden`
-    view, which is the graph itself where it has none.  Each graph is
-    built once and kept in ``decomposed.graphs``; a slice takes its
+    without components still has one, and every pass decodes it.  Each
+    graph is built once and kept in ``decomposed.graphs``; a slice takes its
     source's own graph for every patch-class its cut leaves alone, so
     that graph's routes and decode memo serve every window sharing it.
     """
@@ -106,15 +103,12 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
     passes_with_commits = 0
 
     # passes repeat the same matching problem until a barrier actually
-    # changes the working syndrome, so a quiet pass finds its decode in
-    # the graphs' memo; a patch whose graphs have no ghost singleton is
-    # its own hidden view and is decoded once per barrier state
+    # changes the working syndrome, so each patch is decoded once per
+    # barrier state and a quiet pass finds its decode in the graphs' memo
     for k in range(1, PASSES + 1):
         decoded = {}                   # (patch, cls) -> (graph, correction)
         for patch in patches:
             gx, gz = graphs[patch, "X"], graphs[patch, "Z"]
-            if k != EXPOSED_PASS:
-                gx, gz = gx.hidden, gz.hidden
             corr_x, corr_z = decode_correlated_two_pass(gx, gz, working)
             decoded[patch, "X"] = (gx, corr_x)
             decoded[patch, "Z"] = (gz, corr_z)

@@ -79,8 +79,8 @@ class GraphEdge:
     weight: float
     components: tuple[int, ...]   # component indices merged into this edge
     observables: tuple[int, ...]
-    role: str
-    pair_id: int | None           # a ghost edge's mechanism id
+    role: str                     # normal | ghost_e
+    pair_id: int | None           # a ghost witness's mechanism id
     cut_partners: tuple[int, ...] = ()  # detectors beyond the window cut
     # (partner component, probability) per component with a cross-class
     # partner; a partner shares its mechanism, hence its probability
@@ -105,20 +105,12 @@ class MatchingGraph:
         return Routes(self)
 
     @cached_property
-    def hidden(self) -> MatchingGraph:
-        """This graph without its ghost singletons, built on first use."""
-        return self.without(lambda e: e.role == "ghost_s")
-
-    @cached_property
     def closed(self) -> MatchingGraph:
-        """This graph without its open-boundary edges, built on first use."""
-        return self.without(lambda e: e.open_boundary)
-
-    def without(self, drop) -> MatchingGraph:
-        """This graph less the edges ``drop`` selects, in their order, or
-        ``self`` when it selects none.  The nodes stay: a defect whose
-        every edge is dropped must fail loudly instead of vanishing."""
-        kept = tuple(e for e in self.edges if not drop(e))
+        """This graph less its open-boundary edges, in their order, or
+        ``self`` when it has none; built on first use.  The nodes stay:
+        a defect whose every edge is dropped must fail loudly instead of
+        vanishing."""
+        kept = tuple(e for e in self.edges if not e.open_boundary)
         if len(kept) == len(self.edges):
             return self
         return replace(self, edges=kept)
@@ -202,19 +194,23 @@ def build_matching_graph(patch: int, cls: str,
                          components: list[Component]) -> MatchingGraph:
     """Assemble one class graph from all of one patch-class's components.
 
-    Nodes are the components' detectors; edges keep component order.
-    Normal parallel edges with identical endpoints, observable flips and
-    open-boundary flag merge by odd-occurrence combination; ghost edges
-    keep their pair identity.  A decode that hides ghost singletons or
-    closes the open boundary decodes the graph's cached
-    :attr:`~MatchingGraph.hidden` or :attr:`~MatchingGraph.closed` view.
+    Nodes are the components' detectors, ghost singletons' included;
+    edges keep component order.  Normal parallel edges with identical
+    endpoints, observable flips and open-boundary flag merge by
+    odd-occurrence combination; ghost witnesses keep their pair
+    identity.  A ghost singleton gets no edge: it would look exactly
+    like a boundary edge, and its detector is toggled only by its
+    partner patch's commits.  A decode that closes the open boundary
+    decodes the graph's cached :attr:`~MatchingGraph.closed` view.
     """
     dets = sorted({d for c in components for d in c.detectors})
     node = {d: i for i, d in enumerate(dets)}
     boundary = len(dets)
     merged: dict[tuple, list] = {}
-    ghosts = []
+    witnesses = []
     for c in components:
+        if c.role == "ghost_s":
+            continue
         u = node[c.detectors[0]]
         v = node[c.detectors[1]] if len(c.detectors) == 2 else boundary
         u, v = min(u, v), max(u, v)
@@ -224,7 +220,7 @@ def build_matching_graph(patch: int, cls: str,
             key = (u, v, c.observables, c.open_boundary, c.cut_partners)
             merged.setdefault(key, []).append(c)
         else:
-            ghosts.append((u, v, c))
+            witnesses.append((u, v, c))
     edges = []
     for (u, v, obs, open_b, cut), comps in sorted(
             merged.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2], kv[0][4])):
@@ -234,7 +230,7 @@ def build_matching_graph(patch: int, cls: str,
         edges.append(GraphEdge(u, v, edge_weight(p),
                                tuple(c.index for c in comps), obs,
                                "normal", None, cut, _partners(comps), open_b))
-    for u, v, c in sorted(ghosts, key=lambda t: (t[0], t[1], t[2].index)):
+    for u, v, c in sorted(witnesses, key=lambda t: (t[0], t[1], t[2].index)):
         edges.append(GraphEdge(u, v, edge_weight(c.probability), (c.index,),
                                c.observables, c.role, c.mech_id,
                                c.cut_partners, _partners([c]), c.open_boundary))

@@ -80,9 +80,11 @@ def herald_weight_growth(trace: list[PassRecord], region: frozenset[int],
     """True when the regional correction weight strictly grows.
 
     Compares the first and final pass records of ``patch``, counting
-    only correction edges touching a detector in ``region``.  A ghost
-    flip committed by mistake shows up as a long correction string near
-    the severance that was absent on the first pass.
+    only correction edges touching a detector in ``region``; no pass
+    shows the matcher a ghost singleton, so both decode the same graphs
+    and differ only by the commits between them.  A ghost flip committed
+    by mistake shows up as a long correction string near the severance
+    that was absent on the first pass.
     """
     if not trace:
         raise PatienceError("weight-growth herald needs a protocol trace")

@@ -49,7 +49,8 @@ def memory_setup():
 def test_each_patch_class_graph_is_built_once(setup, monkeypatch, closed):
     # the one gate's window cut gives the model open-boundary edges, and
     # the complementary herald's closed graphs are views that drop them;
-    # a fresh model has built none of the graphs its window shares
+    # a fresh model has built none of the graphs its window shares, and
+    # no graph holds its class's ghost singletons
     dem, _, _ = setup
     dec = ghost_decompose(dem)
     built = []
@@ -67,32 +68,24 @@ def test_each_patch_class_graph_is_built_once(setup, monkeypatch, closed):
     assert sorted((g.patch, g.cls) for g in built) == sorted(graphs)
     assert all(dec.graphs.get(key) is g
                for key, g in graphs.items() if key not in window.decomposed.changed)
-    singletons = opened = 0
+    opened = 0
     for full in built:
         assert graphs[full.patch, full.cls] is full
         shown = full.closed if closed else full
-        hidden = shown.hidden
-        assert shown.detectors == hidden.detectors == full.detectors
+        assert shown.detectors == full.detectors
         want = [e for e in full.edges if not (closed and e.open_boundary)]
         assert list(map(id, shown.edges)) == list(map(id, want))
-        want = [e for e in want if e.role != "ghost_s"]
-        assert list(map(id, hidden.edges)) == list(map(id, want))
-        assert (hidden is shown) == (len(want) == len(shown.edges))
-        singletons += len(shown.edges) - len(hidden.edges)
+        assert (shown is full) == (len(want) == len(full.edges))
+        assert all(e.role != "ghost_s" for e in shown.edges)
         opened += sum(e.open_boundary for e in full.edges)
-    assert singletons and opened
-
-
-def test_memory_graphs_are_shared_across_exposure(memory_setup):
-    dem, dec, graphs = memory_setup
-    assert not dec.pairs
-    for cls in ("X", "Z"):
-        assert graphs[0, cls].hidden is graphs[0, cls]
+    keys = {(g.patch, g.cls) for g in built}
+    assert opened and any(c.role == "ghost_s" and (c.patch, c.cls) in keys
+                          for c in window.decomposed.components)
 
 
 def cold_copies(graphs):
     """Copies of a graph set that have derived and remembered nothing
-    yet, views included."""
+    yet, their closed views included."""
     return {key: dataclasses.replace(g) for key, g in graphs.items()}
 
 
@@ -110,13 +103,12 @@ def test_shared_graphs_are_decoded_once_per_barrier_state(memory_setup,
     dets, _ = sample_dem(dem, seed=5, shots=20)
     s = next(s for s in range(20) if dets[s].sum() >= 2)
     once = cold_copies(graphs)
-    decode_correlated_two_pass(once[0, "X"].hidden, once[0, "Z"].hidden,
-                               dets[s])
+    decode_correlated_two_pass(once[0, "X"], once[0, "Z"], dets[s])
     per_decode = len(calls)
     calls.clear()
     cold = cold_copies(graphs)
     res = run_ghost_protocol(dec, dets[s], graphs=cold)
-    # four passes in two exposure states cost one two-pass decode
+    # four passes on one barrier state cost one two-pass decode
     assert len(calls) == per_decode >= 2
     assert any(c.edges for _, c in res.corrections.values())
     # and the same syndrome again costs none
@@ -252,7 +244,7 @@ def test_frame_consistency_with_refined_syndrome(setup):
         refined = dets[s] ^ res.refinement_delta
         plain = np.zeros(dem.observable_count, dtype=bool)
         for (patch, cls), corr in res.corrections.items():
-            check = decode_mwpm(graphs[patch, cls].hidden, refined)
+            check = decode_mwpm(graphs[patch, cls], refined)
             for j in check.observables:
                 plain[j] ^= True
         expect = plain ^ res.frame_delta
@@ -289,10 +281,11 @@ def test_trace_shape(setup):
     res = run_ghost_protocol(dec, vec(dem, dem.mechanisms[2].detectors),
                              graphs=graphs, collect_trace=True)
     assert len(res.trace) == 4
-    for k, record in enumerate(res.trace, 1):
+    # every pass decodes each patch-class graph itself
+    for record in res.trace:
         assert set(record.corrections) == set(graphs)
         for key, (g, _) in record.corrections.items():
-            assert g is (graphs[key] if k == 1 else graphs[key].hidden)
+            assert g is graphs[key]
     assert res.trace[-1].corrections == res.corrections
     assert res.trace[-1].committed == []
 
@@ -399,8 +392,8 @@ def test_memo_never_grows_past_its_bound(two_gate_setup, monkeypatch):
     sizes = set()
     for s in range(60):
         res = run_ghost_protocol(dec, dets[s], graphs=small)
-        sizes |= {len(v.routes.memo) for g in small.values()
-                  for v in (g, g.hidden) if "routes" in vars(v)}
+        sizes |= {len(g.routes.memo) for g in small.values()
+                  if "routes" in vars(g)}
         assert max(sizes) <= 3
         want = run_ghost_protocol(dec, dets[s], graphs=cold_copies(graphs))
         assert res.corrections.keys() == want.corrections.keys()

@@ -14,7 +14,8 @@ from ghostdec import matching
 from ghostdec.builders import (NoiseParams, apply_noise_model, build_memory_circuit,
                                build_tproxy_circuit)
 from ghostdec.decompose import ghost_decompose
-from ghostdec.dem import extract_dem, sample_dem
+from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
+                          sample_dem)
 from ghostdec.ghost import build_protocol_graphs, run_ghost_protocol
 from ghostdec.matching import (CORRELATION_SCALE, DP_MASKS, DP_MAX, MatchingError,
                                MatchingGraph, GraphEdge,
@@ -32,10 +33,8 @@ def class_components(dec, patch, cls):
 
 
 def class_graph(dec, patch, cls):
-    """The class graph with its ghost singletons hidden, as most passes
-    of the ghost protocol decode it."""
-    return build_matching_graph(patch, cls,
-                                class_components(dec, patch, cls)).hidden
+    """The class graph, as every pass of the ghost protocol decodes it."""
+    return build_matching_graph(patch, cls, class_components(dec, patch, cls))
 
 
 def memory_model(d=3, rounds=2, p=0.002):
@@ -93,26 +92,27 @@ def test_merged_probability_is_odd_combination():
         assert e.weight == pytest.approx(edge_weight(p), rel=1e-12)
 
 
-def test_ghost_singletons_hidden_by_default():
+def test_ghost_singletons_get_no_edge():
     dem, dec, patches = tproxy_model()
+    singletons = 0
     for patch in patches:
         for cls in ("X", "Z"):
-            hidden = class_graph(dec, patch, cls)
-            shown = build_matching_graph(patch, cls,
-                                         class_components(dec, patch, cls))
-            assert not any(e.role == "ghost_s" for e in hidden.edges)
-            extra = [e for e in shown.edges if e.role == "ghost_s"]
-            in_class = [c for c in class_components(dec, patch, cls)
-                        if c.role == "ghost_s"]
-            assert len(extra) == len(in_class)
-            # ghost edges never merge, even when parallel
-            assert all(len(e.components) == 1 for e in shown.edges
-                       if e.role != "normal")
+            g = class_graph(dec, patch, cls)
+            comps = class_components(dec, patch, cls)
+            assert not any(e.role == "ghost_s" for e in g.edges)
+            singletons += sum(c.role == "ghost_s" for c in comps)
+            # each ghost witness is an edge of its own, even when parallel
+            witnesses = [e for e in g.edges if e.role != "normal"]
+            assert all(len(e.components) == 1 for e in witnesses)
+            assert sorted(e.components[0] for e in witnesses) == [
+                c.index for c in comps if c.role == "ghost_e"]
+    assert singletons
 
 
 def test_class_nodes_cover_hidden_edges():
-    # a detector whose only edges are hidden ghost singletons must still
-    # be a node so a defect there fails loudly instead of vanishing
+    # a detector whose only components are ghost singletons, which get
+    # no edge, must still be a node so a defect there fails loudly
+    # instead of vanishing
     dem, dec, patches = tproxy_model()
     for patch in patches:
         for cls in ("X", "Z"):
@@ -120,6 +120,19 @@ def test_class_nodes_cover_hidden_edges():
             want = {t for c in class_components(dec, patch, cls)
                     for t in c.detectors}
             assert set(g.detectors) == want
+    # on the built circuits every ghost-singleton detector has other
+    # edges too, so a hand-made model gives one none: detector 0 of
+    # patch 0 is the singleton of the witness (1, 2) on patch 1
+    lone = DetectorErrorModel((ErrorMechanism(0.01, (0, 1, 2), ()),
+                               ErrorMechanism(0.01, (1,), ())),
+                              3, 0, (0, 1, 1), (0, 0, 0), ("Z",) * 3, ())
+    dec = ghost_decompose(lone)
+    assert [c.role for c in dec.components] == ["ghost_s", "ghost_e",
+                                                "normal"]
+    g = class_graph(dec, 0, "Z")
+    assert (g.detectors, g.edges) == ((0,), ())
+    with pytest.raises(MatchingError, match="no boundary path"):
+        decode_mwpm(g, np.array([True, False, False]))
 
 
 # -- decoding against brute force ---------------------------------------------------
@@ -324,8 +337,7 @@ def test_memo_tells_z_graphs_apart():
 def test_overrides_pick_parallel_edges_like_a_full_rebuild():
     dem, dec = tproxy_model(d=5, n=2)[:2]
     plan = plan_tproxy_windows(dec, WindowConfig())
-    graphs = {id(v): v for w in plan.windows for g in w.graphs.values()
-              for v in (g, g.hidden)}
+    graphs = {id(g): g for w in plan.windows for g in w.graphs.values()}
     rng = np.random.default_rng(7)
     parallel = 0
     for g in graphs.values():
@@ -348,7 +360,8 @@ def test_overrides_pick_parallel_edges_like_a_full_rebuild():
                 assert best[routes.key_pos[u, v]] == want
                 w = over.get(want, g.edges[want].weight)
                 assert dense[u, v] == dense[v, u] == w
-    assert parallel > 500
+    # the distinct window graphs hold 245 parallel keys
+    assert len(graphs) == 10 and parallel > 200
 
 
 # -- pruned, split matching against one blossom over every defect --------------------
@@ -506,47 +519,60 @@ def test_memory_d7_matchings_are_pinned(monkeypatch):
     assert digest == "8d1692cee325649c"
 
 
-def test_views_are_cached_and_drop_only_their_edges():
-    # the global graphs and every window graph of a patience plan, each
-    # with the model its components index
+def patience_graph_sets():
+    """The global graphs and every window graph of a tproxy d=5, 2-gate
+    patience plan, each set with the model its components index."""
     dem, dec, _ = tproxy_model(d=5, n=2,
                                extra_rounds=patience_delay(5, 1))
     plan = plan_patience(dec, WindowConfig(), 5)
     windows = plan.base.windows + plan.extended
-    sets = [(dec, build_protocol_graphs(dec))]
-    sets += [(w.decomposed, w.graphs) for w in windows]
-    drops = {"hidden": lambda e: e.role == "ghost_s",
-             "closed": lambda e: e.open_boundary}
+    return dec, [(dec, build_protocol_graphs(dec))] + [
+        (w.decomposed, w.graphs) for w in windows]
+
+
+def test_views_are_cached_and_drop_only_their_edges():
+    dec, sets = patience_graph_sets()
     dropped = Counter()
     for model, graphs in sets:
         by_index = {c.index: c for c in model.components}
         for g in graphs.values():
-            for name, drop in drops.items():
-                view = getattr(g, name)
-                assert getattr(g, name) is view
-                kept = [e for e in g.edges if not drop(e)]
-                assert list(map(id, view.edges)) == list(map(id, kept))
-                assert (view is g) == (len(kept) == len(g.edges))
-                assert (view.patch, view.cls, view.detectors) == (
-                    g.patch, g.cls, g.detectors)
-                dropped[name, model is dec] += view is not g
-            assert g.closed.hidden.edges == g.hidden.closed.edges
-            if g.closed is g:
-                assert g.closed.hidden is g.hidden
+            view = g.closed
+            assert g.closed is view
+            kept = [e for e in g.edges if not e.open_boundary]
+            assert list(map(id, view.edges)) == list(map(id, kept))
+            assert (view is g) == (len(kept) == len(g.edges))
+            assert (view.patch, view.cls, view.detectors) == (
+                g.patch, g.cls, g.detectors)
+            dropped[model is dec] += view is not g
             for i, e in enumerate(g.edges):
                 for c in e.components:
                     assert (g.edge_detectors(i)
                             == by_index[c].detectors)
     # the uncut model opens nothing; every cut opens something
-    assert dropped["hidden", True] and dropped["hidden", False]
-    assert not dropped["closed", True] and dropped["closed", False]
+    assert not dropped[True] and dropped[False]
+
+
+def test_no_decoded_graph_holds_a_ghost_singleton():
+    # every graph the protocol or the complementary herald decodes keeps
+    # its class's ghost-singleton detectors as nodes, but no g_s edge
+    dec, sets = patience_graph_sets()
+    singletons = Counter()
+    for model, graphs in sets:
+        for (patch, cls), g in graphs.items():
+            for view in (g, g.closed):
+                assert all(e.role != "ghost_s" for e in view.edges)
+            gs = {d for c in model.components if c.role == "ghost_s"
+                  and (c.patch, c.cls) == (patch, cls) for d in c.detectors}
+            assert gs <= set(g.detectors)
+            singletons[model is dec] += len(gs)
+    assert singletons[True] and singletons[False]
 
 
 def closed_graphs(plan):
-    """The distinct closed-boundary graphs, ghost singletons shown or
-    hidden, that the complementary herald decodes and have detectors."""
-    return {id(v): v for w in plan.base.windows for g in w.graphs.values()
-            for v in (g.closed, g.closed.hidden) if g.detectors}.values()
+    """The distinct closed-boundary graphs that the complementary herald
+    decodes and have detectors."""
+    return {id(g.closed): g.closed for w in plan.base.windows
+            for g in w.graphs.values() if g.detectors}.values()
 
 
 @pytest.mark.parametrize("d", [3, 5])

@@ -271,16 +271,6 @@ def test_plans_for_another_model_raise(patience_setup):
                               plan_memory_windows(mem, 1, 1))
 
 
-def test_only_ghost_free_patches_share_window_graphs(patience_setup):
-    dem, dec, pplan, wplan = patience_setup
-    window = wplan.windows[0]
-    assert (window.lo, window.hi) == (min(dem.detector_time), 2)
-    shared = {key for key, g in window.graphs.items() if g.hidden is g}
-    assert shared == {(2, "X"), (2, "Z")}
-    assert not any(c.role == "ghost_s" and c.patch == 2
-                   for c in window.decomposed.components)
-
-
 def test_closed_views_are_window_graphs_where_nothing_opens(patience_setup):
     dem, dec, pplan, _ = patience_setup
     same = other = 0
@@ -295,9 +285,6 @@ def test_closed_views_are_window_graphs_where_nothing_opens(patience_setup):
             assert (closed[key] is g) == (len(want) == len(g.edges))
             same += closed[key] is g
             other += closed[key] is not g
-        # a closed view hides ghost singletons exactly where its graph does
-        for key, g in graphs.items():
-            assert (closed[key].hidden is closed[key]) == (g.hidden is g)
     assert same and other
 
 
@@ -355,10 +342,8 @@ def test_quiet_base_run_leaves_only_opened_graphs_to_decode(patience_setup,
     gate, window = pplan.base.gates[0], pplan.base.windows[0]
     closed = closed_views(window)
     # every graph the closed decode can see, and the base graph it views
-    source = {id(view): v for g in window.graphs.values()
-              for v, view in ((g, g.closed), (g.hidden, g.closed.hidden))}
-    untouched = [v for g in window.graphs.values() for v in (g, g.hidden)
-                 if v.closed is v]
+    source = {id(g.closed): g for g in window.graphs.values()}
+    untouched = [g for g in window.graphs.values() if g.closed is g]
     calls = []
     decode = ghostdec.matching.decode_mwpm
 
