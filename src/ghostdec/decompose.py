@@ -90,7 +90,7 @@ def _collect_split(dem, mech):
     for d in mech.detectors:
         key = (dem.detector_patch[d], dem.detector_class[d])
         split.setdefault(key, []).append(d)
-    return {k: tuple(sorted(v)) for k, v in split.items()}
+    return {k: tuple(v) for k, v in split.items()}
 
 
 def _split_three(dem, dets, natural) -> list[tuple[int, ...]]:

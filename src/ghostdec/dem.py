@@ -42,6 +42,11 @@ class ErrorMechanism:
             raise CircuitError(f"mechanism probability {self.probability} out of range")
         if not self.detectors and not self.observables:
             raise CircuitError("mechanism with empty symptom")
+        for kind, ids in (("detector", self.detectors),
+                          ("observable", self.observables)):
+            if ids != tuple(sorted(set(ids))) or ids and ids[0] < 0:
+                raise CircuitError(f"mechanism {kind} ids {ids} are not "
+                                   "strictly ascending from 0")
 
 
 @dataclass(frozen=True)
@@ -63,14 +68,15 @@ class DetectorErrorModel:
                 raise CircuitError("mechanism references detector out of range")
             if m.observables and m.observables[-1] >= self.observable_count:
                 raise CircuitError("mechanism references observable out of range")
-        for name, seq in (("patch", self.detector_patch),
-                          ("time", self.detector_time),
-                          ("class", self.detector_class)):
-            if len(seq) != self.detector_count:
-                raise CircuitError(f"detector {name} map is not total")
         if not self.observable_class:
             object.__setattr__(self, "observable_class",
                                (None,) * self.observable_count)
+        for kind, count, maps in (
+                ("detector", self.detector_count, ("patch", "time", "class")),
+                ("observable", self.observable_count, ("patch", "class"))):
+            for name in maps:
+                if len(getattr(self, f"{kind}_{name}")) != count:
+                    raise CircuitError(f"{kind} {name} map is not total")
 
 
 def _merge_odd(p1: float, p2: float) -> float:

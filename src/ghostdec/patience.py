@@ -8,8 +8,8 @@ and a complementary decode with the open temporal boundary closed
 arriving at a different answer.  A heralded gate delays its decision,
 re-windows with more syndrome rounds, and decodes once more.
 
-Patience is a retry policy on the real-time carry loop,
-:func:`ghostdec.windows.carry_gates`: it changes how one gate is
+Patience is a retry policy on the windowed carry loop,
+:func:`ghostdec.windows.carry_windows`: it changes how one gate is
 decoded, never how commits carry between gates.  The extended windows
 are :class:`ghostdec.windows.Window` objects from the same builder,
 :func:`ghostdec.windows.build_window`, as the real-time ones.
@@ -24,15 +24,16 @@ import numpy as np
 from .circuits import CircuitError
 from .decompose import DecomposedDEM
 from .dem import DetectorErrorModel
-# build_protocol_graphs is not called here, but stays a name of this
-# module: patience planning reads as a graph-building layer to tools
-# that rebind or patch ``patience.build_protocol_graphs``
+# build_protocol_graphs is not called here (windows.build_window builds
+# patience's windows, so rebinding it here times nothing); it stays only
+# for tools that look up ``patience.build_protocol_graphs`` to rebind it
 from .ghost import (PassRecord, build_protocol_graphs,  # noqa: F401
                     run_ghost_protocol)
 from .matching import MatchingError
 from .windows import (TproxyGate, TproxyPlan, Window, WindowConfig,
-                      WindowError, build_window, carry_gates, check_cut_from,
-                      patch_last_round, plan_tproxy_windows, tproxy_gates)
+                      WindowError, build_window, carry_windows,
+                      check_cut_from, gate_decisions, patch_last_round,
+                      plan_tproxy_windows, tproxy_gates)
 
 
 class PatienceError(CircuitError):
@@ -189,8 +190,8 @@ def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
     check_cut_from(plan.base.windows, decomposed.dem, PatienceError)
     heralds = []
 
-    def decode_gate(g, refined):
-        gate, window = plan.base.gates[g], plan.base.windows[g]
+    def decode_gate(g, window, refined):
+        gate = plan.base.gates[g]
         res = run_ghost_protocol(window.decomposed, refined,
                                  graphs=window.graphs, collect_trace=True)
         j = gate.observable
@@ -207,8 +208,8 @@ def patient_decode(decomposed: DecomposedDEM, syndrome: np.ndarray,
             growth, comp, plan.delay_rounds if heralded else 0, changed))
         return res
 
-    decisions = carry_gates(decomposed.dem, syndrome, plan.base.gates,
-                            decode_gate)
+    decisions = gate_decisions(plan.base.gates, carry_windows(
+        decomposed.dem, syndrome, plan.base.windows, decode_gate))
     base_decisions = decisions.copy()
     for gate, herald in zip(plan.base.gates, heralds):
         base_decisions[gate.observable] ^= herald.changed

@@ -59,6 +59,9 @@ def brute_force_ml_decode(dem: DetectorErrorModel, syndrome: np.ndarray,
             raise VerifyError("syndrome must be a set of detector ids or a "
                               "boolean vector over all detectors")
         syndrome = np.flatnonzero(syndrome)
+    bad = sorted(t for t in set(syndrome) if not 0 <= t < dem.detector_count)
+    if bad:
+        raise VerifyError(f"syndrome detector ids {bad} lie outside the model")
     want = sum(1 << int(t) for t in set(syndrome))
     by_det: dict[int, list[int]] = {}
     det_masks = []

@@ -6,13 +6,13 @@ rounds after its transversal CNOT, so the decoding problem is cut at a
 horizon: detectors beyond it are invisible and mechanisms straddling
 the cut become edges to an open temporal boundary on the surviving
 patch, while the measured patch terminates normally at its readout.
-Gates are decided in time order by one carry loop, :func:`carry_gates`:
-each window's ghost commits refine the syndrome and logical frame the
-next window sees.  Real-time decoding runs that loop with one ghost
-protocol per gate; patience (:mod:`ghostdec.patience`) runs it with a
-heralded retry per gate.  For plain memory a sliding commit/buffer
-window plays the same role: each window is decoded through the ghost
-protocol, and only its commit region is kept.
+Every windowed decode runs one carry loop, :func:`carry_windows`: each
+window's ghost commits, and its correction edges reaching below the
+next window's start, refine the syndrome and frame the next one sees.
+Real-time gate windows and patience's (:mod:`ghostdec.patience`, a
+heralded retry per gate) all start at the first round, so only ghost
+commits carry; sliding memory windows start a commit region apart, so
+each commits the edges of its commit region.
 
 Every such cut is one :class:`Window`: the model sliced to detector
 times [lo, hi] plus its protocol graphs, built by :func:`build_window`
@@ -218,28 +218,55 @@ class TproxyDecodeResult:
     decisions: np.ndarray      # bool per observable
 
 
-def carry_gates(dem: DetectorErrorModel, syndrome: np.ndarray,
-                gates: tuple[TproxyGate, ...], decode_gate) -> np.ndarray:
-    """Decide gates in time order, carrying each window's commits forward.
+def carry_windows(dem: DetectorErrorModel, syndrome: np.ndarray,
+                  windows: tuple[Window, ...], decode_window) -> list:
+    """Decode ``windows``, cut from ``dem``, in time order, carrying each
+    one's commits forward.
 
-    ``decode_gate(g, refined)`` decodes gate ``g`` against the carried
-    syndrome and returns the :class:`GhostResult` whose commits persist:
-    singleton flips enter the carried syndrome and observable flips the
-    carried frame, so later windows decode the refined problem.  A
-    gate's decision is the carried frame at its observable XOR that
-    result's answer.  Returns the decisions.
+    ``decode_window(k, windows[k], carried)`` returns window ``k``'s
+    :class:`GhostResult`.  Unless ``k`` is the last, its ghost commits
+    and each correction edge with a detector below the next window's
+    ``lo`` toggle the carried syndrome and frame; an edge toggles its
+    cut partners too, leaving artificial defects beyond that frontier.
+    Returns each window's answer: the frame it was given XOR its
+    result's logical flips.
     """
-    refined = np.array(syndrome, dtype=bool, copy=True)
-    if refined.shape != (dem.detector_count,):
+    check_cut_from(windows, dem, WindowError)
+    carried = np.array(syndrome, dtype=bool, copy=True)
+    if carried.shape != (dem.detector_count,):
         raise WindowError("syndrome length does not match detector count")
+    time = dem.detector_time
     frame = np.zeros(dem.observable_count, dtype=bool)
-    decisions = np.zeros(dem.observable_count, dtype=bool)
-    for g, gate in enumerate(gates):
-        res = decode_gate(g, refined)
-        j = gate.observable
-        decisions[j] = frame[j] ^ res.logical_flips[j]
-        refined ^= res.refinement_delta
+    answers = []
+    for k, w in enumerate(windows):
+        res = decode_window(k, w, carried)
+        answers.append(frame ^ res.logical_flips)
+        if k + 1 == len(windows):
+            break
+        carried ^= res.refinement_delta
         frame ^= res.frame_delta
+        for g, corr in res.corrections.values():
+            for ei in corr.edges:
+                dets = g.edge_detectors(ei)
+                if all(time[d] >= windows[k + 1].lo for d in dets):
+                    continue           # buffer only: re-decoded later
+                for j in g.edges[ei].observables:
+                    frame[j] ^= True
+                for d in dets + g.edges[ei].cut_partners:
+                    carried[d] ^= True
+    return answers
+
+
+def protocol_decode(k: int, window: Window, carried: np.ndarray):
+    """The :func:`carry_windows` callback running one ghost protocol."""
+    return run_ghost_protocol(window.decomposed, carried, graphs=window.graphs)
+
+
+def gate_decisions(gates: tuple[TproxyGate, ...], answers: list) -> np.ndarray:
+    """Each gate's decision, its window's answer at its observable."""
+    decisions = np.zeros(len(gates), dtype=bool)
+    for gate, answer in zip(gates, answers):
+        decisions[gate.observable] = answer[gate.observable]
     return decisions
 
 
@@ -248,22 +275,17 @@ def decode_tproxy_windowed(decomposed: DecomposedDEM, syndrome: np.ndarray,
                            plan: TproxyPlan) -> TproxyDecodeResult:
     """Per-gate decisions, each using only pre-horizon data.
 
-    Each gate runs the ghost protocol once on its window inside
-    :func:`carry_gates`.  The ``plan`` fixes the windows, so a
-    ``config`` other than the plan's, or a plan cut from another model,
-    is an error.
+    Each gate window runs the ghost protocol once inside
+    :func:`carry_windows`; every window starts at the first round, so
+    only ghost commits carry between gates.  The ``plan`` fixes the
+    windows, so a ``config`` other than the plan's, or a plan cut from
+    another model, is an error.
     """
     if config != plan.config:
         raise WindowError("config is fixed by the given plan")
-    check_cut_from(plan.windows, decomposed.dem, WindowError)
-
-    def decode_gate(g, refined):
-        window = plan.windows[g]
-        return run_ghost_protocol(window.decomposed, refined,
-                                  graphs=window.graphs)
-
-    return TproxyDecodeResult(carry_gates(decomposed.dem, syndrome,
-                                          plan.gates, decode_gate))
+    return TproxyDecodeResult(gate_decisions(
+        plan.gates, carry_windows(decomposed.dem, syndrome, plan.windows,
+                                  protocol_decode)))
 
 
 def decode_tproxy_global(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
@@ -301,8 +323,7 @@ def compute_tw_error(windowed_decisions, global_decisions) -> TwError:
 
 @dataclass(frozen=True)
 class MemoryPlan:
-    commit_rounds: int         # every window but the last commits this many
-    windows: tuple[Window, ...]
+    windows: tuple[Window, ...]  # each starts one commit region after the last
 
 
 def plan_memory_windows(decomposed: DecomposedDEM, commit_rounds: int,
@@ -311,8 +332,9 @@ def plan_memory_windows(decomposed: DecomposedDEM, commit_rounds: int,
 
     Windows start ``commit_rounds`` apart and span at most
     ``commit_rounds + buffer_rounds`` rounds; the last one reaches the
-    last round.  The sliding loop carries no ghost commits between
-    windows, so a model with ghost pairs is rejected.
+    last round.  A correction edge committed at a window's frontier
+    would carry a ghost witness without its singleton, so a model with
+    ghost pairs is rejected.
     """
     if commit_rounds < 1:
         raise WindowError("commit region needs at least one round")
@@ -329,7 +351,7 @@ def plan_memory_windows(decomposed: DecomposedDEM, commit_rounds: int,
         hi = min(lo + commit_rounds + buffer_rounds - 1, t_end)
         windows.append(build_window(decomposed, lo, hi))
         if hi == t_end:
-            return MemoryPlan(commit_rounds, tuple(windows))
+            return MemoryPlan(tuple(windows))
         lo += commit_rounds
 
 
@@ -337,35 +359,15 @@ def decode_memory_sliding(decomposed: DecomposedDEM, syndrome: np.ndarray,
                           plan: MemoryPlan) -> np.ndarray:
     """Sliding-window decode of a memory problem.
 
-    Each window is decoded in full by the ghost protocol, but only
-    correction edges reaching into the commit region are kept.  An edge
-    crossing past the commit boundary is committed together with
-    artificial defects at its far detectors, so the next window sees a
-    consistent residual.  The last window commits everything.  A plan
-    cut from another model is an error.
+    Each window is decoded in full by the ghost protocol inside
+    :func:`carry_windows`, which commits the correction edges reaching
+    into its commit region, below the next window's start, with
+    artificial defects where they cross it.  The answer is the last
+    window's, which holds every commit before it.  A plan cut from
+    another model is an error.
     """
-    dem = decomposed.dem
-    check_cut_from(plan.windows, dem, WindowError)
-    carried = np.array(syndrome, dtype=bool, copy=True)
-    if carried.shape != (dem.detector_count,):
-        raise WindowError("syndrome length does not match detector count")
-    time = dem.detector_time
-    flips = np.zeros(dem.observable_count, dtype=bool)
-    for w in plan.windows:
-        commit_end = (w.hi + 1 if w is plan.windows[-1]
-                      else w.lo + plan.commit_rounds)
-        res = run_ghost_protocol(w.decomposed, carried, graphs=w.graphs)
-        for g, corr in res.corrections.values():
-            for ei in corr.edges:
-                e = g.edges[ei]
-                dets = g.edge_detectors(ei)
-                if all(time[d] >= commit_end for d in dets):
-                    continue           # buffer only: re-decoded later
-                for j in e.observables:
-                    flips[j] ^= True
-                for d in dets + e.cut_partners:
-                    carried[d] ^= True
-    return flips
+    return carry_windows(decomposed.dem, syndrome, plan.windows,
+                         protocol_decode)[-1]
 
 
 # -- failure-weight search regions --------------------------------------------

@@ -138,8 +138,26 @@ def two_detector_model(mechanism, times=(0, 0)):
         Instruction("MEAS_Z", (0,)), Instruction("OBSERVABLE", (-1,), index=0)))),
      r"nondeterministic observables \[0\]"),
     (lambda: extract_dem(one_qubit_circuit()), "detector 0 at .* matches no cell"),
+    (lambda: two_detector_model(ErrorMechanism(0.1, (-1,), ())),
+     r"detector ids \(-1,\) are not strictly ascending from 0"),
+    (lambda: two_detector_model(ErrorMechanism(0.1, (0,), (-1,))),
+     r"observable ids \(-1,\) are not strictly ascending from 0"),
+    (lambda: two_detector_model(ErrorMechanism(0.1, (5, 0), ())),
+     r"detector ids \(5, 0\) are not strictly ascending"),
+    (lambda: two_detector_model(ErrorMechanism(0.1, (1, 1), ())),
+     r"detector ids \(1, 1\) are not strictly ascending"),
+    (lambda: two_detector_model(ErrorMechanism(0.1, (0,), (1, 0))),
+     r"observable ids \(1, 0\) are not strictly ascending"),
+    (lambda: DetectorErrorModel((), 1, 2, (0,), (0,), ("Z",), (0,)),
+     "observable patch map is not total"),
+    (lambda: DetectorErrorModel((), 1, 1, (0,), (0,), ("Z",), (0,),
+                                ("Z", "X")),
+     "observable class map is not total"),
 ], ids=["detector-range", "observable-range", "partial-map",
-        "random-detector", "random-observable", "detector-off-cell"])
+        "random-detector", "random-observable", "detector-off-cell",
+        "negative-detector", "negative-observable", "unsorted-detectors",
+        "repeated-detector", "unsorted-observables", "partial-observable-patch",
+        "partial-observable-class"])
 def test_malformed_models_raise(build, match):
     with pytest.raises(CircuitError, match=match):
         build()

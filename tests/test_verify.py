@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,17 @@ def test_unexplainable_syndrome_raises():
         brute_force_ml_decode(dem, frozenset({1}), weight_cap=4)
     with pytest.raises(VerifyError, match="weight_cap"):
         brute_force_ml_decode(dem, frozenset({0}), weight_cap=-1)
+
+
+@pytest.mark.parametrize("ids", [{-1}, {5}, {0, 5}],
+                         ids=["negative", "past-the-end", "beside-a-valid-id"])
+def test_syndrome_ids_outside_the_model_raise(ids):
+    dem = DetectorErrorModel((ErrorMechanism(0.01, (0,), ()),), 2, 0,
+                             (0, 0), (0, 0), ("Z", "Z"), ())
+    bad = [t for t in ids if t != 0]
+    with pytest.raises(VerifyError,
+                       match=re.escape(f"ids {bad} lie outside the model")):
+        brute_force_ml_decode(dem, frozenset(ids))
 
 
 @pytest.mark.parametrize("circuit", [

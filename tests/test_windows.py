@@ -12,7 +12,8 @@ from ghostdec.circuits import CircuitError
 from ghostdec.decompose import ghost_decompose
 from ghostdec.dem import (DetectorErrorModel, ErrorMechanism, extract_dem,
                           sample_dem)
-from ghostdec.ghost import PassRecord, build_protocol_graphs, run_ghost_protocol
+from ghostdec.ghost import (GhostResult, PassRecord, build_protocol_graphs,
+                            run_ghost_protocol)
 from ghostdec.matching import (Correction, GraphEdge, MatchingError,
                                MatchingGraph, build_matching_graph)
 import ghostdec.ghost
@@ -22,11 +23,11 @@ import ghostdec.windows
 from ghostdec.patience import (HeraldResult, PatienceError,
                                herald_complementary, herald_weight_growth,
                                patience_delay, patient_decode, plan_patience)
-from ghostdec.windows import (TproxyGate, TproxyPlan, WindowConfig,
+from ghostdec.windows import (TproxyGate, TproxyPlan, Window, WindowConfig,
                               WindowError, _slice_components, build_window,
-                              carry_gates, compute_tw_error,
+                              carry_windows, compute_tw_error,
                               decode_memory_sliding, decode_tproxy_global,
-                              decode_tproxy_windowed,
+                              decode_tproxy_windowed, gate_decisions,
                               plan_memory_windows, plan_tproxy_windows,
                               severance_region, tproxy_gates)
 
@@ -62,7 +63,8 @@ def test_full_horizon_windowed_equals_global():
 def test_carried_commits_reach_later_gates():
     # one ghost pair: the witness (0, 1) on patch 0, the singleton (2,) on
     # patch 1 with observable 0's flip; gate 0 decides observable 1 and
-    # commits the pair, gate 1 decides observable 0 after it
+    # commits the pair, gate 1 decides observable 0 after it; both gate
+    # windows start at round 1, so only ghost commits carry
     dem = DetectorErrorModel(
         (ErrorMechanism(0.01, (0, 1, 2), (0,)),
          ErrorMechanism(0.001, (0,), ()), ErrorMechanism(0.001, (1,), ()),
@@ -72,16 +74,69 @@ def test_carried_commits_reach_later_gates():
     graphs = build_protocol_graphs(dec)
     seen = []
 
-    def decode_gate(g, refined):
+    def decode_gate(g, window, refined):
         seen.append(refined.tolist())
         return run_ghost_protocol(dec, refined, graphs=graphs)
 
     gates = (TproxyGate(1, 1, 1), TproxyGate(0, 1, 1))
-    decisions = carry_gates(dem, np.ones(3, dtype=bool), gates, decode_gate)
+    windows = (build_window(dec, 1, 1),) * 2
+    decisions = gate_decisions(gates, carry_windows(
+        dem, np.ones(3, dtype=bool), windows, decode_gate))
     # gate 1 decodes the refined, empty syndrome and flips nothing itself:
     # its observable flips through gate 0's carried frame alone
     assert seen == [[True] * 3, [False] * 3]
     assert decisions.tolist() == [True, False]
+
+
+def test_carry_commits_edges_below_the_next_window_start():
+    # detectors 0-3 at rounds 0-3 on one patch; window k starts at round k
+    dem = DetectorErrorModel((ErrorMechanism(0.01, (0, 1), (0,)),), 4, 2,
+                             (0,) * 4, (0, 1, 2, 3), ("Z",) * 4, (0, 0))
+    dec = ghost_decompose(dem)
+    edges = (GraphEdge(0, 1, 1.0, (0,), (0,), "normal", None),   # rounds 0-1
+             GraphEdge(1, 2, 1.0, (0,), (), "normal", None),     # rounds 1-2
+             GraphEdge(1, 4, 1.0, (0,), (), "normal", None, cut_partners=(3,)))
+    g = MatchingGraph(0, "Z", (0, 1, 2, 3), edges)
+
+    def bits(*ids, n=4):
+        return np.isin(np.arange(n), ids)
+
+    results = [
+        # edge 0 reaches below round 1 and is committed with an artificial
+        # defect at detector 1; edge 1 lies in the buffer only
+        GhostResult({(0, "Z"): (g, Correction((0, 1), 2.0, (0,)))},
+                    bits(0, n=2), bits(n=2), bits()),
+        # a ghost commit on detector 2 and observable 1, and edge 2 below
+        # round 2, committed with its cut partner
+        GhostResult({(0, "Z"): (g, Correction((2,), 1.0, ()))},
+                    bits(1, n=2), bits(1, n=2), bits(2)),
+        # the last window commits nothing
+        GhostResult({(0, "Z"): (g, Correction((0, 2), 2.0, (0,)))},
+                    bits(0, n=2), bits(1, n=2), bits(0)),
+    ]
+    seen = []
+
+    def decode_window(k, window, carried):
+        seen.append((carried, carried.tolist()))
+        return results[k]
+
+    windows = tuple(Window(lo, 3, dec, {}) for lo in (0, 1, 2))
+    answers = carry_windows(dem, bits(), windows, decode_window)
+    assert [s for _, s in seen] == [bits().tolist(), bits(0, 1).tolist(),
+                                    bits(0, 2, 3).tolist()]
+    assert [a.tolist() for a in answers] == [[True, False], [True, True],
+                                             [False, True]]
+    # the loop's carried array is left as the last window saw it
+    carried, last = seen[-1]
+    assert carried.tolist() == last
+    # windows that start together commit no correction edge
+    seen.clear()
+    same = tuple(Window(0, 3, dec, {}) for _ in range(3))
+    answers = carry_windows(dem, bits(), same, decode_window)
+    assert [s for _, s in seen] == [bits().tolist(), bits().tolist(),
+                                    bits(2).tolist()]
+    assert [a.tolist() for a in answers] == [[True, False], [False, True],
+                                             [True, True]]
 
 
 def test_unretried_patient_shots_keep_windowed_decisions(patience_setup):
@@ -640,7 +695,6 @@ def test_sliding_windows_step_by_commit_size():
         plan_memory_windows(dec, 1, -1)
     for commit_rounds, buffer_rounds in ((1, 1), (2, 1), (2, 0)):
         plan = plan_memory_windows(dec, commit_rounds, buffer_rounds)
-        assert plan.commit_rounds == commit_rounds
         assert len(plan.windows) > 1
         assert plan.windows[0].lo == first
         for a, b in zip(plan.windows, plan.windows[1:]):
