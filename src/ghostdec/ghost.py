@@ -1,9 +1,9 @@
 """Iterative multi-patch decoding with ghost-edge discovery.
 
-Each patch is decoded independently on each of :data:`PASSES` passes,
-always on the same patch-class graphs, which never show the matcher a
-ghost singleton.  Whenever a pass selects a ghost witness edge (g_e),
-the whole interpatch mechanism is committed: the issuing patch's
+Each patch is decoded independently on each of up to :data:`PASSES`
+passes, always on the same patch-class graphs, which never show the
+matcher a ghost singleton.  Whenever a pass selects a ghost witness edge
+(g_e), the whole interpatch mechanism is committed: the issuing patch's
 defects at the edge's endpoints are cleared, the partner patch's lone
 ghost-singleton defect is flipped, and the mechanism's observable flips
 enter the logical frame.  Commits are buffered as ghost-pair ids, which
@@ -12,7 +12,11 @@ between passes, so the outcome does not depend on patch evaluation
 order.  Commits follow XOR semantics: re-selecting a committed
 mechanism's witness cancels the earlier commit.  The final pass is
 read-out only; its corrections are combined with the committed frame to
-form the logical answer.
+form the logical answer.  A barrier that commits nothing leaves the
+working syndrome as it was, so every later pass would repeat its pass:
+the protocol ends there, and that pass is the final one.  A trace still
+holds :data:`PASSES` records, the quiet pass's repeated for each pass
+skipped.
 """
 
 from __future__ import annotations
@@ -89,9 +93,12 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
     """Decode all patches of one decomposed model against one syndrome.
 
     ``graphs`` are the model's :func:`build_protocol_graphs`.  The
-    returned deltas describe only the net toggles made here; with
+    returned deltas describe only the net toggles made here.  Passes
+    stop at the first barrier that commits nothing, since each later
+    pass would decode the same working syndrome again; with
     ``collect_trace`` the result also keeps one :class:`PassRecord` per
-    pass.
+    pass, :data:`PASSES` in all, the quiet pass's standing for each one
+    skipped.
     """
     dem = decomposed.dem
     if len(syndrome) != dem.detector_count:
@@ -102,9 +109,9 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
     trace: list[PassRecord] = []
     passes_with_commits = 0
 
-    # passes repeat the same matching problem until a barrier actually
-    # changes the working syndrome, so each patch is decoded once per
-    # barrier state and a quiet pass finds its decode in the graphs' memo
+    # a pass repeats the matching problem of the pass before unless its
+    # barrier changed the working syndrome, so the first quiet barrier
+    # ends the passes
     for k in range(1, PASSES + 1):
         decoded = {}                   # (patch, cls) -> (graph, correction)
         for patch in patches:
@@ -123,10 +130,13 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
                 working[d] ^= True
             for j in set(ge.observables) ^ set(gs.observables):
                 frame_delta[j] ^= True
-        if committed:
-            passes_with_commits += 1
         if collect_trace:
             trace.append(PassRecord(decoded, committed))
+        if not committed:
+            # a trace keeps PASSES records, this one standing for the rest
+            trace += trace[-1:] * (PASSES - k)
+            break
+        passes_with_commits += 1
 
     logical = frame_delta.copy()
     for _, corr in decoded.values():

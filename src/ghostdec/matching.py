@@ -23,10 +23,13 @@ in one `Routes` object, built on the graph's first decode and kept;
 its base shortest paths are computed whole, from every node, when it
 is built, so decoding only reads them.  Base and reweighted decodes
 pick the lightest parallel edge by one rule and fill one fixed matrix
-layout.  The one state a decode writes is the memo of two-pass results
-held by the X graph's `Routes`: an answer depends on the two graphs and
-their defects alone, so a repeated input is looked up, and past
-MEMO_MAX entries the oldest is forgotten.
+layout.  A decode writes two pieces of state in a graph's `Routes`.
+One is the memo of two-pass results held by the X graph's `Routes`: an
+answer depends on the two graphs and their defects alone, so a repeated
+input is looked up, and past MEMO_MAX entries the oldest is forgotten;
+a patch whose two graphs see no defect is answered before the memo.
+The other is the scratch matrix a reweighted decode writes its weights
+into, valid until the next reweighted call on that graph.
 """
 
 from __future__ import annotations
@@ -130,7 +133,13 @@ def _lightest(edges, edge_ids, overrides) -> int:
 
 class Routes:
     """Lookups derived from one graph's edges; decodes repeat thousands
-    of times per graph, so they are built once."""
+    of times per graph, so they are built once.
+
+    Two attributes are written after construction: ``memo``, by the
+    two-pass decodes of this X graph, and ``scratch``, the one routing
+    matrix over the fixed layout, which the base Dijkstra read and each
+    :meth:`reweighted` call rewrites in place.
+    """
 
     def __init__(self, graph: MatchingGraph):
         self.edges = edges = graph.edges
@@ -147,41 +156,45 @@ class Routes:
         keys = sorted(key_edges)
         self.key_pos = {k: i for i, k in enumerate(keys)}
         self.key_edges = tuple(tuple(key_edges[k]) for k in keys)
+        self.edge_key = [self.key_pos[e.u, e.v] for e in edges]
         # both directions stored explicitly so dijkstra runs directed and
-        # skips its symmetrization copy; slot_key is the key (plus one,
-        # so no entry is zero) whose weight fills each stored entry
+        # skips its symmetrization copy; slot_key is the key whose weight
+        # fills each stored entry (plus one while the layout is built, so
+        # no entry is zero)
         u, v = np.array(keys, dtype=np.int32).reshape(-1, 2).T
         n = graph.boundary + 1
-        layout = csr_matrix((np.tile(np.arange(1, len(keys) + 1), 2),
-                             (np.concatenate([u, v]), np.concatenate([v, u]))),
-                            shape=(n, n))
-        self.indices, self.indptr = layout.indices, layout.indptr
-        self.slot_key = layout.data - 1
+        self.scratch = csr_matrix(
+            (np.tile(np.arange(1, len(keys) + 1), 2),
+             (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n))
+        self.slot_key = self.scratch.data - 1
         self.best = np.array([_lightest(edges, ids, {})
                               for ids in self.key_edges], dtype=int)
         self.key_weight = np.array([edges[ei].weight for ei in self.best],
                                    dtype=float)
+        self.scratch.data = self.key_weight[self.slot_key]
         # base routes never change, and decodes reach nearly every node
         # of a graph, so every row is computed once, here
-        self.dist, self.pred = dijkstra(self.fill(self.key_weight),
-                                        directed=True, indices=np.arange(n),
+        self.dist, self.pred = dijkstra(self.scratch, directed=True,
+                                        indices=np.arange(n),
                                         return_predecessors=True)
 
-    def fill(self, key_weight: np.ndarray) -> csr_matrix:
-        """The routing matrix with each key's weight in both directions."""
-        n = len(self.indptr) - 1
-        return csr_matrix((key_weight[self.slot_key], self.indices,
-                           self.indptr), shape=(n, n))
-
     def reweighted(self, overrides):
-        """(matrix, edge per key); only overridden keys are chosen again."""
+        """(matrix, edge per key); only overridden keys are chosen again.
+
+        The matrix is :attr:`scratch`, rewritten in place, so it is valid
+        until the next reweighted call on this graph."""
         edges = self.edges
         best = self.best.copy()
         key_weight = self.key_weight.copy()
-        for k in {self.key_pos[edges[i].u, edges[i].v] for i in overrides}:
-            best[k] = ei = _lightest(edges, self.key_edges[k], overrides)
-            key_weight[k] = overrides.get(ei, edges[ei].weight)
-        return self.fill(key_weight), best
+        for i, w in overrides.items():
+            k = self.edge_key[i]
+            if len(self.key_edges[k]) == 1:         # best[k] is i already
+                key_weight[k] = w
+            else:
+                best[k] = ei = _lightest(edges, self.key_edges[k], overrides)
+                key_weight[k] = overrides.get(ei, edges[ei].weight)
+        np.take(key_weight, self.slot_key, out=self.scratch.data)
+        return self.scratch, best
 
 
 def edge_weight(probability: float) -> float:
@@ -505,6 +518,10 @@ def _blossom(comp, pairs, pair_dist, boundary_dist):
     return [(comp[i], None if j >= m else comp[j]) for i, j in mate if i < m]
 
 
+# the two-pass answer of a patch with no defect on either class graph
+_EMPTY = (Correction((), 0.0, ()), Correction((), 0.0, ()))
+
+
 def decode_correlated_two_pass(
         x_graph: MatchingGraph, z_graph: MatchingGraph, syndrome: np.ndarray,
 ) -> tuple[Correction, Correction]:
@@ -513,11 +530,16 @@ def decode_correlated_two_pass(
     The first pass decodes both class graphs independently; every
     selected edge with a cross-class partner discounts the partner's
     weight, and a class graph with discounted edges is decoded again.
-    The result is remembered for the defects both graphs see.
+    The result is remembered for the defects both graphs see; a patch
+    whose graphs see none is answered with empty corrections, which is
+    what decoding it returns, and is not remembered.
     """
+    x_defects = _defects(x_graph, syndrome)
+    z_defects = _defects(z_graph, syndrome)
+    if not (len(x_defects) or len(z_defects)):
+        return _EMPTY
     memo = x_graph.routes.memo
-    key = (id(z_graph), _defects(x_graph, syndrome).tobytes(),
-           _defects(z_graph, syndrome).tobytes())
+    key = (id(z_graph), x_defects.tobytes(), z_defects.tobytes())
     hit = memo.get(key)
     # an entry holds its Z graph alive, so no other graph can take its id
     if hit is not None:

@@ -9,6 +9,7 @@ observed failures.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 from .circuits import CircuitError
 
@@ -24,12 +25,15 @@ def likelihood_interval(k: int, n: int,
     closed form; otherwise they are bisected to 1e-10 of their distance
     from the nearer of 0 and 1 (up to the float spacing near 1).  The
     upper endpoint is one minus the lower one for n - k failures.
+    Counts must be integers (numpy's too), and ``factor`` a number above 1.
     """
+    if not (isinstance(k, Integral) and isinstance(n, Integral)):
+        raise CircuitError(f"counts {k!r} and {n!r} must be integers")
     if n <= 0:
         raise CircuitError("need at least one sample")
     if not 0 <= k <= n:
         raise CircuitError(f"failure count {k} outside [0, {n}]")
-    if factor <= 1.0:
+    if not factor > 1.0:                 # NaN is not above 1 either
         raise CircuitError("likelihood factor must exceed 1")
     return _lower(k, n, factor)[0], _lower(n - k, n, factor)[1]
 

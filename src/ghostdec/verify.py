@@ -59,6 +59,10 @@ def brute_force_ml_decode(dem: DetectorErrorModel, syndrome: np.ndarray,
             raise VerifyError("syndrome must be a set of detector ids or a "
                               "boolean vector over all detectors")
         syndrome = np.flatnonzero(syndrome)
+    # a float id would be truncated to another detector's
+    odd = [t for t in syndrome if not isinstance(t, (int, np.integer))]
+    if odd:
+        raise VerifyError(f"syndrome detector ids {odd} are not integers")
     bad = sorted(t for t in set(syndrome) if not 0 <= t < dem.detector_count)
     if bad:
         raise VerifyError(f"syndrome detector ids {bad} lie outside the model")

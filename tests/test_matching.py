@@ -364,6 +364,64 @@ def test_overrides_pick_parallel_edges_like_a_full_rebuild():
     assert len(graphs) == 10 and parallel > 200
 
 
+def test_defect_free_patches_are_answered_before_the_memo(monkeypatch):
+    # a patch whose two class graphs see no defect is decoded by neither,
+    # and its answer is not remembered
+    dem, dec, patches = tproxy_model()
+    gx = class_graph(dec, patches[0], "X")
+    gz = class_graph(dec, patches[0], "Z")
+    elsewhere = [t for t in range(dem.detector_count)
+                 if t not in set(gx.detectors) | set(gz.detectors)]
+    calls = []
+    decode = matching.decode_mwpm
+
+    def counted(*args):
+        calls.append(args[0])
+        return decode(*args)
+
+    monkeypatch.setattr(matching, "decode_mwpm", counted)
+    empty = matching.Correction((), 0.0, ())
+    for dets in ((), elsewhere[:1], elsewhere):
+        syndrome = np.zeros(dem.detector_count, dtype=bool)
+        syndrome[list(dets)] = True
+        assert decode_correlated_two_pass(gx, gz, syndrome) == (empty, empty)
+        assert not calls and gx.routes.memo == {}
+    # a too-short syndrome still fails before any answer
+    with pytest.raises(MatchingError):
+        decode_correlated_two_pass(gx, gz, np.zeros(3, dtype=bool))
+    syndrome[gz.detectors[0]] = True
+    decode_correlated_two_pass(gx, gz, syndrome)
+    assert calls and len(gx.routes.memo) == 1
+
+
+def test_reweighted_decodes_share_one_scratch_matrix():
+    # one graph's reweighted decodes write one matrix in turn; no weight
+    # of one decode leaks into the next, nor into the base routes
+    dem, dec, patches = tproxy_model()
+    g = class_graph(dec, patches[0], "X")
+    routes = g.routes
+    dist, pred = routes.dist.copy(), routes.pred.copy()
+    eps = CORRELATION_SCALE * routes.min_weight
+    rng = np.random.default_rng(5)
+    moved = 0
+    for _ in range(40):
+        syndrome = np.zeros(dem.detector_count, dtype=bool)
+        syndrome[rng.choice(g.detectors, size=4, replace=False)] = True
+        a, b = ({int(i): eps for i in rng.choice(len(g.edges),
+                                                  size=len(g.edges) // 4,
+                                                  replace=False)}
+                for _ in range(2))
+        got = [decode_mwpm(g, syndrome, over) for over in (a, b, None)]
+        assert got == [decode_mwpm(dataclasses.replace(g), syndrome, over)
+                       for over in (a, b, None)]
+        moved += got[0] != got[2] and got[1] != got[0]
+        assert routes.reweighted(a)[0] is routes.reweighted(b)[0] \
+            is routes.scratch
+    assert np.array_equal(routes.dist, dist)
+    assert np.array_equal(routes.pred, pred)
+    assert moved >= 10
+
+
 # -- pruned, split matching against one blossom over every defect --------------------
 
 def full_graph_objective(graph, syndrome, overrides=None):

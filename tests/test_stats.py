@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ghostdec.circuits import CircuitError
@@ -10,7 +11,7 @@ from ghostdec.stats import likelihood_interval
 FACTOR = 1000.0
 CASES = [(1, 10), (3, 100), (28, 12000), (9, 12000), (6000, 12000),
          (11990, 12000), (11999, 12000), (59, 60), (1, 10**8),
-         (10, 10**8)]
+         (10, 10**8), (np.int64(3), np.int64(100))]
 
 
 def log_likelihood(k, n, p):
@@ -56,7 +57,12 @@ def test_upper_endpoint_mirrors_the_lower(k, n):
     (5, 4, FACTOR, "failure count 5 outside"),
     (-1, 4, FACTOR, "failure count -1 outside"),
     (1, 4, 1.0, "factor must exceed 1"),
-], ids=["no-samples", "too-many-failures", "negative-failures", "factor"])
+    # NaN compares False both ways, and a fractional count is no count
+    (3, 10, float("nan"), "factor must exceed 1"),
+    (2.5, 10, FACTOR, "counts 2.5 and 10 must be integers"),
+    (3, 10.5, FACTOR, "counts 3 and 10.5 must be integers"),
+], ids=["no-samples", "too-many-failures", "negative-failures", "factor",
+        "nan-factor", "fractional-failures", "fractional-samples"])
 def test_bad_input_raises_a_circuit_error(k, n, factor, match):
     with pytest.raises(CircuitError, match=match):
         likelihood_interval(k, n, factor)

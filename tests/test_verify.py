@@ -112,6 +112,18 @@ def test_syndrome_ids_outside_the_model_raise(ids):
         brute_force_ml_decode(dem, frozenset(ids))
 
 
+@pytest.mark.parametrize("ids", [{1.5}, {np.float64(1.0)}],
+                         ids=["fractional", "numpy-float"])
+def test_non_integer_syndrome_ids_raise(ids):
+    # 1.5 once read as detector 1, through int() truncation
+    dem = DetectorErrorModel((ErrorMechanism(0.01, (0,), ()),
+                              ErrorMechanism(0.01, (1,), ())), 2, 0,
+                             (0, 0), (0, 0), ("Z", "Z"), ())
+    with pytest.raises(VerifyError, match="are not integers"):
+        brute_force_ml_decode(dem, frozenset(ids))
+    assert brute_force_ml_decode(dem, {np.int64(1)}).solutions == 1
+
+
 @pytest.mark.parametrize("circuit", [
     apply_noise_model(build_memory_circuit(3, 3), NoiseParams(0.01)),
     apply_noise_model(build_tproxy_circuit(3, 1), NoiseParams(0.01)),
