@@ -3,20 +3,19 @@
 Each patch is decoded independently on each of up to :data:`PASSES`
 passes, always on the same patch-class graphs, which never show the
 matcher a ghost singleton.  Whenever a pass selects a ghost witness edge
-(g_e), the whole interpatch mechanism is committed: the issuing patch's
-defects at the edge's endpoints are cleared, the partner patch's lone
-ghost-singleton defect is flipped, and the mechanism's observable flips
-enter the logical frame.  Commits are buffered as ghost-pair ids, which
-are the ids of the mechanisms the pairs split, and applied at a barrier
-between passes, so the outcome does not depend on patch evaluation
-order.  Commits follow XOR semantics: re-selecting a committed
-mechanism's witness cancels the earlier commit.  The final pass is
-read-out only; its corrections are combined with the committed frame to
-form the logical answer.  A barrier that commits nothing leaves the
-working syndrome as it was, so every later pass would repeat its pass:
-the protocol ends there, and that pass is the final one.  A trace still
-holds :data:`PASSES` records, the quiet pass's repeated for each pass
-skipped.
+(g_e), :func:`commit_edge`, the rule window frontiers share, commits the
+whole interpatch mechanism: the issuing patch's defects at the edge's
+endpoints are cleared, the partner patch's lone ghost-singleton defect
+is flipped, and the mechanism's observable flips enter the logical
+frame.  Commits are buffered as ghost-pair ids, which are the ids of
+the mechanisms the pairs split, and applied at a barrier between
+passes, so the outcome does not depend on patch evaluation order.
+Commits follow XOR semantics: re-selecting a committed mechanism's
+witness cancels the earlier commit.  The final pass is read-out only;
+its corrections are combined with the committed frame to form the
+logical answer.  A barrier that commits nothing leaves the working
+syndrome as it was, so every later pass would repeat its pass: the
+protocol ends there, and that pass is the final one.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ import numpy as np
 
 from .circuits import CircuitError
 from .decompose import CLASSES, DecomposedDEM
-from .matching import build_matching_graph, decode_correlated_two_pass
+from .matching import (MatchingGraph, build_matching_graph,
+                       decode_correlated_two_pass)
 
 
 class ProtocolError(CircuitError):
@@ -87,6 +87,22 @@ def _graphs(decomposed: DecomposedDEM, keys: list) -> dict:
     return {key: graphs[key] for key in keys}
 
 
+def commit_edge(decomposed: DecomposedDEM, graph: MatchingGraph, i: int,
+                syndrome: np.ndarray, frame: np.ndarray) -> None:
+    """Commit edge ``i`` of one of ``decomposed``'s graphs: toggle its
+    detectors, those a window cut hides too, in ``syndrome`` and its
+    observables in ``frame``; a ghost witness brings its singleton's."""
+    e = graph.edges[i]
+    dets, obs = graph.edge_detectors(i) + e.cut_partners, e.observables
+    if e.pair_id is not None:
+        single = decomposed.pairs[e.pair_id][1]
+        dets, obs = dets + single.detectors, obs + single.observables
+    for d in dets:
+        syndrome[d] ^= True
+    for j in obs:
+        frame[j] ^= True
+
+
 def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
                        graphs: dict,
                        collect_trace: bool = False) -> GhostResult:
@@ -97,8 +113,7 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
     stop at the first barrier that commits nothing, since each later
     pass would decode the same working syndrome again; with
     ``collect_trace`` the result also keeps one :class:`PassRecord` per
-    pass, :data:`PASSES` in all, the quiet pass's standing for each one
-    skipped.
+    pass that ran.
     """
     dem = decomposed.dem
     if len(syndrome) != dem.detector_count:
@@ -119,22 +134,17 @@ def run_ghost_protocol(decomposed: DecomposedDEM, syndrome: np.ndarray, *,
             corr_x, corr_z = decode_correlated_two_pass(gx, gz, working)
             decoded[patch, "X"] = (gx, corr_x)
             decoded[patch, "Z"] = (gz, corr_z)
-        # each selected witness edge commits its pair; the final pass is
-        # read-out only
-        committed = [] if k == PASSES else [
-            g.edges[i].pair_id for g, c in decoded.values() for i in c.edges
-            if g.edges[i].role == "ghost_e"]
-        for pid in committed:
-            ge, gs = decomposed.pairs[pid]
-            for d in list(ge.detectors) + list(gs.detectors):
-                working[d] ^= True
-            for j in set(ge.observables) ^ set(gs.observables):
-                frame_delta[j] ^= True
+        # each selected witness edge commits its mechanism; the final pass
+        # is read-out only
+        witnesses = [] if k == PASSES else [
+            (g, i) for g, c in decoded.values() for i in c.edges
+            if g.edges[i].pair_id is not None]
+        for g, i in witnesses:
+            commit_edge(decomposed, g, i, working, frame_delta)
+        committed = [g.edges[i].pair_id for g, i in witnesses]
         if collect_trace:
             trace.append(PassRecord(decoded, committed))
         if not committed:
-            # a trace keeps PASSES records, this one standing for the rest
-            trace += trace[-1:] * (PASSES - k)
             break
         passes_with_commits += 1
 

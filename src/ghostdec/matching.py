@@ -301,7 +301,7 @@ def _defects(graph: MatchingGraph, syndrome: np.ndarray) -> np.ndarray:
     if graph.detectors and len(syndrome) <= graph.detectors[-1]:
         raise MatchingError(f"syndrome of length {len(syndrome)} does not "
                             f"cover detector {graph.detectors[-1]}")
-    return np.flatnonzero(syndrome[graph.routes.detectors])
+    return syndrome[graph.routes.detectors].nonzero()[0]
 
 
 def decode_mwpm(graph: MatchingGraph, syndrome: np.ndarray,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -24,6 +25,13 @@ class VerifyError(CircuitError):
 
 # relative odds-mass gap within which two logical classes count as tied
 ML_TIE_TOLERANCE = 1e-12
+
+
+def _check_weight(name: str, value) -> None:
+    """A weight bound counts mechanisms, so it is a whole number >= 0."""
+    if not isinstance(value, Integral) or value < 0:
+        raise VerifyError(f"{name} must be a non-negative integer, "
+                          f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +53,7 @@ def brute_force_ml_decode(dem: DetectorErrorModel, syndrome: np.ndarray,
     or a boolean vector over all detectors.  Intended for small models
     only.
     """
-    if weight_cap < 0:
-        raise VerifyError(f"weight_cap must be non-negative, got {weight_cap}")
+    _check_weight("weight_cap", weight_cap)
     mechs = [(e, m) for e, m in enumerate(dem.mechanisms) if m.detectors]
     if len(mechs) > 4000:
         raise VerifyError(f"{len(mechs)} mechanisms is too large for enumeration")
@@ -177,8 +184,7 @@ def min_failure_weight_search(dem: DetectorErrorModel, decode, region,
     weight.  Returns None when nothing fails up to max_weight.
     """
     region = sorted(region)
-    if max_weight < 0:
-        raise VerifyError(f"max_weight must be non-negative, got {max_weight}")
+    _check_weight("max_weight", max_weight)
     if region and not 0 <= region[0] <= region[-1] < len(dem.mechanisms):
         raise VerifyError(f"region ids must lie in [0, {len(dem.mechanisms)})")
     for w in range(1, max_weight + 1):

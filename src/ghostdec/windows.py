@@ -8,11 +8,12 @@ the cut become edges to an open temporal boundary on the surviving
 patch, while the measured patch terminates normally at its readout.
 Every windowed decode runs one carry loop, :func:`carry_windows`: each
 window's ghost commits, and its correction edges reaching below the
-next window's start, refine the syndrome and frame the next one sees.
-Real-time gate windows and patience's (:mod:`ghostdec.patience`, a
-heralded retry per gate) all start at the first round, so only ghost
-commits carry; sliding memory windows start a commit region apart, so
-each commits the edges of its commit region.
+next window's start, committed by the barrier's own rule
+(:func:`~ghostdec.ghost.commit_edge`), refine the syndrome and frame
+the next one sees.  Real-time gate windows and patience's
+(:mod:`ghostdec.patience`, a heralded retry per gate) all start at the
+first round, so only ghost commits carry; sliding windows over any
+model start a commit region apart, so each commits its commit region.
 
 Every such cut is one :class:`Window`: the model sliced to detector
 times [lo, hi] plus its protocol graphs, built by :func:`build_window`
@@ -26,13 +27,14 @@ window is a memo hit in the next and in the global decode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .circuits import CircuitError
 from .decompose import Component, DecomposedDEM
 from .dem import DetectorErrorModel
-from .ghost import build_protocol_graphs, run_ghost_protocol
+from .ghost import build_protocol_graphs, commit_edge, run_ghost_protocol
 from .stats import likelihood_interval
 
 
@@ -46,8 +48,8 @@ class WindowConfig:
 
     ``n_buf`` is the number of extraction rounds between a transversal
     CNOT and the dependent logical measurement, and so the rounds a
-    gate's window sees past its CNOT.  Sliding memory plans take their
-    own commit and buffer sizes.
+    gate's window sees past its CNOT.  Sliding plans take their own
+    commit and buffer sizes.
     """
 
     n_buf: int = 1
@@ -226,10 +228,11 @@ def carry_windows(dem: DetectorErrorModel, syndrome: np.ndarray,
     ``decode_window(k, windows[k], carried)`` returns window ``k``'s
     :class:`GhostResult`.  Unless ``k`` is the last, its ghost commits
     and each correction edge with a detector below the next window's
-    ``lo`` toggle the carried syndrome and frame; an edge toggles its
-    cut partners too, leaving artificial defects beyond that frontier.
-    Returns each window's answer: the frame it was given XOR its
-    result's logical flips.
+    ``lo`` toggle the carried syndrome and frame by
+    :func:`~ghostdec.ghost.commit_edge`: cut partners leave artificial
+    defects beyond that frontier, and a witness (held only at the pass
+    cap) takes its singleton.  Returns each window's answer: the frame
+    it was given XOR its result's logical flips.
     """
     check_cut_from(windows, dem, WindowError)
     carried = np.array(syndrome, dtype=bool, copy=True)
@@ -246,14 +249,10 @@ def carry_windows(dem: DetectorErrorModel, syndrome: np.ndarray,
         carried ^= res.refinement_delta
         frame ^= res.frame_delta
         for g, corr in res.corrections.values():
-            for ei in corr.edges:
-                dets = g.edge_detectors(ei)
-                if all(time[d] >= windows[k + 1].lo for d in dets):
-                    continue           # buffer only: re-decoded later
-                for j in g.edges[ei].observables:
-                    frame[j] ^= True
-                for d in dets + g.edges[ei].cut_partners:
-                    carried[d] ^= True
+            for ei in corr.edges:       # buffer-only edges: re-decoded later
+                if any(time[d] < windows[k + 1].lo
+                       for d in g.edge_detectors(ei)):
+                    commit_edge(w.decomposed, g, ei, carried, frame)
     return answers
 
 
@@ -318,7 +317,7 @@ def compute_tw_error(windowed_decisions, global_decisions) -> TwError:
                    likelihood_interval(bad, a.shape[0], 1000.0))
 
 
-# -- sliding-window memory decoding -------------------------------------------
+# -- sliding-window decoding --------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -328,20 +327,20 @@ class MemoryPlan:
 
 def plan_memory_windows(decomposed: DecomposedDEM, commit_rounds: int,
                         buffer_rounds: int) -> MemoryPlan:
-    """Sliding commit/buffer windows covering a memory problem.
+    """Sliding commit/buffer windows covering a decoding problem.
 
-    Windows start ``commit_rounds`` apart and span at most
-    ``commit_rounds + buffer_rounds`` rounds; the last one reaches the
-    last round.  A correction edge committed at a window's frontier
-    would carry a ghost witness without its singleton, so a model with
-    ghost pairs is rejected.
+    Any model can be planned, memory, T-proxy or deep: windows start
+    ``commit_rounds`` apart and span at most ``commit_rounds +
+    buffer_rounds`` rounds; the last one reaches the last round.  Both
+    sizes are whole rounds, since a fractional size would cut windows
+    between rounds, or with ``lo > hi``.
     """
-    if commit_rounds < 1:
-        raise WindowError("commit region needs at least one round")
-    if buffer_rounds < 0:
-        raise WindowError("buffer region cannot be negative")
-    if decomposed.pairs:
-        raise WindowError("sliding windows cannot carry ghost commits")
+    if not isinstance(commit_rounds, Integral) or commit_rounds < 1:
+        raise WindowError("commit region needs a whole number of rounds, "
+                          f"at least one, got {commit_rounds!r}")
+    if not isinstance(buffer_rounds, Integral) or buffer_rounds < 0:
+        raise WindowError("buffer region needs a whole number of rounds, "
+                          f"none or more, got {buffer_rounds!r}")
     time = decomposed.dem.detector_time
     if not time:
         raise WindowError("model has no detectors")
@@ -357,7 +356,7 @@ def plan_memory_windows(decomposed: DecomposedDEM, commit_rounds: int,
 
 def decode_memory_sliding(decomposed: DecomposedDEM, syndrome: np.ndarray,
                           plan: MemoryPlan) -> np.ndarray:
-    """Sliding-window decode of a memory problem.
+    """Sliding-window decode of any model's problem.
 
     Each window is decoded in full by the ghost protocol inside
     :func:`carry_windows`, which commits the correction edges reaching

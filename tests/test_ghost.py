@@ -182,7 +182,7 @@ def test_ghost_commit_flips_an_observable():
     res = run_ghost_protocol(dec, vec(dem, (0, 1, 2)),
                              graphs=build_protocol_graphs(dec),
                              collect_trace=True)
-    assert [record.committed for record in res.trace] == [[0], [], [], []]
+    assert [record.committed for record in res.trace] == [[0], []]
     # the observable flip reaches the answer through the frame alone
     assert res.frame_delta.tolist() == [True]
     assert res.logical_flips.tolist() == [True]
@@ -280,7 +280,8 @@ def test_trace_shape(setup):
     dem, dec, graphs = setup
     res = run_ghost_protocol(dec, vec(dem, dem.mechanisms[2].detectors),
                              graphs=graphs, collect_trace=True)
-    assert len(res.trace) == 4
+    # one record per pass that ran
+    assert len(res.trace) == res.passes_with_commits + 1
     # every pass decodes each patch-class graph itself
     for record in res.trace:
         assert set(record.corrections) == set(graphs)
@@ -343,7 +344,8 @@ def test_tracing_changes_nothing():
             assert np.array_equal(getattr(plain, name), getattr(traced, name))
         assert plain.corrections == traced.corrections
         assert plain.passes_with_commits == traced.passes_with_commits
-        assert plain.trace == [] and len(traced.trace) == 4
+        assert plain.trace == []
+        assert len(traced.trace) == traced.passes_with_commits + 1
         commits += plain.passes_with_commits
     assert commits
 
@@ -386,9 +388,8 @@ def test_passes_stop_at_the_first_quiet_barrier(two_gate_setup, monkeypatch):
         traced = run_ghost_protocol(dec, dets[s], graphs=graphs,
                                     collect_trace=True)
         trace = traced.trace
-        assert len(trace) == ghostdec.ghost.PASSES
+        assert len(trace) == passes
         assert all(record.committed for record in trace[:passes - 1])
-        assert all(record == trace[passes - 1] for record in trace[passes:])
         assert trace[-1].committed == [] and trace[-1].corrections == \
             res.corrections
         if not res.passes_with_commits:

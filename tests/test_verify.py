@@ -212,3 +212,23 @@ def test_weight_search_rejects_bad_input():
         with pytest.raises(VerifyError, match="region"):
             min_failure_weight_search(dem, blind, region, max_weight=1)
     assert min_failure_weight_search(dem, blind, [], max_weight=1) is None
+
+
+@pytest.mark.parametrize("bound", [1.5, 2.0, np.float64(2.5), "2", None],
+                         ids=["fraction", "whole-float", "numpy-float",
+                              "string", "none"])
+def test_weight_bounds_must_be_whole_numbers(bound):
+    # a fractional cap was never reached by the enumeration's depth, so
+    # it ran without bound; the weight search raised a bare TypeError
+    dem = extract_dem(apply_noise_model(build_memory_circuit(3, 2),
+                                        NoiseParams(0.01)))
+
+    def blind(_syndrome):
+        return np.zeros(dem.observable_count, dtype=bool)
+
+    syndrome = frozenset(dem.mechanisms[0].detectors)
+    with pytest.raises(VerifyError, match="weight_cap must be a non-negative"):
+        brute_force_ml_decode(dem, syndrome, weight_cap=bound)
+    with pytest.raises(VerifyError, match="max_weight must be a non-negative"):
+        min_failure_weight_search(dem, blind, range(3), max_weight=bound)
+    assert brute_force_ml_decode(dem, syndrome, weight_cap=np.int64(2))

@@ -1,4 +1,4 @@
-"""Windowed real-time decoding, patience and sliding memory windows."""
+"""Windowed real-time decoding, patience and sliding windows."""
 
 import dataclasses
 import hashlib
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ghostdec.builders import (NoiseParams, apply_noise_model,
+                               build_deep_clifford_circuit,
                                build_memory_circuit, build_tproxy_circuit)
 from ghostdec.circuits import CircuitError
 from ghostdec.decompose import ghost_decompose
@@ -30,6 +31,7 @@ from ghostdec.windows import (TproxyGate, TproxyPlan, Window, WindowConfig,
                               decode_tproxy_windowed, gate_decisions,
                               plan_memory_windows, plan_tproxy_windows,
                               severance_region, tproxy_gates)
+from ghostdec.stats import likelihood_interval
 
 CONFIG = WindowConfig()
 
@@ -86,6 +88,62 @@ def test_carried_commits_reach_later_gates():
     # its observable flips through gate 0's carried frame alone
     assert seen == [[True] * 3, [False] * 3]
     assert decisions.tolist() == [True, False]
+
+
+def test_carry_commits_a_witness_with_its_singleton(monkeypatch):
+    # the witness (0, 1) on patch 0, at round 0, flips observable 1 and
+    # the singleton (2,) on patch 1, at round 1, observable 0; at the pass
+    # cap the read-out pass keeps the witness it selects, below the next
+    # window's round 1, so the carry commits the whole mechanism
+    dem = DetectorErrorModel(
+        (ErrorMechanism(0.01, (0, 1, 2), (0, 1)),
+         ErrorMechanism(0.001, (0,), ()), ErrorMechanism(0.001, (1,), ()),
+         ErrorMechanism(0.001, (2,), ())),
+        3, 2, (0, 0, 1), (0, 0, 1), ("Z",) * 3, (1, 0), ("Z", "Z"))
+    dec = ghost_decompose(dem)
+    ((ge, gs),) = dec.pairs.values()
+    assert (ge.detectors, ge.observables) == ((0, 1), (1,))
+    assert (gs.detectors, gs.observables) == ((2,), (0,))
+    graphs = build_protocol_graphs(dec)
+    monkeypatch.setattr(ghostdec.ghost, "PASSES", 1)
+    seen, results = [], []
+
+    def decode_window(k, window, carried):
+        seen.append(carried.tolist())
+        results.append(run_ghost_protocol(dec, carried, graphs=graphs))
+        return results[-1]
+
+    windows = (Window(0, 1, dec, graphs), Window(1, 1, dec, graphs))
+    answers = carry_windows(dem, np.ones(3, dtype=bool), windows,
+                            decode_window)
+    g, corr = results[0].corrections[0, "Z"]
+    assert [g.edges[i].pair_id for i in corr.edges] == [0]
+    # the singleton's detector is cleared with the witness's two, and the
+    # frame takes both fragments' observables
+    assert seen == [[True] * 3, [False] * 3]
+    assert answers[1].tolist() == [True, True]
+
+
+def test_barrier_commits_a_cut_witness_with_its_hidden_detector():
+    # the witness (0, 1) on patch 0 reaches round 2, past the cut at
+    # round 1, which hides detector 1; the singleton (2,) on patch 1, at
+    # round 0, flips the observable
+    dem = DetectorErrorModel(
+        (ErrorMechanism(0.01, (0, 1, 2), (0,)),
+         ErrorMechanism(0.001, (0,), ()), ErrorMechanism(0.001, (1,), ()),
+         ErrorMechanism(0.001, (2,), ())),
+        3, 1, (0, 0, 1), (0, 2, 0), ("Z",) * 3, (1,), ("Z",))
+    window = build_window(ghost_decompose(dem), 0, 1)
+    ((ge, gs),) = window.decomposed.pairs.values()
+    assert (ge.detectors, ge.cut_partners, gs.detectors) == ((0,), (1,), (2,))
+    res = run_ghost_protocol(window.decomposed, np.ones(3, dtype=bool),
+                             graphs=window.graphs, collect_trace=True)
+    # the commit toggles the hidden detector too, as a cut edge committed
+    # at a frontier does, so the refined syndrome has no defect left
+    assert res.refinement_delta.tolist() == [True, True, True]
+    assert [record.committed for record in res.trace] == [[0], []]
+    assert res.frame_delta.tolist() == [True]
+    assert res.logical_flips.tolist() == [True]
 
 
 def test_carry_commits_edges_below_the_next_window_start():
@@ -273,10 +331,22 @@ def short_sliding_syndrome():
     (lambda: plan_memory_windows(ghost_decompose(DetectorErrorModel(
         (), 0, 0, (), (), (), ())), 1, 0), "model has no detectors"),
     (short_sliding_syndrome, "syndrome length does not match"),
+    # fractional sizes once planned windows between rounds, (1, 1.5) and
+    # (2.5, 2) on two rounds, the second empty
+    (lambda: plan_memory_windows(noiseless(build_memory_circuit(3, 2)),
+                                 1.5, 0),
+     "commit region needs a whole number of rounds"),
+    (lambda: plan_memory_windows(noiseless(build_memory_circuit(3, 2)),
+                                 2.0, 0),
+     "commit region needs a whole number of rounds"),
+    (lambda: plan_memory_windows(noiseless(build_memory_circuit(3, 2)),
+                                 1, 0.5),
+     "buffer region needs a whole number of rounds"),
 ], ids=["n-buf", "homeless-observable", "home-without-detectors",
         "no-survivor", "n-buf-past-start", "n-buf-below-circuit",
         "n-buf-above-circuit",
-        "no-detectors", "short-sliding-syndrome"])
+        "no-detectors", "short-sliding-syndrome", "fractional-commit",
+        "float-commit", "fractional-buffer"])
 def test_bad_window_input_raises(call, match):
     with pytest.raises(WindowError, match=match):
         call()
@@ -666,13 +736,6 @@ def test_shared_graphs_decide_as_unshared_ones(patience_setup):
     assert retried
 
 
-def test_sliding_windows_reject_ghost_pairs(patience_setup):
-    dem, dec, _, _ = patience_setup
-    assert dec.pairs
-    with pytest.raises(WindowError):
-        plan_memory_windows(dec, 2, 1)
-
-
 def test_single_sliding_window_equals_global_memory():
     dem, dec = decomposed(build_memory_circuit(3, 3), 5e-3)
     rounds = max(dem.detector_time) + 1
@@ -702,6 +765,57 @@ def test_sliding_windows_step_by_commit_size():
         for w in plan.windows:
             assert w.hi - w.lo + 1 <= commit_rounds + buffer_rounds
         assert plan.windows[-1].hi == last
+
+
+@pytest.mark.parametrize("build, p", [
+    (lambda: build_tproxy_circuit(3, 2), 3e-3),
+    (lambda: build_deep_clifford_circuit(3, 1, 3), 1e-3)],
+    ids=["tproxy", "deep"])
+def test_sliding_windows_decode_models_with_ghost_pairs(build, p):
+    dem, dec = decomposed(build(), p)
+    assert dec.pairs
+    rounds = max(dem.detector_time) - min(dem.detector_time) + 1
+    graphs = build_protocol_graphs(dec)
+    dets, obs = sample_dem(dem, seed=5, shots=200)
+    glob = np.array([run_ghost_protocol(dec, dets[s], graphs=graphs)
+                     .logical_flips for s in range(200)])
+    # one window over every round is the global decode
+    one = plan_memory_windows(dec, rounds, 0)
+    assert len(one.windows) == 1
+    for s in range(200):
+        assert np.array_equal(decode_memory_sliding(dec, dets[s], one),
+                              glob[s]), f"shot {s}"
+    # one-round commit regions fail about as often as the global decode
+    plan = plan_memory_windows(dec, 1, 1)
+    assert len(plan.windows) > 1
+    sliding = np.array([decode_memory_sliding(dec, dets[s], plan)
+                        for s in range(200)])
+    assert sliding.shape == obs.shape and sliding.dtype == bool
+    wrong = int(np.any(glob != obs, axis=1).sum())
+    lo, hi = likelihood_interval(wrong, 200)
+    assert lo <= np.any(sliding != obs, axis=1).mean() <= hi
+
+
+@pytest.mark.parametrize("commit_rounds, buffer_rounds, windows, differ, "
+                         "digest", [(1, 1, 6, 1, "a381a70a5278e3ab"),
+                                    (2, 0, 4, 4, "38f5dbad8461a8bc")])
+def test_multi_window_sliding_tproxy_decisions_are_pinned(
+        commit_rounds, buffer_rounds, windows, differ, digest):
+    # recorded decisions on a model with ghost pairs; each plan disagrees
+    # with the global decode on some shots, so the digests pin the cut
+    # and the carry of its commits
+    dem, dec = decomposed(build_tproxy_circuit(3, 2), 3e-3)
+    plan = plan_memory_windows(dec, commit_rounds, buffer_rounds)
+    assert len(plan.windows) == windows
+    graphs = build_protocol_graphs(dec)
+    dets, _ = sample_dem(dem, seed=12, shots=150)
+    flips = np.array([decode_memory_sliding(dec, dets[s], plan)
+                      for s in range(150)])
+    glob = np.array([run_ghost_protocol(dec, dets[s], graphs=graphs)
+                     .logical_flips for s in range(150)])
+    assert int(np.any(flips != glob, axis=1).sum()) == differ
+    got = hashlib.sha256(np.packbits(flips).tobytes()).hexdigest()[:16]
+    assert got == digest
 
 
 @pytest.mark.parametrize("commit_rounds, buffer_rounds, windows, digest", [
